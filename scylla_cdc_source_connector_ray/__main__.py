@@ -18,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 
 def _build_cfg(args) -> "EngineConfig":
@@ -231,314 +233,276 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_dedup_stream(args) -> int:
-    """Streaming first-occurrence dedup over a windowed document log
-    (checkpointed seen-set, exactly-once; see pipelines/dedup_stream.py)."""
+def _runner(name: str):
+    """Lazy runner-class import ("module.Class" under ``pipelines``): a
+    subcommand loads only its own runner."""
+    import importlib
+
+    mod, cls = name.split(".")
+    return getattr(importlib.import_module(f"{__package__}.pipelines.{mod}"), cls)
+
+
+def _int(flag: str, default, **kw):
+    return flag, {"type": int, "default": default, **kw}
+
+
+def _str(flag: str, default: str):
+    return flag, {"default": default}
+
+
+class StreamCommand(NamedTuple):
+    """One lean streaming subcommand. Every one also takes ``--log-dir``,
+    ``--checkpoint`` (default ``/tmp/scylla_cdc_ray/<stem>_ckpt``),
+    ``--num-cpus``, ``--files-per-batch``, ``--max-batches`` and the live
+    tail flags; ``--num-shards`` when the runner exchanges, ``--out``
+    (default ``<stem>_out``) when it writes a sink."""
+
+    name: str
+    help: str
+    stem: str
+    make: Callable  # args -> runner
+    flags: tuple = ()  # extra (flag, add_argument kwargs)
+    fields: Callable | None = None  # (runner, args) -> extra printed fields
+    sink: bool = True
+    shards: bool = True
+
+
+STREAM_COMMANDS = (
+    StreamCommand(
+        "element-stream",
+        "streaming element-level collection capture",
+        "element",
+        lambda a: _runner("element_stream.ElementStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, collection=a.collection
+        ),
+        (("--collection", {"choices": ("list", "set", "map"), "default": "list"}),),
+    ),
+    StreamCommand(
+        "dedup-stream",
+        "streaming first-occurrence text dedup",
+        "dedup",
+        lambda a: _runner("dedup_stream.DedupStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint,
+            text_col=a.text_col, order_col=a.order_col,
+        ),
+        (_str("--text-col", "text"), _str("--order-col", "doc_id")),
+    ),
+    StreamCommand(
+        "segdedup-stream",
+        "streaming segment-level (sub-document) exact dedup",
+        "segdedup",
+        lambda a: _runner("segment_stream.SegmentDedupStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, seg_words=a.seg_words,
+            text_col=a.text_col, id_col=a.id_col, num_parts=a.num_parts,
+        ),
+        (
+            _int("--num-parts", 16),
+            _int("--seg-words", 20),
+            _str("--text-col", "text"),
+            _str("--id-col", "doc_id"),
+        ),
+    ),
+    StreamCommand(
+        "subdedup-stream",
+        "streaming repeated-substring span removal (word k-grams)",
+        "subdedup",
+        lambda a: _runner("substring_stream.SubstringDedupStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, k=a.k,
+            text_col=a.text_col, id_col=a.id_col, num_parts=a.num_parts,
+        ),
+        (
+            _int("--num-parts", 16),
+            _int("--k", 8),
+            _str("--text-col", "text"),
+            _str("--id-col", "doc_id"),
+        ),
+    ),
+    StreamCommand(
+        "session-stream",
+        "streaming per-event session-id assignment (gap rule)",
+        "session",
+        lambda a: _runner("session_stream.SessionStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, gap_us=a.gap_us,
+            user_col=a.user_col, ts_col=a.ts_col, id_col=a.id_col,
+        ),
+        (
+            _int("--gap-us", 3_600_000_000),
+            _str("--user-col", "user_id"),
+            _str("--ts-col", "ts"),
+            _str("--id-col", "event_id"),
+        ),
+    ),
+    StreamCommand(
+        "distinct-stream",
+        "streaming exact distinct-per-window counter",
+        "dist",
+        lambda a: _runner("distinct_stream.DistinctStreamRunner")(
+            a.log_dir, a.num_shards, a.checkpoint, window_us=a.window_ms * 1000,
+            key_col=a.key_col, ts_col=a.ts_col,
+            mode="approx" if a.approx else "exact", hll_p=a.hll_p,
+        ),
+        (
+            _int("--window-ms", 3_600_000),
+            _str("--key-col", "conv_id"),
+            _str("--ts-col", "ts_us"),
+            (
+                "--approx",
+                {
+                    "action": "store_true",
+                    "help": "bounded state: one HLL per (shard, window) instead of the "
+                    "exact seen-set",
+                },
+            ),
+            _int("--hll-p", 12, help="HLL precision (2^p registers)"),
+        ),
+        fields=lambda r, a: {"windows": r.read_counts().num_rows},
+        sink=False,
+    ),
+    StreamCommand(
+        "cap-stream",
+        "streaming per-key admission cap (per-domain quota)",
+        "cap",
+        lambda a: _runner("cap_stream.SourceCapRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, k=a.cap,
+            key_col=a.key_col, order_col=a.order_col,
+        ),
+        (
+            ("--cap", {"type": int, "required": True, "help": "max admitted rows per key"}),
+            _str("--key-col", "source"),
+            _str("--order-col", "doc_id"),
+        ),
+    ),
+    StreamCommand(
+        "curation-stream",
+        "streaming curation chain (filter+decontam+dedup+cap), exactly-once",
+        "cur",
+        lambda a: _runner("curation_stream.CurationStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint,
+            max_dup_micro=a.max_dup_micro, cap_k=a.cap, text_col=a.text_col,
+            id_col=a.id_col, source_col=a.source_col,
+        ),
+        (
+            _int("--cap", 10, help="max admitted docs per source"),
+            _int("--max-dup-micro", 60000),
+            _str("--text-col", "text"),
+            _str("--id-col", "doc_id"),
+            _str("--source-col", "source"),
+        ),
+    ),
+    StreamCommand(
+        "emb-stream",
+        "streaming SRP-LSH embedding near-dup filter",
+        "emb",
+        lambda a: _runner("embedding_stream.EmbeddingLshStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint, vec_col=a.vec_col,
+            order_col=a.order_col, n_tables=a.n_tables, n_planes=a.n_planes, dim=a.dim,
+        ),
+        (
+            _str("--vec-col", "embedding"),
+            _str("--order-col", "vec_id"),
+            _int("--n-tables", 4),
+            _int("--n-planes", 8),
+            _int("--dim", 64),
+        ),
+    ),
+    StreamCommand(
+        "hh-stream",
+        "streaming SpaceSaving heavy-hitter tokens",
+        "hh",
+        lambda a: _runner("hh_stream.HeavyHittersStreamRunner")(
+            a.log_dir, a.checkpoint, m=a.m, text_col=a.text_col
+        ),
+        (
+            _int("--m", 4096, help="SpaceSaving counters"),
+            _int("--k", 20, help="top-k to print"),
+            _str("--text-col", "text"),
+        ),
+        fields=lambda r, a: {"topk": r.read_topk(a.k).to_pylist()},
+        sink=False,
+        shards=False,
+    ),
+    StreamCommand(
+        "minhash-stream",
+        "streaming arrival-order LSH near-dup filter",
+        "mh",
+        lambda a: _runner("minhash_stream.MinHashStreamRunner")(
+            a.log_dir, a.num_shards, a.out, a.checkpoint,
+            text_col=a.text_col, order_col=a.order_col,
+        ),
+        (_str("--text-col", "text"), _str("--order-col", "doc_id")),
+    ),
+    StreamCommand(
+        "cep-stream",
+        "streaming per-conversation pattern counting (literal or regex)",
+        "cep",
+        lambda a: _runner("cep_stream.CepStreamRunner")(
+            a.log_dir, a.num_shards, a.checkpoint, key_col=a.key_col,
+            role_col=a.role_col,
+            **({"pattern": a.pattern} if a.regex else {"literal": a.pattern}),
+        ),
+        (
+            (
+                "--pattern",
+                {"default": "uta", "help": "role-symbol sequence (u/a/t/s/d); regex with --regex"},
+            ),
+            (
+                "--regex",
+                {
+                    "action": "store_true",
+                    "help": "treat --pattern as an RE2 regex (DFA-pruned carry)",
+                },
+            ),
+            _str("--key-col", "conv_id"),
+            _str("--role-col", "role"),
+        ),
+        sink=False,
+    ),
+)
+
+
+def cmd_stream(args) -> int:
+    """Run one lean streaming runner (see ``STREAM_COMMANDS``): one-shot
+    drain or live tail, then print its totals as one JSON line."""
     import ray
 
     _init_ray(args)
-    from .pipelines.dedup_stream import DedupStreamRunner
-
-    runner = DedupStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        text_col=args.text_col,
-        order_col=args.order_col,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_segdedup_stream(args) -> int:
-    """Streaming segment-level (sub-document) dedup over a windowed document
-    log (checkpointed seen-segment state, exactly-once;
-    pipelines/segment_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.segment_stream import SegmentDedupStreamRunner
-
-    runner = SegmentDedupStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        seg_words=args.seg_words,
-        text_col=args.text_col,
-        id_col=args.id_col,
-        num_parts=args.num_parts,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_subdedup_stream(args) -> int:
-    """Streaming repeated-substring span removal over a windowed document
-    log (checkpointed seen-gram state, exactly-once;
-    pipelines/substring_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.substring_stream import SubstringDedupStreamRunner
-
-    runner = SubstringDedupStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        k=args.k,
-        text_col=args.text_col,
-        id_col=args.id_col,
-        num_parts=args.num_parts,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_session_stream(args) -> int:
-    """Streaming per-event session-id assignment over a ts-windowed event
-    log (checkpointed per-user (last_ts, session_count) state, exactly-once;
-    pipelines/session_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.session_stream import SessionStreamRunner
-
-    runner = SessionStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        gap_us=args.gap_us,
-        user_col=args.user_col,
-        ts_col=args.ts_col,
-        id_col=args.id_col,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_cap_stream(args) -> int:
-    """Streaming per-key admission cap over a windowed document log
-    (checkpointed per-key admitted counts, exactly-once;
-    pipelines/cap_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.cap_stream import SourceCapRunner
-
-    runner = SourceCapRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        k=args.cap,
-        key_col=args.key_col,
-        order_col=args.order_col,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_curation_stream(args) -> int:
-    """Streaming curation chain (repetition -> decontamination -> exact
-    dedup -> per-source cap) as ONE checkpointed exactly-once runner
-    (pipelines/curation_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.curation_stream import CurationStreamRunner
-
-    runner = CurationStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        max_dup_micro=args.max_dup_micro,
-        cap_k=args.cap,
-        text_col=args.text_col,
-        id_col=args.id_col,
-        source_col=args.source_col,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_emb_stream(args) -> int:
-    """Streaming arrival-order SRP-LSH embedding near-dup filter
-    (pipelines/embedding_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.embedding_stream import EmbeddingLshStreamRunner
-
-    runner = EmbeddingLshStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        vec_col=args.vec_col,
-        order_col=args.order_col,
-        n_tables=args.n_tables,
-        n_planes=args.n_planes,
-        dim=args.dim,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_hh_stream(args) -> int:
-    """Streaming SpaceSaving heavy hitters over a windowed document log
-    (one checkpointed m-counter summary; pipelines/hh_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.hh_stream import HeavyHittersStreamRunner
-
-    runner = HeavyHittersStreamRunner(
-        args.log_dir,
-        checkpoint_dir=args.checkpoint,
-        m=args.m,
-        text_col=args.text_col,
-    )
-    totals = _run_or_tail(runner, args)
-    top = runner.read_topk(args.k).to_pylist()
-    print(
-        json.dumps(
-            {"ok": True, **totals, "topk": top, "checkpoint": args.checkpoint}
-        )
-    )
-    ray.shutdown()
-    return 0
-
-
-def cmd_distinct_stream(args) -> int:
-    """Streaming exact distinct-per-window counter (checkpointed seen-set
-    state; pipelines/distinct_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.distinct_stream import DistinctStreamRunner
-
-    runner = DistinctStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        checkpoint_dir=args.checkpoint,
-        window_us=args.window_ms * 1000,
-        key_col=args.key_col,
-        ts_col=args.ts_col,
-        mode="approx" if args.approx else "exact",
-        hll_p=args.hll_p,
-    )
-    totals = _run_or_tail(runner, args)
-    counts = runner.read_counts()
-    print(
-        json.dumps(
-            {
-                "ok": True,
-                **totals,
-                "windows": counts.num_rows,
-                "checkpoint": args.checkpoint,
-            }
-        )
-    )
-    ray.shutdown()
-    return 0
-
-
-def cmd_element_stream(args) -> int:
-    """Streaming element-level collection capture (list/set/map element-op
-    folds with cross-batch live-cell carry; pipelines/element_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.element_stream import ElementStreamRunner
-
-    runner = ElementStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        collection=args.collection,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
-
-
-def _run_or_tail(runner, args) -> dict:
-    """Shared lean-runner dispatch: one-shot drain or live tail."""
-    if getattr(args, "tail", False):
-        return runner.follow(
+    spec = args.stream
+    runner = spec.make(args)
+    if args.tail:
+        totals = runner.follow(
             files_per_batch=args.files_per_batch,
             poll_interval_s=args.poll_ms / 1000.0,
             idle_polls=args.idle_polls,
         )
-    return runner.run(
-        files_per_batch=args.files_per_batch, max_batches=args.max_batches
-    )
-
-
-def cmd_minhash_stream(args) -> int:
-    """Streaming arrival-order LSH near-dup filter
-    (pipelines/minhash_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.minhash_stream import MinHashStreamRunner
-
-    runner = MinHashStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        sink_dir=args.out,
-        checkpoint_dir=args.checkpoint,
-        text_col=args.text_col,
-        order_col=args.order_col,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "out": args.out, "checkpoint": args.checkpoint}))
+    else:
+        totals = runner.run(files_per_batch=args.files_per_batch, max_batches=args.max_batches)
+    out = {"ok": True, **totals}
+    if spec.sink:
+        out["out"] = args.out
+    if spec.fields is not None:
+        out.update(spec.fields(runner, args))
+    print(json.dumps({**out, "checkpoint": args.checkpoint}))
     ray.shutdown()
     return 0
 
 
-def cmd_cep_stream(args) -> int:
-    """Streaming CEP literal-pattern counting (per-conversation counts with
-    cross-batch carry; pipelines/cep_stream.py)."""
-    import ray
-
-    _init_ray(args)
-    from .pipelines.cep_stream import CepStreamRunner
-
-    mode = {"pattern": args.pattern} if args.regex else {"literal": args.pattern}
-    runner = CepStreamRunner(
-        args.log_dir,
-        num_shards=args.num_shards,
-        checkpoint_dir=args.checkpoint,
-        key_col=args.key_col,
-        role_col=args.role_col,
-        **mode,
-    )
-    totals = _run_or_tail(runner, args)
-    print(json.dumps({"ok": True, **totals, "checkpoint": args.checkpoint}))
-    ray.shutdown()
-    return 0
+def _add_stream_command(sub, spec: StreamCommand) -> None:
+    sp = sub.add_parser(spec.name, help=spec.help)
+    sp.add_argument("--log-dir", required=True)
+    if spec.sink:
+        sp.add_argument("--out", default=f"/tmp/scylla_cdc_ray/{spec.stem}_out")
+    sp.add_argument("--checkpoint", default=f"/tmp/scylla_cdc_ray/{spec.stem}_ckpt")
+    if spec.shards:
+        sp.add_argument("--num-shards", type=int, default=64)
+    for flag, kw in spec.flags:
+        sp.add_argument(flag, **kw)
+    sp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    sp.add_argument("--files-per-batch", type=int, default=4)
+    sp.add_argument("--max-batches", type=int, default=None)
+    sp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
+    sp.add_argument("--poll-ms", type=int, default=1000)
+    sp.add_argument("--idle-polls", type=int, default=3)
+    sp.set_defaults(fn=cmd_stream, stream=spec)
 
 
 def main(argv=None) -> int:
@@ -547,192 +511,8 @@ def main(argv=None) -> int:
     mx = sub.add_parser("metrics", help="summarize a checkpoint's per-batch lineage metrics")
     mx.add_argument("--checkpoint", required=True)
     mx.set_defaults(fn=cmd_metrics)
-    ep = sub.add_parser("element-stream", help="streaming element-level collection capture")
-    ep.add_argument("--log-dir", required=True)
-    ep.add_argument("--out", default="/tmp/scylla_cdc_ray/element_out")
-    ep.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/element_ckpt")
-    ep.add_argument("--num-shards", type=int, default=64)
-    ep.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    ep.add_argument("--files-per-batch", type=int, default=4)
-    ep.add_argument("--max-batches", type=int, default=None)
-    ep.add_argument("--collection", choices=("list", "set", "map"), default="list")
-    ep.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    ep.add_argument("--poll-ms", type=int, default=1000)
-    ep.add_argument("--idle-polls", type=int, default=3)
-    ep.set_defaults(fn=cmd_element_stream)
-    dp = sub.add_parser("dedup-stream", help="streaming first-occurrence text dedup")
-    dp.add_argument("--log-dir", required=True)
-    dp.add_argument("--out", default="/tmp/scylla_cdc_ray/dedup_out")
-    dp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/dedup_ckpt")
-    dp.add_argument("--num-shards", type=int, default=64)
-    dp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    dp.add_argument("--files-per-batch", type=int, default=4)
-    dp.add_argument("--max-batches", type=int, default=None)
-    dp.add_argument("--text-col", default="text")
-    dp.add_argument("--order-col", default="doc_id")
-    dp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    dp.add_argument("--poll-ms", type=int, default=1000)
-    dp.add_argument("--idle-polls", type=int, default=3)
-    dp.set_defaults(fn=cmd_dedup_stream)
-    sgp = sub.add_parser("segdedup-stream", help="streaming segment-level (sub-document) exact dedup")
-    sgp.add_argument("--log-dir", required=True)
-    sgp.add_argument("--out", default="/tmp/scylla_cdc_ray/segdedup_out")
-    sgp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/segdedup_ckpt")
-    sgp.add_argument("--num-shards", type=int, default=64)
-    sgp.add_argument("--num-parts", type=int, default=16)
-    sgp.add_argument("--seg-words", type=int, default=20)
-    sgp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    sgp.add_argument("--files-per-batch", type=int, default=4)
-    sgp.add_argument("--max-batches", type=int, default=None)
-    sgp.add_argument("--text-col", default="text")
-    sgp.add_argument("--id-col", default="doc_id")
-    sgp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    sgp.add_argument("--poll-ms", type=int, default=1000)
-    sgp.add_argument("--idle-polls", type=int, default=3)
-    sgp.set_defaults(fn=cmd_segdedup_stream)
-    sbp = sub.add_parser("subdedup-stream", help="streaming repeated-substring span removal (word k-grams)")
-    sbp.add_argument("--log-dir", required=True)
-    sbp.add_argument("--out", default="/tmp/scylla_cdc_ray/subdedup_out")
-    sbp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/subdedup_ckpt")
-    sbp.add_argument("--num-shards", type=int, default=64)
-    sbp.add_argument("--num-parts", type=int, default=16)
-    sbp.add_argument("--k", type=int, default=8)
-    sbp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    sbp.add_argument("--files-per-batch", type=int, default=4)
-    sbp.add_argument("--max-batches", type=int, default=None)
-    sbp.add_argument("--text-col", default="text")
-    sbp.add_argument("--id-col", default="doc_id")
-    sbp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    sbp.add_argument("--poll-ms", type=int, default=1000)
-    sbp.add_argument("--idle-polls", type=int, default=3)
-    sbp.set_defaults(fn=cmd_subdedup_stream)
-    ssp = sub.add_parser("session-stream", help="streaming per-event session-id assignment (gap rule)")
-    ssp.add_argument("--log-dir", required=True)
-    ssp.add_argument("--out", default="/tmp/scylla_cdc_ray/session_out")
-    ssp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/session_ckpt")
-    ssp.add_argument("--num-shards", type=int, default=64)
-    ssp.add_argument("--gap-us", type=int, default=3_600_000_000)
-    ssp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    ssp.add_argument("--files-per-batch", type=int, default=4)
-    ssp.add_argument("--max-batches", type=int, default=None)
-    ssp.add_argument("--user-col", default="user_id")
-    ssp.add_argument("--ts-col", default="ts")
-    ssp.add_argument("--id-col", default="event_id")
-    ssp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    ssp.add_argument("--poll-ms", type=int, default=1000)
-    ssp.add_argument("--idle-polls", type=int, default=3)
-    ssp.set_defaults(fn=cmd_session_stream)
-    dsp = sub.add_parser("distinct-stream", help="streaming exact distinct-per-window counter")
-    dsp.add_argument("--log-dir", required=True)
-    dsp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/dist_ckpt")
-    dsp.add_argument("--window-ms", type=int, default=3_600_000)
-    dsp.add_argument("--key-col", default="conv_id")
-    dsp.add_argument("--ts-col", default="ts_us")
-    dsp.add_argument("--num-shards", type=int, default=64)
-    dsp.add_argument(
-        "--approx",
-        action="store_true",
-        help="bounded state: one HLL per (shard, window) instead of the exact seen-set",
-    )
-    dsp.add_argument("--hll-p", type=int, default=12, help="HLL precision (2^p registers)")
-    dsp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    dsp.add_argument("--files-per-batch", type=int, default=4)
-    dsp.add_argument("--max-batches", type=int, default=None)
-    dsp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    dsp.add_argument("--poll-ms", type=int, default=1000)
-    dsp.add_argument("--idle-polls", type=int, default=3)
-    dsp.set_defaults(fn=cmd_distinct_stream)
-    kp = sub.add_parser("cap-stream", help="streaming per-key admission cap (per-domain quota)")
-    kp.add_argument("--log-dir", required=True)
-    kp.add_argument("--out", default="/tmp/scylla_cdc_ray/cap_out")
-    kp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/cap_ckpt")
-    kp.add_argument("--cap", type=int, required=True, help="max admitted rows per key")
-    kp.add_argument("--key-col", default="source")
-    kp.add_argument("--order-col", default="doc_id")
-    kp.add_argument("--num-shards", type=int, default=64)
-    kp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    kp.add_argument("--files-per-batch", type=int, default=4)
-    kp.add_argument("--max-batches", type=int, default=None)
-    kp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    kp.add_argument("--poll-ms", type=int, default=1000)
-    kp.add_argument("--idle-polls", type=int, default=3)
-    kp.set_defaults(fn=cmd_cap_stream)
-    cu = sub.add_parser("curation-stream", help="streaming curation chain (filter+decontam+dedup+cap), exactly-once")
-    cu.add_argument("--log-dir", required=True)
-    cu.add_argument("--out", default="/tmp/scylla_cdc_ray/cur_out")
-    cu.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/cur_ckpt")
-    cu.add_argument("--cap", type=int, default=10, help="max admitted docs per source")
-    cu.add_argument("--max-dup-micro", type=int, default=60000)
-    cu.add_argument("--text-col", default="text")
-    cu.add_argument("--id-col", default="doc_id")
-    cu.add_argument("--source-col", default="source")
-    cu.add_argument("--num-shards", type=int, default=64)
-    cu.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    cu.add_argument("--files-per-batch", type=int, default=4)
-    cu.add_argument("--max-batches", type=int, default=None)
-    cu.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    cu.add_argument("--poll-ms", type=int, default=1000)
-    cu.add_argument("--idle-polls", type=int, default=3)
-    cu.set_defaults(fn=cmd_curation_stream)
-    ep = sub.add_parser("emb-stream", help="streaming SRP-LSH embedding near-dup filter")
-    ep.add_argument("--log-dir", required=True)
-    ep.add_argument("--out", default="/tmp/scylla_cdc_ray/emb_out")
-    ep.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/emb_ckpt")
-    ep.add_argument("--vec-col", default="embedding")
-    ep.add_argument("--order-col", default="vec_id")
-    ep.add_argument("--n-tables", type=int, default=4)
-    ep.add_argument("--n-planes", type=int, default=8)
-    ep.add_argument("--dim", type=int, default=64)
-    ep.add_argument("--num-shards", type=int, default=64)
-    ep.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    ep.add_argument("--files-per-batch", type=int, default=4)
-    ep.add_argument("--max-batches", type=int, default=None)
-    ep.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    ep.add_argument("--poll-ms", type=int, default=1000)
-    ep.add_argument("--idle-polls", type=int, default=3)
-    ep.set_defaults(fn=cmd_emb_stream)
-    hp = sub.add_parser("hh-stream", help="streaming SpaceSaving heavy-hitter tokens")
-    hp.add_argument("--log-dir", required=True)
-    hp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/hh_ckpt")
-    hp.add_argument("--m", type=int, default=4096, help="SpaceSaving counters")
-    hp.add_argument("--k", type=int, default=20, help="top-k to print")
-    hp.add_argument("--text-col", default="text")
-    hp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    hp.add_argument("--files-per-batch", type=int, default=4)
-    hp.add_argument("--max-batches", type=int, default=None)
-    hp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    hp.add_argument("--poll-ms", type=int, default=1000)
-    hp.add_argument("--idle-polls", type=int, default=3)
-    hp.set_defaults(fn=cmd_hh_stream)
-    mp = sub.add_parser("minhash-stream", help="streaming arrival-order LSH near-dup filter")
-    mp.add_argument("--log-dir", required=True)
-    mp.add_argument("--out", default="/tmp/scylla_cdc_ray/mh_out")
-    mp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/mh_ckpt")
-    mp.add_argument("--num-shards", type=int, default=64)
-    mp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    mp.add_argument("--files-per-batch", type=int, default=4)
-    mp.add_argument("--max-batches", type=int, default=None)
-    mp.add_argument("--text-col", default="text")
-    mp.add_argument("--order-col", default="doc_id")
-    mp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    mp.add_argument("--poll-ms", type=int, default=1000)
-    mp.add_argument("--idle-polls", type=int, default=3)
-    mp.set_defaults(fn=cmd_minhash_stream)
-    cp = sub.add_parser("cep-stream", help="streaming per-conversation pattern counting (literal or regex)")
-    cp.add_argument("--log-dir", required=True)
-    cp.add_argument("--checkpoint", default="/tmp/scylla_cdc_ray/cep_ckpt")
-    cp.add_argument("--num-shards", type=int, default=64)
-    cp.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    cp.add_argument("--files-per-batch", type=int, default=4)
-    cp.add_argument("--max-batches", type=int, default=None)
-    cp.add_argument("--pattern", default="uta", help="role-symbol sequence (u/a/t/s/d); regex with --regex")
-    cp.add_argument("--regex", action="store_true", help="treat --pattern as an RE2 regex (DFA-pruned carry)")
-    cp.add_argument("--key-col", default="conv_id")
-    cp.add_argument("--role-col", default="role")
-    cp.add_argument("--tail", action="store_true", help="live tail: poll for new files")
-    cp.add_argument("--poll-ms", type=int, default=1000)
-    cp.add_argument("--idle-polls", type=int, default=3)
-    cp.set_defaults(fn=cmd_cep_stream)
+    for spec in STREAM_COMMANDS:
+        _add_stream_command(sub, spec)
     for name, fn in (("run", cmd_run), ("validate", cmd_validate), ("ingest", cmd_ingest)):
         sp = sub.add_parser(name)
         sp.add_argument("--log-dir", required=True)

@@ -1,8 +1,25 @@
-"""Shared micro-batch protocol for the lean streaming runners
-(``DedupStreamRunner``, ``ElementStreamRunner``): file discovery, resume-pin
-checks, the batch loop with manifest commit + state GC + per-batch metrics,
-and the manifest-gated output readers. One definition of the replay-identity
-rules — a pin added here protects every runner.
+"""The keyed-state micro-batch runner every lean streaming runner shares:
+read a window of the log, fold it into per-key state, commit the offset.
+
+A runner declares four things:
+
+* its **pins** (:meth:`KeyedStateRunner.pins`) — replay-identity fields
+  committed into every manifest and checked on resume;
+* its **route** — a ``map_batches`` function or callable class that appends
+  the shard column (``_shard``);
+* its **state kind** (``STATE_KIND``) — the checkpoint directory its
+  per-shard state lives under;
+* a pure per-shard **fold** ``fold(rows, prior_state) -> (sink_rows | None,
+  new_state | None, stats)``.
+
+The base owns the rest: the constructor fields, ``run``/``follow`` (file
+discovery, resume-pin checks, the batch loop with manifest commit + state
+GC + per-batch metrics), the keyed exchange, loading the prior state and
+writing the new one, the ``sink_dir/batch-B/shard-K.parquet`` write,
+summing per-shard stats, and the manifest-gated output and state readers.
+One definition of the replay-identity rules — a pin check added here
+protects every runner. Runners with extra stages chain :meth:`keyed`, which
+returns the Dataset before ``take_all()``.
 
 (The full ``CaptureRunner`` keeps its own loop: it owns watermarks, hot-set
 pinning, schema evolution and window flushing that don't fit this shape.)
@@ -10,15 +27,17 @@ pinning, schema evolution and window flushing that don't fit this shape.)
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
 from collections.abc import Callable
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..state.checkpoint import Checkpoint, _atomic_write
+from ..state.checkpoint import Checkpoint, _atomic_write, write_table_atomic
 
 
 def run_microbatches(
@@ -236,3 +255,175 @@ def read_committed_output_ds(ckpt: Checkpoint, sink_dir: str):
     if not dirs:  # committed all-empty log: mirror read_committed_output
         return ray.data.from_arrow(pa.table({}))
     return ray.data.read_parquet(dirs)
+
+
+def take_all_releasing_actors(ds) -> list[dict]:
+    """``ds.take_all()`` for a plan with an actor-pool stage. Ray Data
+    releases pool actors by dropping their handles, but reference cycles in
+    the finished execution keep them — and the CPUs they reserve — alive
+    until the cyclic GC happens to run; a later job that needs those CPUs
+    for its own actors then waits forever. Collect the cycles right away."""
+    rows = ds.take_all()
+    gc.collect()
+    return rows
+
+
+def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None:
+    """Atomic ``sink_dir/batch-B/<name>.parquet`` write — one file per
+    (batch, shard or part), so a replayed batch overwrites by name."""
+    write_table_atomic(table, os.path.join(sink_dir, f"batch-{batch_id:06d}", f"{name}.parquet"))
+
+
+class KeyedStateRunner:
+    """Base of the lean streaming runners (see the module docstring for the
+    declaration contract). Subclasses set ``STATE_KIND``, ``STATS`` (the
+    per-batch metrics: per-shard fold stats summed over shards) and
+    ``BATCH_FORMAT`` (of the route and the fold), and implement
+    :meth:`pins` and :meth:`plan`; runners with extra stages override
+    :meth:`process` and chain :meth:`keyed`."""
+
+    STATE_KIND: str | None = None
+    STATS: tuple[str, ...] = ()
+    BATCH_FORMAT = "pyarrow"
+
+    def __init__(
+        self,
+        log_dir: str,
+        num_shards: int | None,
+        sink_dir: str | None,
+        checkpoint_dir: str,
+    ):
+        self.log_dir = log_dir
+        self.num_shards = num_shards
+        self.sink_dir = sink_dir
+        self.state_kind = self.STATE_KIND
+        self.ckpt = Checkpoint(checkpoint_dir)
+
+    # ------------------------------------------------------------ declared
+    def pins(self) -> dict:
+        raise NotImplementedError
+
+    def plan(self, batch_id: int, bfiles: list[str]) -> tuple[Callable, Callable]:
+        """``(route, fold)`` for one batch — closures over plain values (a
+        bound method would ship the whole runner into every task)."""
+        raise NotImplementedError
+
+    # ----------------------------------------------------------------- run
+    def run(
+        self,
+        files_per_batch: int = 4,
+        max_batches: int | None = None,
+        crash_before_commit_at: int | None = None,
+    ) -> dict:
+        totals = run_microbatches(
+            self.ckpt,
+            self.log_dir,
+            pins=self.pins(),
+            process_batch=self.process,
+            files_per_batch=files_per_batch,
+            max_batches=max_batches,
+            crash_before_commit_at=crash_before_commit_at,
+        )
+        return self._final_totals(totals)
+
+    def follow(
+        self,
+        files_per_batch: int = 4,
+        poll_interval_s: float = 1.0,
+        idle_polls: int = 3,
+    ) -> dict:
+        """Live tail: drain new window files until ``idle_polls`` empty
+        polls (same manifest/replay contract as ``run``)."""
+        totals = follow_microbatches(
+            self.ckpt,
+            self.log_dir,
+            pins=self.pins(),
+            process_batch=self.process,
+            files_per_batch=files_per_batch,
+            poll_interval_s=poll_interval_s,
+            idle_polls=idle_polls,
+        )
+        return self._final_totals(totals)
+
+    def _final_totals(self, totals: dict) -> dict:
+        """Run-level totals as returned by ``run``/``follow``."""
+        return totals
+
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+        """One batch: read → route → keyed fold → summed stats."""
+        route, fold = self.plan(batch_id, bfiles)
+        return self.sum_stats(self.keyed(self.read(bfiles), route, fold, batch_id).take_all())
+
+    # -------------------------------------------------------------- stages
+    def read(self, bfiles: list[str], **kw):
+        import ray.data
+
+        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * self.num_shards, **kw)
+        # a batch of few files (or single-row-group files) cannot split at
+        # read time, which would fuse the route stage onto one core — a
+        # shuffle-FREE repartition slices the blocks before the exchange
+        return ds.repartition(2 * self.num_shards, shuffle=False)
+
+    def keyed(
+        self,
+        ds,
+        route,
+        fold: Callable,
+        batch_id: int,
+        *,
+        kind: str | None = None,
+        shard_col: str = "_shard",
+        batch_format: str | None = None,
+        emit: bool = False,
+        **route_kw,
+    ):
+        """``ds → map_batches(route) → groupby(shard_col).map_groups(fold)``.
+        Per shard: the prior state (newest ``kind`` file before this batch,
+        None if absent) is loaded, ``fold(rows, prior)`` runs on the group
+        (shard column dropped), a non-None new state is written under this
+        batch id. ``emit=False``: sink rows go to the shard's sink file and
+        the stats row flows on; ``emit=True``: the fold's rows flow on to a
+        later stage instead (no sink write)."""
+        fmt = batch_format or self.BATCH_FORMAT
+        kind = kind or self.state_kind
+        ckpt_dir, sink_dir = self.ckpt.dir, self.sink_dir
+
+        def shard_task(g):
+            if isinstance(g, pd.DataFrame):
+                shard = int(g.pop(shard_col).iloc[0])
+            else:
+                shard = int(g[shard_col][0].as_py())
+                g = g.drop_columns([shard_col])
+            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
+            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=kind)
+            out, state, stats = fold(g, pq.read_table(prev) if prev else None)
+            if state is not None:
+                ck.write_state(shard, batch_id, state, kind=kind)
+            if emit:
+                return out
+            if out is not None:
+                write_sink(sink_dir, batch_id, f"shard-{shard:05d}", out)
+            return pa.table({k: [v] for k, v in stats.items()})
+
+        return (
+            ds.map_batches(route, batch_format=fmt, **route_kw)
+            .groupby(shard_col)
+            .map_groups(shard_task, batch_format=fmt)
+        )
+
+    def sum_stats(self, rows: list[dict]) -> dict:
+        totals = dict.fromkeys(self.STATS, 0)
+        for r in rows:
+            for k in totals:
+                totals[k] += r[k]
+        return totals
+
+    # -------------------------------------------------------------- output
+    def read_output(self) -> pa.Table:
+        return read_committed_output(self.ckpt, self.sink_dir)
+
+    def read_output_ds(self):
+        return read_committed_output_ds(self.ckpt, self.sink_dir)
+
+    def read_state(self, kind: str | None = None) -> list[pa.Table]:
+        return read_committed_state(self.ckpt, kind or self.state_kind)

@@ -22,24 +22,21 @@ engine surface beside the batch operator, sharing the micro-batch protocol
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint, current_hash_impl
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 
-class AnalyticStreamRunner:
+class AnalyticStreamRunner(KeyedStateRunner):
     """Micro-batch running-analytics over ``log_dir/window-*.parquet``
     (columns ``key_col``, ``order_col`` — globally unique, window files in
     ``order_col`` order — and integer/float ``value_col``). Emits every
     input row enriched with ``rn``, ``lag_value``, ``first_value``."""
 
     STATE_KIND = "anl"
+    STATS = ("rows", "keys")
 
     def __init__(
         self,
@@ -51,75 +48,21 @@ class AnalyticStreamRunner:
         order_col: str,
         value_col: str,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.key_col = key_col
         self.order_col = order_col
         self.value_col = value_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "keys": sum(r["n_keys"] for r in stats),
-            }
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             "hash_impl": current_hash_impl(),
             "anl_cols": f"{self.key_col}/{self.order_col}/{self.value_col}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, order_col, value_col = self.key_col, self.order_col, self.value_col
         num_shards = self.num_shards
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        state_kind = self.STATE_KIND
 
         def project(t: pa.Table) -> pa.Table:
             from ..schema import shard_of
@@ -127,14 +70,11 @@ class AnalyticStreamRunner:
             t = t.select([key_col, order_col, value_col])
             return t.append_column("_shard", shard_of(t[key_col], num_shards))
 
-        def shard_task(g: pa.Table) -> pa.Table:
+        def fold(g: pa.Table, st: pa.Table | None):
             from ..stages.analytic import _run_math
             from ..stages.cep import run_starts
 
-            shard = int(g["_shard"][0].as_py())
-            g = g.drop_columns(["_shard"]).sort_by(
-                [(key_col, "ascending"), (order_col, "ascending")]
-            )
+            g = g.sort_by([(key_col, "ascending"), (order_col, "ascending")])
             n = g.num_rows
             # canonical types: the exchange may promote string →
             # large_string; pin so state/output replay byte-stable
@@ -142,11 +82,7 @@ class AnalyticStreamRunner:
             if pa.types.is_large_string(kt):
                 kt = pa.string()
             vt = g.schema.field(value_col).type
-
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
-            if prev:
-                st = pq.read_table(prev)
+            if st is not None:
                 kt = st.schema.field(key_col).type  # state wins once written
                 vt = st.schema.field("last_value").type
             else:
@@ -243,10 +179,6 @@ class AnalyticStreamRunner:
                     "first_value": fv,
                 }
             )
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(out, os.path.join(d, f"shard-{shard:05d}.parquet"))
-
             # new state: merge batch tails over the old state, key-sorted
             last_run = val.take(pa.array(kstart[kfirst] + klen[kfirst] - 1))
             new = pa.table(
@@ -269,26 +201,6 @@ class AnalyticStreamRunner:
             merged = pa.concat_tables([new, untouched]).sort_by(
                 [(key_col, "ascending")]
             )
-            ck.write_state(shard, batch_id, merged, kind=state_kind)
-            return pa.table(
-                {
-                    "shard": pa.array([shard], pa.int32()),
-                    "n_in": pa.array([n], pa.int64()),
-                    "n_keys": pa.array([merged.num_rows], pa.int64()),
-                }
-            )
+            return out, merged, {"rows": n, "keys": merged.num_rows}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(project, batch_format="pyarrow")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
+        return project, fold

@@ -26,19 +26,91 @@ no connector analogue.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
-from ..state.checkpoint import Checkpoint
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 
-class SourceCapRunner:
+def saturated_keys(runner, batch_id: int, kind: str, key_col: str, k: int) -> pa.Array | None:
+    """Keys already at quota in the pre-batch COMMITTED state — the routing
+    stage drops their rows before the exchange. The EXACT key set (not a
+    bloom bitmap): a false positive would wrongly drop an admissible row.
+    Size is bounded by total-admitted / k."""
+    arrs: list[pa.Array] = []
+    for shard in range(runner.num_shards):
+        p = runner.ckpt.latest_state_path(shard, before_batch=batch_id, kind=kind)
+        if not p:
+            continue
+        st = pq.read_table(p)
+        sat = st.filter(pc.greater_equal(st["n_admitted"], k))[key_col]
+        if len(sat):
+            arrs.append(sat.combine_chunks())
+    return pa.concat_arrays(arrs) if arrs else None
+
+
+def drop_saturated(t: pa.Table, key_col: str, sat_ref) -> pa.Table:
+    """Filter out rows of saturated keys (``ray.put`` once per batch, local
+    after); NULL keys are never in the set."""
+    if sat_ref is None:
+        return t
+    sat_keys = ray.get(sat_ref)
+    drop = pc.is_in(t[key_col], value_set=sat_keys.cast(t.schema.field(key_col).type))
+    return t.filter(pc.invert(pc.fill_null(drop, False)))
+
+
+def admit(keys: pd.Series, st: pa.Table | None, key_col: str, k: int, kt: pa.DataType):
+    """Global 1-based admission rank of each row (rows in arrival order)
+    given the prior per-key admitted counts, and the new count state.
+
+    Position within key via factorize codes, NOT the raw object values:
+    sorting/uniquing an object array mixing None and str raises, and SQL's
+    PARTITION BY treats NULL as one ordinary group (code -1)."""
+    prior: dict[object, int] = {}
+    if st is not None:
+        sk = st[key_col].to_pandas(integer_object_nulls=True).astype(object)
+        sn = st["n_admitted"].to_numpy(zero_copy_only=False)
+        prior = dict(zip(sk, (int(x) for x in sn)))
+    keys = keys.astype(object).where(keys.notna(), None)
+    codes, uniq = pd.factorize(keys, use_na_sentinel=True)  # null → -1
+    order = np.argsort(codes, kind="stable")
+    ok = codes[order]
+    rs = np.ones(len(keys), dtype=bool)
+    if len(keys) > 1:
+        rs[1:] = ok[1:] != ok[:-1]
+    rid = np.cumsum(rs) - 1
+    pos_sorted = np.arange(len(keys), dtype=np.int64) - np.repeat(
+        np.flatnonzero(rs), np.bincount(rid)
+    )
+    pos = np.empty(len(keys), dtype=np.int64)
+    pos[order] = pos_sorted
+    # prior count per UNIQUE key (not per row), code -1 = the null key
+    key_of = [None, *uniq]  # index by code+1
+    base = np.array([prior.get(s, 0) for s in key_of], dtype=np.int64)
+    rank = base[codes + 1] + pos + 1
+    cnt = np.bincount(codes[rank <= k] + 1, minlength=len(key_of))
+    new = dict(prior)
+    for ci in np.flatnonzero(cnt):
+        new[key_of[ci]] = new.get(key_of[ci], 0) + int(cnt[ci])
+    # canonical key order (null first) → byte-stable state files
+    # independent of dict insertion history
+    skeys = sorted(new, key=lambda s: (s is not None, s))
+    state = pa.table(
+        {
+            key_col: pa.array(skeys, kt),
+            "n_admitted": pa.array([new[s] for s in skeys], pa.int64()),
+        }
+    )
+    return rank, state
+
+
+class SourceCapRunner(KeyedStateRunner):
     """Micro-batch per-key admission cap over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/shard-K.parquet`` — admitted rows, original
@@ -48,6 +120,7 @@ class SourceCapRunner:
     log the admitted set is exactly "the k lowest ``order_col`` per key"."""
 
     STATE_KIND = "cap"
+    STATS = ("admitted", "exchanged")
 
     def __init__(
         self,
@@ -59,116 +132,42 @@ class SourceCapRunner:
         key_col: str = "source",
         order_col: str = "doc_id",
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.k = int(k)
         self.key_col = key_col
         self.order_col = order_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            # input rows from footers: the saturated-key prefilter drops rows
-            # BEFORE the exchange, so per-shard n_in no longer sees them
-            rows = sum(pq.read_metadata(f).num_rows for f in bfiles)
-            kept = sum(r["n_kept"] for r in stats)
-            exchanged = sum(r["n_in"] for r in stats)
-            return {
-                "rows": rows,
-                "admitted": kept,
-                "rejected": rows - kept,
-                "exchanged": exchanged,
-            }
-
+    def pins(self) -> dict:
         # cap + key/order columns are replay identity: resuming under a
         # different quota or key would silently change the admitted set
-        pins = {
+        return {
             "num_shards": self.num_shards,
             "cap_k": self.k,
             "cap_cols": f"{self.key_col}/{self.order_col}",
+            # keys route through the polars-backed shard_of: a polars
+            # upgrade could move a key away from its admitted count
+            "hash_impl": current_hash_impl(),
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+        m = super().process(batch_id, bfiles)
+        # input rows from footers: the saturated-key prefilter drops rows
+        # BEFORE the exchange, so per-shard stats never see them
+        rows = sum(pq.read_metadata(f).num_rows for f in bfiles)
+        return {
+            "rows": rows,
+            "admitted": m["admitted"],
+            "rejected": rows - m["admitted"],
+            "exchanged": m["exchanged"],
+        }
 
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # ----------------------------------------------------------- prefilter
-    def _saturated_keys(self, batch_id: int) -> pa.Array | None:
-        """Keys already at quota in the pre-batch COMMITTED state — the
-        routing stage drops their rows before the exchange. The EXACT key
-        set (not a bloom bitmap): a false positive would wrongly drop an
-        admissible row. Size is bounded by total-admitted / k."""
-        import pyarrow.compute as pc
-
-        arrs: list[pa.Array] = []
-        for shard in range(self.num_shards):
-            p = self.ckpt.latest_state_path(
-                shard, before_batch=batch_id, kind=self.STATE_KIND
-            )
-            if not p:
-                continue
-            st = pq.read_table(p)
-            sat = st.filter(pc.greater_equal(st["n_admitted"], self.k))[self.key_col]
-            if len(sat):
-                arrs.append(sat.combine_chunks())
-        if not arrs:
-            return None
-        return pa.concat_arrays(arrs)
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, order_col, k = self.key_col, self.order_col, self.k
         num_shards = self.num_shards
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        state_kind = self.STATE_KIND
-
-        sat = self._saturated_keys(batch_id)
+        sat = saturated_keys(self, batch_id, self.STATE_KIND, key_col, k)
         sat_ref = ray.put(sat) if sat is not None else None
 
         def route(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             from ..schema import shard_of
 
             # arrow-native: pandas would round-trip nullable int keys
@@ -176,115 +175,28 @@ class SourceCapRunner:
             if pa.types.is_large_string(t.schema.field(key_col).type):
                 i = t.schema.get_field_index(key_col)
                 t = t.set_column(i, key_col, t[key_col].cast(pa.string()))
-            if sat_ref is not None:
-                sat_keys = ray.get(sat_ref)  # broadcast once, local after
-                drop = pc.is_in(
-                    t[key_col], value_set=sat_keys.cast(t.schema.field(key_col).type)
-                )
-                t = t.filter(pc.invert(pc.fill_null(drop, False)))
+            t = drop_saturated(t, key_col, sat_ref)
             return t.append_column("_shard", shard_of(t[key_col], num_shards))
 
         # sink schema pinned from the log footer: an empty admitted frame
         # must not degrade string columns to null type through pandas
         out_schema = pq.read_schema(bfiles[0])
 
-        def shard_task(gt: pa.Table) -> pa.Table:
-            shard = int(gt["_shard"][0].as_py())
+        def fold(gt: pa.Table, st: pa.Table | None):
             g = gt.to_pandas(integer_object_nulls=True)
             g = g.sort_values(order_col, kind="mergesort").reset_index(drop=True)
-            n_in = len(g)
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev_path = ck.latest_state_path(
-                shard, before_batch=batch_id, kind=state_kind
-            )
-            kt = None
-            prior: dict[object, int] = {}
-            if prev_path:
-                st = pq.read_table(prev_path)
-                f = st.schema.field(key_col).type
-                if not pa.types.is_null(f):
-                    kt = f
-                sk = st[key_col].to_pandas(integer_object_nulls=True).astype(object)
-                sn = st["n_admitted"].to_numpy(zero_copy_only=False)
-                prior = dict(zip(sk, (int(x) for x in sn)))
-            # position within key, in arrival (order_col) order — via
-            # factorize codes, NOT the raw object values: sorting/uniquing
-            # an object array mixing None and str raises, and SQL's
-            # PARTITION BY treats NULL as one ordinary group
-            keys = g[key_col].astype(object).where(g[key_col].notna(), None)
-            codes, uniq = pd.factorize(keys, use_na_sentinel=True)  # null → -1
-            order = np.argsort(codes, kind="stable")
-            ok = codes[order]
-            rs = np.ones(len(g), dtype=bool)
-            if len(g) > 1:
-                rs[1:] = ok[1:] != ok[:-1]
-            rid = np.cumsum(rs) - 1
-            pos_sorted = np.arange(len(g), dtype=np.int64) - np.repeat(
-                np.flatnonzero(rs), np.bincount(rid)
-            )
-            pos = np.empty(len(g), dtype=np.int64)
-            pos[order] = pos_sorted
-            # prior count per UNIQUE key (not per row), code -1 = the null key
-            key_of = [None, *uniq]  # index by code+1
-            base_per_code = np.array(
-                [prior.get(s, 0) for s in key_of], dtype=np.int64
-            )
-            keep = (base_per_code[codes + 1] + pos) < k
-            out = g[keep].drop(columns=["_shard"])
-            # state = prior counts + this batch's admissions per key
-            cnt = np.bincount(codes[keep] + 1, minlength=len(key_of))
-            new = dict(prior)
-            for ci in np.flatnonzero(cnt):
-                s = key_of[ci]
-                new[s] = new.get(s, 0) + int(cnt[ci])
-            if kt is None:
+            # state key type: the committed state's once written (replay
+            # stable), else the batch's, string for an all-null key column
+            kt = st.schema.field(key_col).type if st is not None else pa.null()
+            if pa.types.is_null(kt):
                 kt = gt.schema.field(key_col).type
                 if pa.types.is_large_string(kt) or pa.types.is_null(kt):
                     kt = pa.string()
-            # canonical key order (null first) → byte-stable state files
-            # independent of dict insertion history
-            skeys = sorted(new.keys(), key=lambda s: (s is not None, s))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        key_col: pa.array(skeys, kt),
-                        "n_admitted": pa.array([new[s] for s in skeys], pa.int64()),
-                    }
-                ),
-                kind=state_kind,
+            rank, state = admit(g[key_col], st, key_col, k, kt)
+            keep = rank <= k
+            out = pa.Table.from_pandas(
+                g.loc[keep, out_schema.names], schema=out_schema, preserve_index=False
             )
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            tbl = pa.Table.from_pandas(
-                out[out_schema.names], schema=out_schema, preserve_index=False
-            )
-            pq.write_table(tbl, os.path.join(d, f"shard-{shard:05d}.parquet"))
-            return pa.table(
-                {
-                    "shard": pa.array([shard], pa.int64()),
-                    "n_in": pa.array([n_in], pa.int64()),
-                    "n_kept": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
+            return out, state, {"admitted": int(keep.sum()), "exchanged": len(g)}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(route, batch_format="pyarrow")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)
+        return route, fold

@@ -30,16 +30,13 @@ protocol (``_microbatch.py``).
 
 from __future__ import annotations
 
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint, current_hash_impl
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 
 def fold_literal(full: pa.Array, literal: str) -> tuple[np.ndarray, pa.Array]:
@@ -146,7 +143,7 @@ def fold_regex(full: pa.Array, pattern: str, dfa) -> tuple[np.ndarray, pa.Array]
     return delta, tail
 
 
-class CepStreamRunner:
+class CepStreamRunner(KeyedStateRunner):
     """Micro-batch literal-pattern counter over ``log_dir/window-*.parquet``
     transcript files. Log windows must be event-time-ordered (the standard
     in-order CDC log layout); within a batch rows are ordered by
@@ -157,6 +154,7 @@ class CepStreamRunner:
     """
 
     STATE_KIND = "cep"
+    STATS = ("rows", "matches")
 
     def __init__(
         self,
@@ -182,24 +180,14 @@ class CepStreamRunner:
             self._dfa = SymbolDFA.compile(pattern)
         else:
             self._dfa = None
-        self.log_dir = log_dir
-        self.num_shards = num_shards
+        super().__init__(log_dir, num_shards, None, checkpoint_dir)
         self.literal = literal
         self.pattern = pattern
         self.key_col = key_col
         self.role_col = role_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "matches": sum(r["n_matches"] for r in stats),
-            }
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             "hash_impl": current_hash_impl(),
             # the measured quantity is replay identity: resuming with a
@@ -211,49 +199,6 @@ class CepStreamRunner:
             )
             + f"/{self.key_col}/{self.role_col}",
         }
-        return pins, process
-
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        res = run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-        return self._final_totals(res)
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        res = follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-        return self._final_totals(res)
 
     def _final_totals(self, res: dict) -> dict:
         """Per-batch deltas undercount by design: the regex fold defers a
@@ -275,13 +220,10 @@ class CepStreamRunner:
             res["matches"] = int(s or 0)
         return res
 
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, role_col = self.key_col, self.role_col
         num_shards, literal = self.num_shards, self.literal
         pattern, dfa = self.pattern, self._dfa  # dfa is tiny + picklable
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         def project(t: pa.Table) -> pa.Table:
             from ..schema import shard_of
@@ -295,9 +237,9 @@ class CepStreamRunner:
                     "seq": t["seq"],
                 }
             )
-            return out.append_column("shard", shard_of(out[key_col], num_shards))
+            return out.append_column("_shard", shard_of(out[key_col], num_shards))
 
-        def shard_task(g: pa.Table) -> pa.Table:
+        def fold(g: pa.Table, prev: pa.Table | None):
             from ..stages.cep import join_symbols
 
             # canonical key type for the state file: the exchange may promote
@@ -307,15 +249,11 @@ class CepStreamRunner:
             if pa.types.is_large_string(kt):
                 kt = pa.string()
 
-            shard = int(g["shard"][0].as_py())
             g = g.sort_by([(key_col, "ascending"), ("ts", "ascending"), ("seq", "ascending")])
             key_rows, strs = join_symbols(g, [key_col], "sym")
             keys = key_rows[key_col].to_pandas()  # native dtype: merges with state
-
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
-            if prev:
-                st = pq.read_table(prev).to_pandas()
+            if prev is not None:
+                st = prev.to_pandas()
             else:
                 st = pd.DataFrame(
                     {
@@ -348,34 +286,16 @@ class CepStreamRunner:
                 .sort_values(key_col, kind="mergesort")
                 .reset_index(drop=True)
             )
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        key_col: pa.array(out[key_col], kt),
-                        "n_matches": pa.array(out["n_matches"].astype(np.int64)),
-                        "tail": pa.array(out["tail"], pa.string()),
-                    }
-                ),
-                kind=state_kind,
-            )
-            return pa.table(
+            state = pa.table(
                 {
-                    "shard": pa.array([shard], pa.int32()),
-                    "n_in": pa.array([g.num_rows], pa.int64()),
-                    "n_matches": pa.array([int(delta.sum())], pa.int64()),
+                    key_col: pa.array(out[key_col], kt),
+                    "n_matches": pa.array(out["n_matches"].astype(np.int64)),
+                    "tail": pa.array(out["tail"], pa.string()),
                 }
             )
+            return None, state, {"rows": g.num_rows, "matches": int(delta.sum())}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(project, batch_format="pyarrow")
-            .groupby("shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
+        return project, fold
 
     # --------------------------------------------------------------- output
     def read_counts(self) -> pa.Table:
@@ -383,12 +303,7 @@ class CepStreamRunner:
         state snapshot per shard, plus any completed match still sitting in
         the carried tail (the regex fold defers a boundary-flush match whose
         greedy extension is still open; at stream end it must be counted)."""
-        from ._microbatch import read_committed_state
-
-        tables = [
-            t.select([self.key_col, "n_matches", "tail"])
-            for t in read_committed_state(self.ckpt, self.STATE_KIND)
-        ]
+        tables = [t.select([self.key_col, "n_matches", "tail"]) for t in self.read_state()]
         if not tables:
             return pa.table(
                 {self.key_col: pa.array([], pa.string()), "n_matches": pa.array([], pa.int64())}

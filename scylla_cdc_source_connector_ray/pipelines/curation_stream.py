@@ -35,20 +35,20 @@ and one int per source/shard.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
-from ..state.checkpoint import Checkpoint
-from .dedup_stream import _hash128, _member128
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner, take_all_releasing_actors
+from .cap_stream import admit, drop_saturated, saturated_keys
+from .dedup_stream import _hash128, first_occurrence
 
 
-class CurationStreamRunner:
+class CurationStreamRunner(KeyedStateRunner):
     """Micro-batch curation over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/shard-K.parquet`` with columns
@@ -57,6 +57,7 @@ class CurationStreamRunner:
 
     SEEN_KIND = "cseen"
     CAP_KIND = "ccap"
+    STATS = ("cap_in", "admitted")
 
     def __init__(
         self,
@@ -70,89 +71,33 @@ class CurationStreamRunner:
         id_col: str = "doc_id",
         source_col: str = "source",
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.max_dup_micro = int(max_dup_micro)
         self.cap_k = int(cap_k)
         self.text_col = text_col
         self.id_col = id_col
         self.source_col = source_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            rows = sum(pq.read_metadata(f).num_rows for f in bfiles)
-            uniq = sum(r["n_unique"] for r in stats)
-            adm = sum(r["n_admitted"] for r in stats)
-            # per-stage splits (filtered vs dup) are the standalone runners'
-            # metrics; the composed runner reports the chain's endpoints
-            return {"rows": rows, "cap_in": uniq, "admitted": adm}
-
+    def pins(self) -> dict:
         from ..functions.textops import NORM_IMPL
 
-        pins = {
+        return {
             "num_shards": self.num_shards,
             "norm_impl": NORM_IMPL,
             "max_dup_micro": self.max_dup_micro,
             "cap_k": self.cap_k,
             "curation_cols": f"{self.text_col}/{self.id_col}/{self.source_col}",
+            # sources route through the polars-backed shard_of: a polars
+            # upgrade could move a source away from its admitted count
+            "hash_impl": current_hash_impl(),
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
         from ..functions.corpus import RepDecontamFilter
         from ..schema import shard_of
 
         text_col, id_col, source_col = self.text_col, self.id_col, self.source_col
         num_shards, cap_k = self.num_shards, self.cap_k
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        seen_kind, cap_kind = self.SEEN_KIND, self.CAP_KIND
-
 
         def hash_route(b: pd.DataFrame) -> pd.DataFrame:
             # text is consumed HERE: only (hash words, id, source) cross the
@@ -179,48 +124,19 @@ class CurationStreamRunner:
             out["_shard"] = (h1 % np.uint64(num_shards)).astype(np.int32)
             return out
 
-        def dedup_shard(g: pd.DataFrame) -> pd.DataFrame:
+        def dedup_fold(g: pd.DataFrame, st: pa.Table | None):
             """First-occurrence filter per hash shard; state = sorted
             (h1, h2) seen set (the DedupStreamRunner kernel, returning
             survivors downstream instead of writing a sink)."""
-            shard = int(g["_shard"].iloc[0])
             g = g.sort_values(id_col, kind="mergesort")
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=seen_kind)
-            if prev:
-                st = pq.read_table(prev)
-                s1 = st["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                s2 = st["h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            else:
-                s1 = s2 = np.array([], np.uint64)
-            h1 = g["_h1"].to_numpy().astype(np.uint64)
-            h2 = g["_h2"].to_numpy().astype(np.uint64)
-            pos = np.arange(len(g), dtype=np.int64)
-            order = np.lexsort((pos, h2, h1))
-            oh1, oh2 = h1[order], h2[order]
-            run_start = np.ones(len(g), dtype=bool)
-            run_start[1:] = (oh1[1:] != oh1[:-1]) | (oh2[1:] != oh2[:-1])
-            first_in_batch = np.zeros(len(g), dtype=bool)
-            first_in_batch[order[run_start]] = True
-            keep = first_in_batch & ~_member128(s1, s2, h1, h2)
-            n1 = np.concatenate([s1, h1[keep]])
-            n2 = np.concatenate([s2, h2[keep]])
-            so = np.lexsort((n2, n1))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table({"h1": pa.array(n1[so]), "h2": pa.array(n2[so])}),
-                kind=seen_kind,
-            )
-            return g.loc[keep, [id_col, source_col]]
+            keep, state = first_occurrence(g, st)
+            return g.loc[keep, [id_col, source_col]], state, {}
 
         # --- cap stage: route survivors by source -------------------------
-        sat = self._saturated_sources(batch_id)
+        sat = saturated_keys(self, batch_id, self.CAP_KIND, source_col, cap_k)
         sat_ref = ray.put(sat) if sat is not None else None
 
         def cap_route(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             if t.num_rows == 0 or source_col not in t.column_names:
                 return pa.table(
                     {
@@ -233,157 +149,47 @@ class CurationStreamRunner:
             # an all-null pandas block types source as NULL; a large_string
             # block as large_string — normalize both to string so the
             # saturated-set is_in cast and the state schema stay stable
-            if pa.types.is_null(key.type):
+            if pa.types.is_null(key.type) or pa.types.is_large_string(key.type):
                 t = t.set_column(
-                    t.schema.get_field_index(source_col),
-                    source_col,
-                    pa.nulls(t.num_rows, pa.string()),
+                    t.schema.get_field_index(source_col), source_col, key.cast(pa.string())
                 )
-            elif pa.types.is_large_string(key.type):
-                t = t.set_column(
-                    t.schema.get_field_index(source_col),
-                    source_col,
-                    key.cast(pa.string()),
-                )
-            if sat_ref is not None:
-                sat_keys = ray.get(sat_ref)
-                drop = pc.is_in(
-                    t[source_col],
-                    value_set=sat_keys.cast(t.schema.field(source_col).type),
-                )
-                t = t.filter(pc.invert(pc.fill_null(drop, False)))
-            return t.append_column(
-                "_cshard", shard_of(t[source_col], num_shards)
-            )
+            t = drop_saturated(t, source_col, sat_ref)
+            return t.append_column("_cshard", shard_of(t[source_col], num_shards))
 
-        def cap_shard(gt: pa.Table) -> pa.Table:
-            shard = int(gt["_cshard"][0].as_py())
-            g = gt.drop_columns(["_cshard"]).to_pandas(integer_object_nulls=True)
+        sink_schema = pa.schema(
+            [(id_col, pa.int64()), (source_col, pa.string()), ("rank", pa.int64())]
+        )
+
+        def cap_fold(gt: pa.Table, st: pa.Table | None):
+            g = gt.to_pandas(integer_object_nulls=True)
             g = g.sort_values(id_col, kind="mergesort").reset_index(drop=True)
-            n_unique = len(g)
-            ck = Checkpoint(ckpt_dir)
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=cap_kind)
-            prior: dict[object, int] = {}
-            if prev:
-                st = pq.read_table(prev)
-                sk = st[source_col].to_pandas(integer_object_nulls=True).astype(object)
-                sn = st["n_admitted"].to_numpy(zero_copy_only=False)
-                prior = dict(zip(sk, (int(x) for x in sn)))
-            keys = g[source_col].astype(object).where(g[source_col].notna(), None)
-            codes, uniq = pd.factorize(keys, use_na_sentinel=True)
-            order = np.argsort(codes, kind="stable")
-            ok = codes[order]
-            rs = np.ones(len(g), dtype=bool)
-            if len(g) > 1:
-                rs[1:] = ok[1:] != ok[:-1]
-            rid = np.cumsum(rs) - 1
-            pos_sorted = np.arange(len(g), dtype=np.int64) - np.repeat(
-                np.flatnonzero(rs), np.bincount(rid)
-            )
-            pos = np.empty(len(g), dtype=np.int64)
-            pos[order] = pos_sorted
-            key_of = [None, *uniq]
-            base = np.array([prior.get(s, 0) for s in key_of], dtype=np.int64)
-            rank = base[codes + 1] + pos + 1
+            rank, state = admit(g[source_col], st, source_col, cap_k, pa.string())
             keep = rank <= cap_k
             out = g[keep].copy()
             out["rank"] = rank[keep]
-            cnt = np.bincount(codes[keep] + 1, minlength=len(key_of))
-            new = dict(prior)
-            for ci in np.flatnonzero(cnt):
-                new[key_of[ci]] = new.get(key_of[ci], 0) + int(cnt[ci])
-            skeys = sorted(new.keys(), key=lambda s: (s is not None, s))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        source_col: pa.array(skeys, pa.string()),
-                        "n_admitted": pa.array(
-                            [new[s] for s in skeys], pa.int64()
-                        ),
-                    }
-                ),
-                kind=cap_kind,
+            out = pa.Table.from_pandas(
+                out[[id_col, source_col, "rank"]], schema=sink_schema, preserve_index=False
             )
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            sink_schema = pa.schema(
-                [
-                    (id_col, pa.int64()),
-                    (source_col, pa.string()),
-                    ("rank", pa.int64()),
-                ]
-            )
-            tbl = pa.Table.from_pandas(
-                out[[id_col, source_col, "rank"]],
-                schema=sink_schema,
-                preserve_index=False,
-            )
-            pq.write_table(tbl, os.path.join(d, f"shard-{shard:05d}.parquet"))
-            return pa.table(
-                {
-                    "shard": pa.array([shard], pa.int64()),
-                    "n_unique": pa.array([n_unique], pa.int64()),
-                    "n_admitted": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
+            return out, state, {"cap_in": len(g), "admitted": int(keep.sum())}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(
-                RepDecontamFilter,
-                batch_format="pandas",
-                # one actor pool for the whole gram-hashing front-end
-                concurrency=(1, 16),
-                fn_constructor_kwargs={
-                    "max_dup_micro": self.max_dup_micro,
-                    "text_col": text_col,
-                    "id_col": id_col,
-                    "source_col": source_col,
-                },
-            )
-            .map_batches(hash_route, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(dedup_shard, batch_format="pandas")
-            .map_batches(cap_route, batch_format="pyarrow")
-            .groupby("_cshard")
-            .map_groups(cap_shard, batch_format="pyarrow")
-            .take_all()
+        ds = self.read(bfiles).map_batches(
+            RepDecontamFilter,
+            batch_format="pandas",
+            # one actor pool for the whole gram-hashing front-end
+            concurrency=(1, 16),
+            fn_constructor_kwargs={
+                "max_dup_micro": self.max_dup_micro,
+                "text_col": text_col,
+                "id_col": id_col,
+                "source_col": source_col,
+            },
         )
-
-    # ----------------------------------------------------------- prefilter
-    def _saturated_sources(self, batch_id: int) -> pa.Array | None:
-        """Sources already at quota in the pre-batch committed state — the
-        cap routing drops their rows before the second exchange (the
-        SourceCapRunner prefilter; EXACT set, not a bloom)."""
-        import pyarrow.compute as pc
-
-        arrs: list[pa.Array] = []
-        for shard in range(self.num_shards):
-            p = self.ckpt.latest_state_path(
-                shard, before_batch=batch_id, kind=self.CAP_KIND
-            )
-            if not p:
-                continue
-            st = pq.read_table(p)
-            sat = st.filter(pc.greater_equal(st["n_admitted"], self.cap_k))[
-                self.source_col
-            ]
-            if len(sat):
-                arrs.append(sat.combine_chunks())
-        if not arrs:
-            return None
-        return pa.concat_arrays(arrs)
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)
+        ds = self.keyed(
+            ds, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND,
+            batch_format="pandas", emit=True,
+        )
+        ds = self.keyed(ds, cap_route, cap_fold, batch_id, kind=self.CAP_KIND, shard_col="_cshard")
+        m = self.sum_stats(take_all_releasing_actors(ds))
+        # per-stage splits (filtered vs dup) are the standalone runners'
+        # metrics; the composed runner reports the chain's endpoints
+        return {"rows": sum(pq.read_metadata(f).num_rows for f in bfiles), **m}

@@ -26,16 +26,12 @@ micro-batch loop to exactly-once and reuses it for corpus dedup.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner
 
 
 def _hash128(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
@@ -68,12 +64,60 @@ def _member128(h1s: np.ndarray, h2s: np.ndarray, h1q: np.ndarray, h2q: np.ndarra
     return out
 
 
-class DedupStreamRunner:
+def _seen128(st: pa.Table | None, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The (h1, h2)-sorted seen-hash state as two arrays (empty when the
+    shard has no prior state)."""
+    if st is None:
+        return np.array([], dtype), np.array([], dtype)
+    return (
+        st["h1"].to_numpy(zero_copy_only=False).astype(dtype),
+        st["h2"].to_numpy(zero_copy_only=False).astype(dtype),
+    )
+
+
+def _union128(s1: np.ndarray, s2: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> pa.Table:
+    """New seen state = prior ∪ new hashes, (h1, h2)-sorted so the next
+    batch's searchsorted probe stays O(log n)."""
+    n1 = np.concatenate([s1, h1])
+    n2 = np.concatenate([s2, h2])
+    so = np.lexsort((n2, n1))
+    return pa.table({"h1": pa.array(n1[so]), "h2": pa.array(n2[so])})
+
+
+def _first128(h1: np.ndarray, h2: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Mask of the ``tie``-minimal row of every equal (h1, h2) run: group
+    equal hashes with ``tie`` as the final lexsort key — run starts are
+    the representatives."""
+    order = np.lexsort((tie, h2, h1))
+    oh1, oh2 = h1[order], h2[order]
+    run_start = np.ones(len(h1), dtype=bool)
+    run_start[1:] = (oh1[1:] != oh1[:-1]) | (oh2[1:] != oh2[:-1])
+    first = np.zeros(len(h1), dtype=bool)
+    first[order[run_start]] = True
+    return first
+
+
+def first_occurrence(g: pd.DataFrame, st: pa.Table | None) -> tuple[np.ndarray, pa.Table]:
+    """The exact-dedup fold over arrival-ordered rows with ``_h1``/``_h2``:
+    keep = first occurrence within the batch AND unseen in the prior state;
+    returns (keep mask, new seen state)."""
+    s1, s2 = _seen128(st)
+    h1 = g["_h1"].to_numpy().astype(np.uint64)
+    h2 = g["_h2"].to_numpy().astype(np.uint64)
+    keep = _first128(h1, h2, np.arange(len(g))) & ~_member128(s1, s2, h1, h2)
+    return keep, _union128(s1, s2, h1[keep], h2[keep])
+
+
+class DedupStreamRunner(KeyedStateRunner):
     """Micro-batch first-occurrence dedup over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/shard-K.parquet`` — surviving rows, original
     columns, ordered by ``order_col`` inside each shard file (deterministic
     for replay). ``read_output`` returns only COMMITTED batches."""
+
+    STATE_KIND = "seen"
+    STATS = ("rows", "kept", "dups")
+    BATCH_FORMAT = "pandas"
 
     def __init__(
         self,
@@ -84,81 +128,27 @@ class DedupStreamRunner:
         text_col: str = "text",
         order_col: str = "doc_id",
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.text_col = text_col
         self.order_col = order_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            rows = sum(r["n_in"] for r in stats)
-            kept = sum(r["n_kept"] for r in stats)
-            return {"rows": rows, "kept": kept, "dups": rows - kept}
-
+    def pins(self) -> dict:
         # shard key is the md5 first word (hashlib) — version-independent —
         # but the NORMALIZATION feeding the md5 is not: pin its version so a
         # checkpoint written under different \s semantics fails loudly
         # instead of silently re-admitting previously-seen docs.
         from ..functions.textops import NORM_IMPL
 
-        pins = {
+        return {
             "num_shards": self.num_shards,
             "norm_impl": NORM_IMPL,
             # the deduped quantity is replay identity too
             "dedup_cols": f"{self.text_col}/{self.order_col}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         text_col, order_col = self.text_col, self.order_col
         num_shards = self.num_shards
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
 
         def add_hash(b: pd.DataFrame) -> pd.DataFrame:
             """Hash + route + LOCAL COMBINER: pre-dedup within the block,
@@ -209,74 +199,14 @@ class DedupStreamRunner:
         # frame must not degrade string columns to null type through pandas
         out_schema = pq.read_schema(bfiles[0])
 
-        def shard_task(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["_shard"].iloc[0])
+        def fold(g: pd.DataFrame, st: pa.Table | None):
             g = g.sort_values(order_col, kind="mergesort")
             n_in = int(g["_w"].sum())  # combiner-folded rows count as seen
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev_path = ck.latest_state_path(shard, before_batch=batch_id, kind="seen")
-            if prev_path:
-                st = pq.read_table(prev_path)
-                s1 = st["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                s2 = st["h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            else:
-                s1 = s2 = np.array([], np.uint64)
-            h1 = g["_h1"].to_numpy().astype(np.uint64)
-            h2 = g["_h2"].to_numpy().astype(np.uint64)
-            # first occurrence within the batch, in arrival order: group equal
-            # (h1, h2) with arrival position as the final lexsort key — run
-            # starts are the arrival-first representatives
-            pos = np.arange(len(g), dtype=np.int64)
-            order = np.lexsort((pos, h2, h1))
-            oh1, oh2 = h1[order], h2[order]
-            run_start = np.ones(len(g), dtype=bool)
-            run_start[1:] = (oh1[1:] != oh1[:-1]) | (oh2[1:] != oh2[:-1])
-            first_in_batch = np.zeros(len(g), dtype=bool)
-            first_in_batch[order[run_start]] = True
-            keep = first_in_batch & ~_member128(s1, s2, h1, h2)
-            out = g[keep].drop(columns=["_h1", "_h2", "_shard", "_w"])
-            # state = prev ∪ this batch's new hashes, (h1, h2)-sorted so the
-            # next batch's searchsorted probe stays O(log n)
-            n1 = np.concatenate([s1, h1[keep]])
-            n2 = np.concatenate([s2, h2[keep]])
-            so = np.lexsort((n2, n1))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table({"h1": pa.array(n1[so]), "h2": pa.array(n2[so])}),
-                kind="seen",
+            keep, state = first_occurrence(g, st)
+            out = pa.Table.from_pandas(
+                g.loc[keep, out_schema.names], schema=out_schema, preserve_index=False
             )
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            tbl = pa.Table.from_pandas(
-                out[out_schema.names], schema=out_schema, preserve_index=False
-            )
-            pq.write_table(tbl, os.path.join(d, f"shard-{shard:05d}.parquet"))
-            return pd.DataFrame(
-                {"shard": [shard], "n_in": [n_in], "n_kept": [int(keep.sum())]}
-            )
+            kept = int(keep.sum())
+            return out, state, {"rows": n_in, "kept": kept, "dups": n_in - kept}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        # a batch of few files (or single-row-group files) cannot split at
-        # read time, which would fuse the hash stage onto one core —
-        # shuffle-FREE repartition slices the blocks so normalization+md5
-        # parallelize before the one keyed exchange
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        stats = (
-            ds.map_batches(add_hash, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .take_all()
-        )
-        return stats
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)
+        return add_hash, fold

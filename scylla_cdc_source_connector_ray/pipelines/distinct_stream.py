@@ -29,11 +29,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner
+from .dedup_stream import _member128
 
 #: version of the id→128-bit hash below; pinned into the manifest so a
 #: hash change can never silently double-count previously-seen keys
@@ -60,7 +58,7 @@ def _id_hash128(keys: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     return u[codes, 0].copy(), u[codes, 1].copy()
 
 
-class DistinctStreamRunner:
+class DistinctStreamRunner(KeyedStateRunner):
     """Micro-batch exact distinct-per-window counter over
     ``log_dir/window-*.parquet`` (columns ``key_col``, ``ts_col`` — int64
     event-time microseconds). Counts come from :meth:`read_counts` on the
@@ -81,6 +79,8 @@ class DistinctStreamRunner:
 
     STATE_KIND = "dist"
     STATE_KIND_APPROX = "dsth"
+    STATS = ("rows", "new_distinct")
+    BATCH_FORMAT = "pandas"
 
     def __init__(
         self,
@@ -95,25 +95,16 @@ class DistinctStreamRunner:
     ):
         if mode not in ("exact", "approx"):
             raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-        self.log_dir = log_dir
-        self.num_shards = num_shards
+        super().__init__(log_dir, num_shards, None, checkpoint_dir)
         self.window_us = int(window_us)
         self.key_col = key_col
         self.ts_col = ts_col
         self.mode = mode
         self.hll_p = int(hll_p)
-        self.state_kind = self.STATE_KIND if mode == "exact" else self.STATE_KIND_APPROX
-        self.ckpt = Checkpoint(checkpoint_dir)
+        if mode == "approx":
+            self.state_kind = self.STATE_KIND_APPROX
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "new_distinct": sum(r["n_new"] for r in stats),
-            }
-
+    def pins(self) -> dict:
         pins = {
             "num_shards": self.num_shards,
             "window_us": self.window_us,
@@ -123,55 +114,11 @@ class DistinctStreamRunner:
         }
         if self.mode == "approx":
             pins["hll_p"] = self.hll_p
-        return pins, process
+        return pins
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, ts_col = self.key_col, self.ts_col
-        num_shards, window_us = self.num_shards, self.window_us
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.state_kind
-        approx, hll_p = self.mode == "approx", self.hll_p
+        num_shards, window_us, hll_p = self.num_shards, self.window_us, self.hll_p
 
         def partial(b: pd.DataFrame) -> pd.DataFrame:
             # window presence BEFORE the null drop: all-NULL-key windows must
@@ -206,16 +153,11 @@ class DistinctStreamRunner:
             )
             return pd.concat([g, marks], ignore_index=True)
 
-        def shard_task_approx(g: pd.DataFrame) -> pd.DataFrame:
+        def fold_approx(g: pd.DataFrame, st: pa.Table | None):
             from ..functions.sketches import HyperLogLog
 
-            shard = int(g["_shard"].iloc[0])
-            n_in = int(g["_n"].sum())
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
             regs: dict[int, HyperLogLog] = {}
-            if prev:
-                st = pq.read_table(prev)
+            if st is not None:
                 for wv, blob in zip(
                     st["w"].to_numpy(zero_copy_only=False),
                     st["reg"].to_pylist(),
@@ -233,32 +175,17 @@ class DistinctStreamRunner:
                     h.add_hashed(q1[m])
             est_after = sum(h.estimate() for h in regs.values())
             ws = sorted(regs)
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        "w": pa.array(ws, pa.int64()),
-                        "reg": pa.array([regs[w].to_bytes() for w in ws], pa.binary()),
-                    }
-                ),
-                kind=state_kind,
-            )
-            return pd.DataFrame(
+            state = pa.table(
                 {
-                    "shard": [shard],
-                    "n_in": [n_in],
-                    "n_new": [int(round(est_after - est_before))],
+                    "w": pa.array(ws, pa.int64()),
+                    "reg": pa.array([regs[w].to_bytes() for w in ws], pa.binary()),
                 }
             )
+            new = int(round(est_after - est_before))
+            return None, state, {"rows": int(g["_n"].sum()), "new_distinct": new}
 
-        def shard_task(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["_shard"].iloc[0])
-            n_in = int(g["_n"].sum())
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
-            if prev:
-                st = pq.read_table(prev)
+        def fold(g: pd.DataFrame, st: pa.Table | None):
+            if st is not None:
                 sw = st["w"].to_numpy(zero_copy_only=False)
                 s1 = st["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
                 s2 = st["h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -279,8 +206,6 @@ class DistinctStreamRunner:
             qw, q1, q2 = qw[first], q1[first], q2[first]
             # membership against the sorted state, window by window (few
             # windows per batch; O(log n) searchsorted per probe inside)
-            from .dedup_stream import _member128
-
             seen = np.zeros(len(qw), dtype=bool)
             for w in np.unique(qw):
                 slo, shi = np.searchsorted(sw, w, "left"), np.searchsorted(sw, w, "right")
@@ -294,35 +219,17 @@ class DistinctStreamRunner:
                 np.concatenate([s2, q2[new]]),
             )
             so = np.lexsort((n2, n1, nw_))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        "w": pa.array(nw_[so], pa.int64()),
-                        "h1": pa.array(n1[so]),
-                        "h2": pa.array(n2[so]),
-                    }
-                ),
-                kind=state_kind,
-            )
-            return pd.DataFrame(
+            state = pa.table(
                 {
-                    "shard": [shard],
-                    "n_in": [n_in],
-                    "n_new": [int((new & ~is_mark).sum())],
+                    "w": pa.array(nw_[so], pa.int64()),
+                    "h1": pa.array(n1[so]),
+                    "h2": pa.array(n2[so]),
                 }
             )
+            new_distinct = int((new & ~is_mark).sum())
+            return None, state, {"rows": int(g["_n"].sum()), "new_distinct": new_distinct}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        task = shard_task_approx if approx else shard_task
-        return (
-            ds.map_batches(partial, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(task, batch_format="pandas")
-            .take_all()
-        )
+        return partial, fold_approx if self.mode == "approx" else fold
 
     # --------------------------------------------------------------- output
     def read_counts(self) -> pa.Table:
@@ -333,13 +240,11 @@ class DistinctStreamRunner:
         exactly one shard). Approx mode: per-window HLL registers are
         max-merged across shards (shards sketch disjoint key subsets; HLL
         union-merge is elementwise max) and the estimate rounded."""
-        from ._microbatch import read_committed_state
-
         if self.mode == "approx":
             from ..functions.sketches import HyperLogLog
 
             regs: dict[int, HyperLogLog] = {}
-            for t in read_committed_state(self.ckpt, self.state_kind):
+            for t in self.read_state():
                 for wv, blob in zip(
                     t["w"].to_numpy(zero_copy_only=False), t["reg"].to_pylist()
                 ):
@@ -359,7 +264,7 @@ class DistinctStreamRunner:
             )
 
         counts: dict[int, int] = {}
-        for t in read_committed_state(self.ckpt, self.state_kind):
+        for t in self.read_state():
             w = t["w"].to_numpy(zero_copy_only=False)
             h1 = t["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
             h2 = t["h2"].to_numpy(zero_copy_only=False).astype(np.uint64)

@@ -29,15 +29,12 @@ primitives shared with ``CaptureRunner`` / ``DedupStreamRunner``).
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 #: sorts before any real event's timestamp (timestamp[us] int64 range)
 _SEED_TS_US = -(2**62)
@@ -50,8 +47,11 @@ _KINDS = {
 }
 
 
-class ElementStreamRunner:
+class ElementStreamRunner(KeyedStateRunner):
     """Micro-batch element-op capture over ``log_dir/window-*.parquet``."""
+
+    STATE_KIND = "estate"
+    STATS = ("events",)
 
     def __init__(
         self,
@@ -63,20 +63,11 @@ class ElementStreamRunner:
     ):
         if collection not in _KINDS:
             raise ValueError(f"collection must be one of {sorted(_KINDS)}")
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.collection = collection
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    def _loop(self):
-        from ..state.checkpoint import current_hash_impl
-
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {"events": sum(r["n_events"] for r in stats)}
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             "collection": self.collection,
             # with_shard hashes conv_id via the polars-backed shard_of: a
@@ -84,69 +75,23 @@ class ElementStreamRunner:
             # (same guard CaptureRunner carries) — pin the hash identity
             "hash_impl": current_hash_impl(),
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- internal
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
-        from ..schema import decode_nested, encode_nested
-        from ..pipelines.capture import with_shard
+    def plan(self, batch_id: int, bfiles: list[str]):
+        from ..schema import decode_nested, encode_nested, with_shard
         from ..stages import element_ops
 
         fold_name, (add_col, vals_col, rem_col) = _KINDS[self.collection]
-        fold = getattr(element_ops, fold_name)
+        fold_ops = getattr(element_ops, fold_name)
         num_shards = self.num_shards
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
         in_schema = pq.read_schema(bfiles[0])
 
-        def shard_task(t: pa.Table) -> pa.Table:
-            shard = int(t["shard"][0].as_py())
-            t = decode_nested(t.drop_columns(["shard"]))
-            ck = Checkpoint(ckpt_dir)
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind="estate")
+        def route(b: pa.Table) -> pa.Table:
+            return encode_nested(with_shard(b, num_shards, "_shard"))
+
+        def fold(t: pa.Table, st: pa.Table | None):
+            t = decode_nested(t)
             untouched = None
-            if prev is not None:
-                st = pq.read_table(prev)
+            if st is not None:
                 # only keys with rows in THIS batch need seed replay — the
                 # rest of the state carries through untouched, so per-batch
                 # fold cost is proportional to the batch's keys, not every
@@ -157,63 +102,28 @@ class ElementStreamRunner:
                 untouched = st.filter(pc.invert(touched_mask))
                 seeds = _seed_rows(touched, in_schema, add_col, vals_col, rem_col)
                 t = pa.concat_tables([seeds, t], promote_options="permissive")
-            events, state = fold(t, with_final_state=True)
-            real = pc.not_equal(events["kind"], "seed")
-            out = events.filter(real)
-            # the seed concat can promote string->large_string in some
-            # batches but not others; pin one sink schema so read_output's
-            # concat never sees mixed widths
-            out = out.cast(
-                pa.schema(
-                    [
-                        pa.field(
-                            f.name,
-                            pa.string() if pa.types.is_large_string(f.type) else f.type,
-                        )
-                        for f in out.schema
-                    ]
-                )
-            )
+            events, state = fold_ops(t, with_final_state=True)
+            out = events.filter(pc.not_equal(events["kind"], "seed"))
             if untouched is not None and untouched.num_rows:
                 state = pa.concat_tables([state, untouched], promote_options="permissive")
-            # canonicalize STATE types too (not just the sink): the exchange
-            # may promote string→large_string on some replays but not
-            # others, and replayed state files must be byte-identical
-            state = state.cast(
-                pa.schema(
-                    [
-                        pa.field(
-                            f.name,
-                            pa.string() if pa.types.is_large_string(f.type) else f.type,
-                        )
-                        for f in state.schema
-                    ]
-                )
-            )
-            ck.write_state(shard, batch_id, state, kind="estate")
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(out, os.path.join(d, f"shard-{shard:05d}.parquet"))
-            return pa.table({"shard": [shard], "n_events": [out.num_rows]})
+            # the seed concat can promote string->large_string in some
+            # batches but not others: pin one sink schema so read_output's
+            # concat never sees mixed widths, and canonicalize STATE types
+            # too — replayed state files must be byte-identical
+            return _narrow_strings(out), _narrow_strings(state), {"events": out.num_rows}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        # single-row-group window files can't split at read time — slice the
-        # blocks (no shuffle) so the encode+shard stage parallelizes
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        sharded = ds.map_batches(
-            lambda b: encode_nested(with_shard(b, num_shards)), batch_format="pyarrow"
+        return route, fold
+
+
+def _narrow_strings(t: pa.Table) -> pa.Table:
+    return t.cast(
+        pa.schema(
+            [
+                pa.field(f.name, pa.string() if pa.types.is_large_string(f.type) else f.type)
+                for f in t.schema
+            ]
         )
-        return (
-            sharded.groupby("shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
+    )
 
 
 def _key_strings(t: pa.Table) -> pa.Array:

@@ -40,10 +40,10 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner, take_all_releasing_actors, write_sink
 
 
-class EmbeddingLshStreamRunner:
+class EmbeddingLshStreamRunner(KeyedStateRunner):
     """Micro-batch arrival-order SRP-LSH filter over
     ``log_dir/window-*.parquet`` vector files (columns ``order_col``,
     ``vec_col``). Windows must be ordered by ``order_col``. Sink:
@@ -63,77 +63,26 @@ class EmbeddingLshStreamRunner:
         n_planes: int = 8,
         dim: int = 64,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.vec_col = vec_col
         self.order_col = order_col
         self.n_tables = n_tables
         self.n_planes = n_planes
         self.dim = dim
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            return self._process_batch(batch_id, bfiles)
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             # hyperplanes are deterministic from (dim, tables, planes); all
             # three are replay identity, as are the measured columns
             "srp_impl": f"{self.dim}/{self.n_tables}/{self.n_planes}"
             f"/{self.vec_col}/{self.order_col}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
         vec_col, order_col = self.vec_col, self.order_col
         num_shards = self.num_shards
         n_tables, n_planes, dim = self.n_tables, self.n_planes, self.dim
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         class SigRows:
             """Signatures from the actor-held hyperplane matrix: one
@@ -169,13 +118,10 @@ class EmbeddingLshStreamRunner:
                 ).astype(np.int32)
                 return out
 
-        def shard_task(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["_shard"].iloc[0])
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
+        def fold(g: pd.DataFrame, st: pa.Table | None):
             seen = (
-                pq.read_table(prev)["key"].to_numpy(zero_copy_only=False)
-                if prev
+                st["key"].to_numpy(zero_copy_only=False)
+                if st is not None
                 else np.array([], np.int64)
             )
             key = g["_key"].to_numpy(dtype=np.int64)
@@ -193,23 +139,15 @@ class EmbeddingLshStreamRunner:
             collided = ~first | in_prev
             new_keys = np.unique(key[first & ~in_prev])
             merged = np.union1d(seen, new_keys)
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table({"key": pa.array(merged, pa.int64())}),
-                kind=state_kind,
-            )
-            return pd.DataFrame({"vid": np.unique(vid[collided])})
+            state = pa.table({"key": pa.array(merged, pa.int64())})
+            return pd.DataFrame({"vid": np.unique(vid[collided])}), state, {}
 
-        ds = ray.data.read_parquet(
-            bfiles, columns=[order_col, vec_col], override_num_blocks=2 * num_shards
-        )
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        dropped_tbl = (
-            ds.map_batches(SigRows, batch_format="pandas", concurrency=(1, 8))
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .take_all()
+        ds = self.read(bfiles, columns=[order_col, vec_col])
+        dropped_tbl = take_all_releasing_actors(
+            self.keyed(
+                ds, SigRows, fold, batch_id, batch_format="pandas", emit=True,
+                concurrency=(1, 8),
+            )
         )
         dropped = np.unique(
             np.fromiter((int(r["vid"]) for r in dropped_tbl), np.int64)
@@ -228,13 +166,9 @@ class EmbeddingLshStreamRunner:
                 .astype(np.int64)
             )
             kept = np.sort(ids[~np.isin(ids, drop)])
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
             stem = os.path.splitext(os.path.basename(path))[0]
-            pq.write_table(
-                pa.table({order_col: pa.array(kept, pa.int64())}),
-                os.path.join(d, f"part-{stem}.parquet"),
-            )
+            kept_tbl = pa.table({order_col: pa.array(kept, pa.int64())})
+            write_sink(sink_dir, batch_id, f"part-{stem}", kept_tbl)
             return len(kept)
 
         kept = sum(
@@ -250,9 +184,3 @@ class EmbeddingLshStreamRunner:
             .take_all()
         )
         return {"rows": kept + len(dropped), "kept": kept, "dups": int(len(dropped))}
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)

@@ -31,7 +31,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.textops import BPE_TOKEN_RE, SpaceSaving
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner
 
 #: summary (de)serialization layout version — the state is an algorithm
 #: artifact, so a layout or combine change must fail a resume loudly
@@ -80,11 +80,12 @@ def _file_summary(
     return path, ss.counts, ss.errs, ss.n
 
 
-class HeavyHittersStreamRunner:
+class HeavyHittersStreamRunner(KeyedStateRunner):
     """Micro-batch SpaceSaving heavy hitters over
     ``log_dir/window-*.parquet`` (column ``text_col``). Results from
     :meth:`read_topk` on the COMMITTED state; ε-bounds are those of an
-    m-counter SpaceSaving over the whole committed stream."""
+    m-counter SpaceSaving over the whole committed stream. No keyed
+    exchange: one state file (shard 0), merged on the driver."""
 
     STATE_KIND = "hh"
 
@@ -98,67 +99,20 @@ class HeavyHittersStreamRunner:
     ):
         if m < 1:
             raise ValueError("m must be >= 1")
-        self.log_dir = log_dir
+        super().__init__(log_dir, None, None, checkpoint_dir)
         self.m = int(m)
         self.text_col = text_col
         self.pattern = pattern
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            return self._process_batch(batch_id, bfiles)
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "hh_impl": HH_IMPL,
             # every summary ingredient is replay identity: a resumed run
             # with a different m / tokenizer would merge incompatibly
             "hh_params": f"{self.m}/{self.text_col}/{self.pattern}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
         prev = self.ckpt.latest_state_path(
             0, before_batch=batch_id, kind=self.STATE_KIND
         )
@@ -191,10 +145,8 @@ class HeavyHittersStreamRunner:
     def read_topk(self, k: int) -> pa.Table:
         """(token, cnt_upper, err, cnt_lower) for the top ``k`` tracked
         tokens of the latest COMMITTED summary."""
-        from ._microbatch import read_committed_state
-
         try:
-            tables = read_committed_state(self.ckpt, self.STATE_KIND)
+            tables = self.read_state()
         except ValueError:  # nothing committed yet (e.g. empty log dir)
             tables = []
         ss = _summary_from_table(tables[0], self.m) if tables else SpaceSaving(self.m)

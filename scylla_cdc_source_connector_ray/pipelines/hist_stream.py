@@ -17,24 +17,23 @@ pre-batch snapshots), manifest-gated reads.
 
 from __future__ import annotations
 
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint, current_hash_impl
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 
-class HistStreamRunner:
+class HistStreamRunner(KeyedStateRunner):
     """Micro-batch per-key histogram accumulator over
     ``log_dir/window-*.parquet`` (columns ``key_col``, ``value_col``; NULL
     values dropped like SQL aggregates). Quantiles come from
     :meth:`read_quantiles` on the COMMITTED state."""
 
     STATE_KIND = "hist"
+    STATS = ("rows", "bins")
+    BATCH_FORMAT = "pandas"
 
     def __init__(
         self,
@@ -45,53 +44,25 @@ class HistStreamRunner:
         key_col: str,
         value_col: str,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
+        super().__init__(log_dir, num_shards, None, checkpoint_dir)
         self.bin_width = float(bin_width)
         self.key_col = key_col
         self.value_col = value_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
+    def pins(self) -> dict:
+        return {
+            "num_shards": self.num_shards,
+            "hash_impl": current_hash_impl(),
+            "bin_width": self.bin_width,
+            # the measured quantity is replay identity too: resuming
+            # with a different key/value column would merge histograms
+            # of different things into one state
+            "hist_cols": f"{self.key_col}/{self.value_col}",
+        }
 
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "bins": sum(r["n_bins"] for r in stats),
-            }
-
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins={
-                "num_shards": self.num_shards,
-                "hash_impl": current_hash_impl(),
-                "bin_width": self.bin_width,
-                # the measured quantity is replay identity too: resuming
-                # with a different key/value column would merge histograms
-                # of different things into one state
-                "hist_cols": f"{self.key_col}/{self.value_col}",
-            },
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, value_col = self.key_col, self.value_col
         num_shards, width = self.num_shards, self.bin_width
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         def partial(b: pd.DataFrame) -> pd.DataFrame:
             from ..schema import shard_of
@@ -119,13 +90,10 @@ class HistStreamRunner:
             res["_shard"] = sh.to_numpy(zero_copy_only=False)
             return res
 
-        def shard_task(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["_shard"].iloc[0])
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
+        def fold(g: pd.DataFrame, st: pa.Table | None):
             frames = [g[[key_col, "bin", "cnt"]]]
-            if prev:
-                frames.append(pq.read_table(prev).to_pandas())
+            if st is not None:
+                frames.append(st.to_pandas())
             merged = (
                 pd.concat(frames)
                 .groupby([key_col, "bin"], sort=True, observed=True, dropna=False)["cnt"]
@@ -133,42 +101,22 @@ class HistStreamRunner:
                 .reset_index()
             )
             merged[key_col] = merged[key_col].where(merged[key_col].notna(), None)
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        key_col: pa.array(merged[key_col], pa.string()),
-                        "bin": pa.array(merged["bin"].astype(np.int64)),
-                        "cnt": pa.array(merged["cnt"].astype(np.int64)),
-                    }
-                ),
-                kind=state_kind,
-            )
-            return pd.DataFrame(
+            state = pa.table(
                 {
-                    "shard": [shard],
-                    "n_in": [int(g["cnt"].sum())],
-                    "n_bins": [len(merged)],
+                    key_col: pa.array(merged[key_col], pa.string()),
+                    "bin": pa.array(merged["bin"].astype(np.int64)),
+                    "cnt": pa.array(merged["cnt"].astype(np.int64)),
                 }
             )
+            return None, state, {"rows": int(g["cnt"].sum()), "bins": len(merged)}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(partial, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .take_all()
-        )
+        return partial, fold
 
     # --------------------------------------------------------------- output
     def read_quantiles(self, quantiles: tuple[int, ...] = (25, 50, 95)) -> pa.Table:
         """(key, n, p{q}_bin ...) from the latest COMMITTED state — the same
         rank convention as ``grouped_quantiles_hist``."""
-        from ._microbatch import read_committed_state
-
-        frames = [t.to_pandas() for t in read_committed_state(self.ckpt, self.STATE_KIND)]
+        frames = [t.to_pandas() for t in self.read_state()]
         cols: dict = {self.key_col: [], "n": []}
         for q in quantiles:
             cols[f"p{q}_bin"] = []

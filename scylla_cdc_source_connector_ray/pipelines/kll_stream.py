@@ -25,20 +25,19 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint, current_hash_impl
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
 
-class KllStreamRunner:
+class KllStreamRunner(KeyedStateRunner):
     """Micro-batch per-key KLL quantile sketch over
     ``log_dir/window-*.parquet`` (columns ``key_col``, ``value_col``; NULL
     values dropped like SQL aggregates). Estimates come from
     :meth:`read_quantiles` on the COMMITTED state."""
 
     STATE_KIND = "kll"
+    STATS = ("rows", "state_rows")
 
     def __init__(
         self,
@@ -49,54 +48,26 @@ class KllStreamRunner:
         value_col: str,
         k: int = 200,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
+        super().__init__(log_dir, num_shards, None, checkpoint_dir)
         self.k = int(k)
         self.key_col = key_col
         self.value_col = value_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
+    def pins(self) -> dict:
+        return {
+            "num_shards": self.num_shards,
+            "hash_impl": current_hash_impl(),
+            # k changes the compaction schedule; resuming with another k
+            # (or other columns) would merge incompatible sketches
+            # v2: _compress restarts its scan when the sketch height
+            # grows (different — tighter — state bytes than v1, so an
+            # old checkpoint must fail loudly rather than resume)
+            "kll_impl": f"v2/{self.k}/{self.key_col}/{self.value_col}",
+        }
 
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "state_rows": sum(r["n_state"] for r in stats),
-            }
-
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins={
-                "num_shards": self.num_shards,
-                "hash_impl": current_hash_impl(),
-                # k changes the compaction schedule; resuming with another k
-                # (or other columns) would merge incompatible sketches
-                # v2: _compress restarts its scan when the sketch height
-                # grows (different — tighter — state bytes than v1, so an
-                # old checkpoint must fail loudly rather than resume)
-                "kll_impl": f"v2/{self.k}/{self.key_col}/{self.value_col}",
-            },
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         key_col, value_col = self.key_col, self.value_col
         num_shards, k = self.num_shards, self.k
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         def project(t: pa.Table) -> pa.Table:
             from ..schema import shard_of
@@ -112,22 +83,18 @@ class KllStreamRunner:
                 t = t.set_column(i, key_col, t[key_col].cast(pa.string()))
             return t.append_column("_shard", shard_of(t[key_col], num_shards))
 
-        def shard_task(gt: pa.Table) -> pd.DataFrame:
+        def fold(gt: pa.Table, st: pa.Table | None):
             from ..functions.sketches import KLLSketch
 
-            shard = int(gt["_shard"][0].as_py())
             # integer_object_nulls keeps int keys as Python ints/None in an
             # object column instead of the lossy float64 representation
             g = gt.to_pandas(integer_object_nulls=True)
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
             state: dict[object, KLLSketch] = {}
             # canonical key type for the state file: prefer the committed
             # state's schema (replay-stable); first batch derives it from
             # the data, falling back to string for an all-null key column
             kt = None
-            if prev:
-                st = pq.read_table(prev)
+            if st is not None:
                 f = st.schema.field(key_col).type
                 if not pa.types.is_null(f):
                     kt = f
@@ -162,44 +129,25 @@ class KllStreamRunner:
                 kt = gt.schema.field(key_col).type  # exact, no re-inference
                 if pa.types.is_large_string(kt) or pa.types.is_null(kt):
                     kt = pa.string()
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        key_col: pa.array(out_k, kt),
-                        "level": pa.array(out_l, pa.int32()),
-                        "parity": pa.array(out_p, pa.int64()),
-                        "vals": pa.array(out_v, pa.list_(pa.float64())),
-                    }
-                ),
-                kind=state_kind,
-            )
-            return pa.table(
+            new = pa.table(
                 {
-                    "shard": pa.array([shard], pa.int64()),
-                    "n_in": pa.array([n_in], pa.int64()),
-                    "n_state": pa.array([len(out_k)], pa.int64()),
+                    key_col: pa.array(out_k, kt),
+                    "level": pa.array(out_l, pa.int32()),
+                    "parity": pa.array(out_p, pa.int64()),
+                    "vals": pa.array(out_v, pa.list_(pa.float64())),
                 }
             )
+            return None, new, {"rows": n_in, "state_rows": len(out_k)}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(project, batch_format="pyarrow")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
+        return project, fold
 
     # --------------------------------------------------------------- output
     def read_quantiles(self, quantiles: tuple[int, ...] = (25, 50, 95)) -> pa.Table:
         """(key, n, p{q}_est ...) from the latest COMMITTED state — same rank
         convention as the batch operator."""
         from ..functions.sketches import KLLSketch
-        from ._microbatch import read_committed_state
 
-        tables = read_committed_state(self.ckpt, self.STATE_KIND)
+        tables = self.read_state()
         kt = pa.string()
         for t in tables:  # native key dtype from the committed state
             f = t.schema.field(self.key_col).type

@@ -43,8 +43,8 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..state.checkpoint import Checkpoint
-from .dedup_stream import _member128
+from ._microbatch import KeyedStateRunner, take_all_releasing_actors, write_sink
+from .dedup_stream import _first128, _member128, _seen128, _union128
 
 
 def _splitmix64(h: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ def _band_hashes(rows: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-class MinHashStreamRunner:
+class MinHashStreamRunner(KeyedStateRunner):
     """Micro-batch arrival-order near-dup filter over
     ``log_dir/window-*.parquet`` document files (columns ``order_col``,
     ``text_col``). Log windows must be ordered by ``order_col`` (arrival
@@ -101,23 +101,16 @@ class MinHashStreamRunner:
         seed: int = 42,
         bands: int = 16,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.text_col = text_col
         self.order_col = order_col
         self.num_perm = num_perm
         self.ngram = ngram
         self.seed = seed
         self.bands = bands
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            return self._process_batch(batch_id, bfiles)
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             # ws-re2: the shingle tokenizer's whitespace class is RE2's
             # exact [\t\n\f\r ] (\v removed) — state written by the older
@@ -132,57 +125,13 @@ class MinHashStreamRunner:
             "sink_layout": "rowgroup-v2",
             "band_hash": "splitmix128-v2",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
         from ..functions.dedup import FastMinHasher, lsh_bucket_rows
 
         text_col, order_col = self.text_col, self.order_col
         num_shards, bands = self.num_shards, self.bands
         num_perm, ngram, seed = self.num_perm, self.ngram, self.seed
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         out_schema = pq.read_schema(bfiles[0])
         if not pa.types.is_integer(out_schema.field(order_col).type):
@@ -215,49 +164,26 @@ class MinHashStreamRunner:
                     }
                 )
 
-        def shard_task(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["_shard"].iloc[0])
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
-            if prev:
-                st = pq.read_table(prev)
-                s1 = st["h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                s2 = st["h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            else:
-                s1 = s2 = np.array([], np.uint64)
+        def fold(g: pd.DataFrame, st: pa.Table | None):
+            s1, s2 = _seen128(st)
             h1 = g["_h1"].to_numpy().astype(np.uint64)
             h2 = g["_h2"].to_numpy().astype(np.uint64)
             doc = g["doc_id"].to_numpy(dtype=np.int64)
             # arrival-first holder per equal band hash within the batch
-            order = np.lexsort((doc, h2, h1))
-            oh1, oh2 = h1[order], h2[order]
-            run_start = np.ones(len(g), dtype=bool)
-            run_start[1:] = (oh1[1:] != oh1[:-1]) | (oh2[1:] != oh2[:-1])
-            first = np.zeros(len(g), dtype=bool)
-            first[order[run_start]] = True
+            first = _first128(h1, h2, doc)
             # collided: a non-first row shares with an earlier in-batch doc;
             # a first row collides iff the hash was seen in a PRIOR batch
             collided = ~first | _member128(s1, s2, h1, h2)
             # state := prev ∪ this batch's new hashes (first holders only)
             new = first & ~collided
-            n1 = np.concatenate([s1, h1[new]])
-            n2 = np.concatenate([s2, h2[new]])
-            so = np.lexsort((n2, n1))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table({"h1": pa.array(n1[so]), "h2": pa.array(n2[so])}),
-                kind=state_kind,
-            )
-            return pd.DataFrame({"doc_id": np.unique(doc[collided])})
+            state = _union128(s1, s2, h1[new], h2[new])
+            return pd.DataFrame({"doc_id": np.unique(doc[collided])}), state, {}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        dropped_tbl = (
-            ds.map_batches(BandRows, batch_format="pandas", concurrency=(1, 8))
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .take_all()
+        dropped_tbl = take_all_releasing_actors(
+            self.keyed(
+                self.read(bfiles), BandRows, fold, batch_id, batch_format="pandas",
+                emit=True, concurrency=(1, 8),
+            )
         )
         # a doc colliding in several shards is reported once per shard
         dropped = np.unique(
@@ -288,11 +214,7 @@ class MinHashStreamRunner:
                 tbl = tbl.filter(pa.array(~np.isin(order, drop)))
                 tbl = tbl.select(out_schema.names).cast(out_schema)
                 tbl = tbl.sort_by(order_col)
-                d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-                os.makedirs(d, exist_ok=True)
-                pq.write_table(
-                    tbl, os.path.join(d, f"part-{it['stem']}-g{int(it['rg']):03d}.parquet")
-                )
+                write_sink(sink_dir, batch_id, f"part-{it['stem']}-g{int(it['rg']):03d}", tbl)
                 outs.append(tbl.num_rows)
             return pd.DataFrame({"n_kept": outs})
 
@@ -303,14 +225,3 @@ class MinHashStreamRunner:
         )
         kept = sum(r["n_kept"] for r in stats)
         return {"rows": kept + len(dropped), "kept": kept, "dups": int(len(dropped))}
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)

@@ -410,7 +410,7 @@ def _shard_task(
             conv_np = group["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
             hot_np = np.isin(conv_np, list(hot_convs))
             if hot_np.any():
-                from .stream_agg import _atomic_pq as _apq
+                from ..state.checkpoint import write_table_atomic
 
                 hot_rows = group.filter(pa.array(hot_np))
                 part = pa.table(
@@ -428,7 +428,7 @@ def _shard_task(
                         "base_shard": shard_of(hot_rows["conv_id"], cfg.num_shards),
                     }
                 )
-                _apq(
+                write_table_atomic(
                     part,
                     os.path.join(
                         out_dir,
@@ -450,9 +450,9 @@ def _shard_task(
         # under salting) get typed NULLs for the fixup stage to fill
         env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
         env = _append_aligned_features(env, enriched, env_seq)
-    from .stream_agg import _atomic_pq
+    from ..state.checkpoint import write_table_atomic
 
-    _atomic_pq(env, os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={shard}.parquet"))
+    write_table_atomic(env, os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={shard}.parquet"))
 
     max_ts = pc.max(real["ts"].cast(pa.int64())).as_py() if real.num_rows else None
     # capture-latency distribution (event time): how far behind the batch
@@ -618,12 +618,12 @@ def _fold_pane_state(
     )
     remaining = partial.filter(pa.array(~final_mask))
     if finalized.num_rows:
-        from .stream_agg import _atomic_pq
+        from ..state.checkpoint import write_table_atomic
 
         finalized = finalized.append_column(
             "shard", pa.array([shard] * finalized.num_rows, pa.int32())
         )
-        _atomic_pq(
+        write_table_atomic(
             finalized,
             os.path.join(out_dir, "windows", f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
         )
@@ -1213,7 +1213,7 @@ class CaptureRunner:
 
         def merge_task(g: pa.Table) -> pa.Table:
             from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
-            from .stream_agg import _atomic_pq
+            from ..state.checkpoint import write_table_atomic
 
             b = int(g["base_shard"][0].as_py())
             ckpt = Checkpoint(ckpt_dir)
@@ -1226,7 +1226,7 @@ class CaptureRunner:
             feats = enriched.select(
                 ["sub_shard", SEQ_COL, *[c for c, _ in _CSTATE_FEATURES]]
             )
-            _atomic_pq(
+            write_table_atomic(
                 feats,
                 os.path.join(
                     out_dir, "_cstate_features", f"batch-{batch_id:06d}", f"base={b}.parquet"
@@ -1252,7 +1252,7 @@ class CaptureRunner:
         def fix_task(g: pa.Table) -> pa.Table:
             import numpy as np
 
-            from .stream_agg import _atomic_pq
+            from ..state.checkpoint import write_table_atomic
 
             s = int(g["sub_shard"][0].as_py())
             path = os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={s}.parquet")
@@ -1268,7 +1268,7 @@ class CaptureRunner:
                 vals = pc.take(g[c].combine_chunks().cast(typ), idx)
                 merged = pc.if_else(hmask, vals, env[c].combine_chunks().cast(typ))
                 env = env.set_column(env.column_names.index(c), c, merged)
-            _atomic_pq(env, path)
+            write_table_atomic(env, path)
             return pa.table({"sub_shard": pa.array([s], pa.int32())})
 
         ds = ray.data.read_parquet(fdir)
@@ -1379,10 +1379,10 @@ class CaptureRunner:
         def emit(table: pa.Table, kind_dir: str, shard: int):
             if table.num_rows == 0:
                 return
-            from .stream_agg import _atomic_pq
+            from ..state.checkpoint import write_table_atomic
 
             table = table.append_column("shard", pa.array([shard] * table.num_rows, pa.int32()))
-            _atomic_pq(table, os.path.join(tmp_root, kind_dir, f"shard={shard}.parquet"))
+            write_table_atomic(table, os.path.join(tmp_root, kind_dir, f"shard={shard}.parquet"))
 
         for shard in shards_of("wstate"):
             path = self.ckpt.latest_state_path(shard, nb, kind="wstate")

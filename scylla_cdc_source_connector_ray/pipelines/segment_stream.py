@@ -25,20 +25,16 @@ Reference anchor: the connector's at-least-once delivery + idempotent sink
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
-from .dedup_stream import _member128
+from ._microbatch import KeyedStateRunner, write_sink
+from .dedup_stream import _member128, _seen128, _union128
 
 
-class SegmentDedupStreamRunner:
+class SegmentDedupStreamRunner(KeyedStateRunner):
     """Micro-batch segment dedup over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/part-K.parquet`` — one row per non-empty doc
@@ -46,6 +42,19 @@ class SegmentDedupStreamRunner:
     replay). ``read_output`` returns only COMMITTED batches."""
 
     STATE_KIND = "segs"
+    STATS = ("docs", "segs_kept", "segs_total")
+    BATCH_FORMAT = "pandas"
+    #: pinned sink schema: an empty or all-dropped part must not let pandas
+    #: degrade text_dedup to null type in the file (state/sink parquet is
+    #: always written with an explicit schema)
+    OUT_SCHEMA = pa.schema(
+        [
+            pa.field("doc_id", pa.int64()),
+            pa.field("text_dedup", pa.string()),
+            pa.field("n_segs_kept", pa.int64()),
+            pa.field("n_segs_total", pa.int64()),
+        ]
+    )
 
     def __init__(
         self,
@@ -58,26 +67,14 @@ class SegmentDedupStreamRunner:
         id_col: str = "doc_id",
         num_parts: int = 16,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.seg_words = seg_words
         self.text_col = text_col
         self.id_col = id_col
         self.num_parts = num_parts
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "docs": int(sum(r["n_docs"] for r in stats)),
-                "segs_kept": int(sum(r["n_segs_kept"] for r in stats)),
-                "segs_total": int(sum(r["n_segs_total"] for r in stats)),
-            }
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             # segment boundaries, hash, and the reassembly file layout are
             # all replay identity: a checkpoint written under a different
@@ -88,64 +85,66 @@ class SegmentDedupStreamRunner:
             f"/ws-re2/md5-2x64",
             "sink_layout": f"part-v1/{self.num_parts}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+        """Keyed decision stage (packed (doc, position) keys ``_pk`` out),
+        then ONE coarse doc-keyed exchange carrying each doc's text once
+        plus its decided keys, reassembled per part into the sink."""
+        from ..functions.dedup import _seg_doc_rows_table, _seg_unpack_table
 
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
+        self._check_monotone_ids(batch_id, bfiles)
+        route, fold = self.plan(batch_id, bfiles)
+        text_col, id_col, num_parts = self.text_col, self.id_col, self.num_parts
+        reassemble, out_schema, stats = self.reassembler(), self.OUT_SCHEMA, self.STATS
+        sink_dir = self.sink_dir
+
+        def part_task(b: pd.DataFrame) -> pd.DataFrame:
+            pid = int(b.pop("_pid").iloc[0])
+            out = reassemble(b).sort_values("doc_id", kind="mergesort")
+            write_sink(
+                sink_dir,
+                batch_id,
+                f"part-{pid:05d}",
+                pa.Table.from_pandas(out, schema=out_schema, preserve_index=False),
+            )
+            # docs, then the per-doc n_<stat> columns summed
+            return pd.DataFrame(
+                {"docs": [len(out)], **{c: [int(out[f"n_{c}"].sum())] for c in stats[1:]}}
+            )
+
+        ds = self.read(bfiles)
+        decided = (
+            self.keyed(ds, route, fold, batch_id, emit=True)
+            .map_batches(
+                lambda t: _seg_unpack_table(t["_pk"].to_numpy(zero_copy_only=False), num_parts),
+                batch_format="pyarrow",
+            )
+            # coalesce the per-shard tiny blocks before the reassembly
+            # shuffle (many-small-blocks sort pathology; see segment_dedup)
+            .repartition(num_parts, shuffle=False)
+        )
+        docs = ds.map_batches(
+            lambda b: _seg_doc_rows_table(b, text_col, id_col, num_parts),
+            batch_format="pandas",
+        )
+        return self.sum_stats(
+            decided.union(docs)
+            .groupby("_pid")
+            .map_groups(part_task, batch_format="pandas")
+            .take_all()
         )
 
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
+    def reassembler(self):
+        from ..functions.dedup import _seg_reassemble_part
 
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
+        seg_words = self.seg_words
+        return lambda b: _seg_reassemble_part(b, seg_words)
 
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
-        from ..functions.dedup import (
-            _seg_decision_arrays,
-            _seg_doc_rows_table,
-            _seg_reassemble_part,
-            _seg_unpack_table,
-        )
+    def plan(self, batch_id: int, bfiles: list[str]):
+        from ..functions.dedup import _first_pk_per_hash, _seg_decision_arrays
 
         text_col, id_col = self.text_col, self.id_col
         seg_words, num_shards = self.seg_words, self.num_shards
-        num_parts = self.num_parts
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        state_kind = self.STATE_KIND
-        self._check_monotone_ids(batch_id, bfiles)
 
         def decisions(b: pd.DataFrame) -> pa.Table:
             h1, h2, pk = _seg_decision_arrays(b, text_col, id_col, seg_words)
@@ -162,101 +161,23 @@ class SegmentDedupStreamRunner:
                 }
             )
 
-        def shard_task(g: pd.DataFrame) -> pa.Table:
+        def fold(g: pd.DataFrame, st: pa.Table | None):
             """First occurrence per segment hash: batch-min packed key vs
             the shard's seen-state; state = prev ∪ newly-kept, (h1,h2)-sorted.
-            Returns the kept packed keys (ints only — text never enters the
+            Emits the kept packed keys (ints only — text never enters the
             decision plane)."""
-            if len(g) == 0:  # schema-inference call: no state, no keeps
-                return pa.table({"_keep": pa.array([], pa.int64())})
-            shard = int(g["_shard"].iloc[0])
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev_path = ck.latest_state_path(
-                shard, before_batch=batch_id, kind=state_kind
-            )
-            if prev_path:
-                st = pq.read_table(prev_path)
-                s1 = st["h1"].to_numpy(zero_copy_only=False)
-                s2 = st["h2"].to_numpy(zero_copy_only=False)
-            else:
-                s1 = s2 = np.array([], np.int64)
-            from ..functions.dedup import _first_pk_per_hash
-
+            s1, s2 = _seen128(st, np.int64)
             h1, h2, pk = _first_pk_per_hash(
                 g["_h1"].to_numpy(), g["_h2"].to_numpy(), g["_pk"].to_numpy()
             )
             # batch winners vs prior state: the probe is one searchsorted
-            # over the (h1, h2)-sorted state (h1-run scan for collisions)
-            seen = _member128_i64(s1, s2, h1, h2)
-            kh1, kh2, kpk = h1[~seen], h2[~seen], pk[~seen]
-            n1 = np.concatenate([s1, kh1])
-            n2 = np.concatenate([s2, kh2])
-            so = np.lexsort((n2, n1))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {"h1": pa.array(n1[so], pa.int64()), "h2": pa.array(n2[so], pa.int64())}
-                ),
-                kind=state_kind,
-            )
-            return pa.table({"_keep": pa.array(kpk, pa.int64())})
+            # over the (h1, h2)-sorted state (h1-run scan for collisions;
+            # _member128 is dtype-agnostic, state here is int64 end-to-end)
+            seen = _member128(s1, s2, h1, h2)
+            state = _union128(s1, s2, h1[~seen], h2[~seen])
+            return pa.table({"_pk": pa.array(pk[~seen], pa.int64())}), state, {}
 
-        def part_task(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0:  # schema-inference call: write nothing
-                return pd.DataFrame(
-                    {
-                        "n_docs": pd.Series([], dtype="int64"),
-                        "n_segs_kept": pd.Series([], dtype="int64"),
-                        "n_segs_total": pd.Series([], dtype="int64"),
-                    }
-                )
-            out = _seg_reassemble_part(b.drop(columns=["_pid"]), seg_words)
-            out = out.sort_values("doc_id", kind="mergesort")
-            pid = int(b["_pid"].iloc[0])
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pandas(out, schema=_OUT_SCHEMA, preserve_index=False),
-                os.path.join(d, f"part-{pid:05d}.parquet"),
-            )
-            return pd.DataFrame(
-                {
-                    "n_docs": [len(out)],
-                    "n_segs_kept": [int(out["n_segs_kept"].sum())],
-                    "n_segs_total": [int(out["n_segs_total"].sum())],
-                }
-            )
-
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        # few/unsplittable batch files would fuse the segment+md5 stage onto
-        # one core; shuffle-free repartition slices the blocks first
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        kept = (
-            ds.map_batches(decisions, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .map_batches(
-                lambda t: _seg_unpack_table(
-                    t["_keep"].to_numpy(zero_copy_only=False), num_parts
-                ),
-                batch_format="pyarrow",
-            )
-            # coalesce the per-shard tiny blocks before the reassembly
-            # shuffle (many-small-blocks sort pathology; see segment_dedup)
-            .repartition(num_parts, shuffle=False)
-        )
-        docs = ds.map_batches(
-            lambda b: _seg_doc_rows_table(b, text_col, id_col, num_parts),
-            batch_format="pandas",
-        )
-        stats = (
-            kept.union(docs)
-            .groupby("_pid")
-            .map_groups(part_task, batch_format="pandas")
-            .take_all()
-        )
-        return stats
+        return decisions, fold
 
     def _check_monotone_ids(self, batch_id: int, bfiles: list[str]) -> None:
         """Fail loudly when a batch's min doc id does not exceed every prior
@@ -299,33 +220,3 @@ class SegmentDedupStreamRunner:
             pa.table({"max_id": pa.array([carried], pa.int64())}),
             kind="idrg",
         )
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)
-
-
-#: pinned sink schema: an empty or all-dropped part must not let pandas
-#: degrade text_dedup to null type in the file (the round-4 spill lesson:
-#: state/sink parquet is always written with an explicit schema)
-_OUT_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.int64()),
-        pa.field("text_dedup", pa.string()),
-        pa.field("n_segs_kept", pa.int64()),
-        pa.field("n_segs_total", pa.int64()),
-    ]
-)
-
-#: the sorted-state membership probe is dtype-agnostic (searchsorted +
-#: within-run equality): ONE definition, shared with the text-level runner
-#: (state here is int64 end-to-end because the keys ride Arrow tables;
-#: each runner sorts and probes with its own dtype consistently)
-_member128_i64 = _member128

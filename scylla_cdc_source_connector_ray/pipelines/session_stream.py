@@ -26,19 +26,15 @@ star) with no connector analogue.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner
 
 
-class SessionStreamRunner:
+class SessionStreamRunner(KeyedStateRunner):
     """Micro-batch session-id assignment over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/shard-K.parquet`` — (event_id, user_id,
@@ -47,6 +43,7 @@ class SessionStreamRunner:
     batches."""
 
     STATE_KIND = "sess"
+    STATS = ("events", "sessions_started")
 
     def __init__(
         self,
@@ -59,72 +56,24 @@ class SessionStreamRunner:
         ts_col: str = "ts",
         id_col: str = "event_id",
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        super().__init__(log_dir, num_shards, sink_dir, checkpoint_dir)
         self.gap_us = int(gap_us)
         self.user_col = user_col
         self.ts_col = ts_col
         self.id_col = id_col
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "events": int(sum(r["n_events"] for r in stats)),
-                "sessions_started": int(sum(r["n_new_sessions"] for r in stats)),
-            }
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             # gap + column identity: resuming under a different gap would
             # silently renumber sessions
             "sess_impl": f"{self.gap_us}/{self.user_col}/{self.ts_col}"
             f"/{self.id_col}",
         }
-        return pins, process
 
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
-
-        pins, process = self._loop()
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    def follow(
-        self,
-        files_per_batch: int = 4,
-        poll_interval_s: float = 1.0,
-        idle_polls: int = 3,
-    ) -> dict:
-        """Live tail: drain new window files until ``idle_polls`` empty
-        polls (same manifest/replay contract as ``run``)."""
-        from ._microbatch import follow_microbatches
-
-        pins, process = self._loop()
-        return follow_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins=pins,
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            poll_interval_s=poll_interval_s,
-            idle_polls=idle_polls,
-        )
+    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+        self._check_monotone_ts(batch_id, bfiles)
+        return super().process(batch_id, bfiles)
 
     # ------------------------------------------------------------- ts guard
     def _check_monotone_ts(self, batch_id: int, bfiles: list[str]) -> None:
@@ -168,14 +117,9 @@ class SessionStreamRunner:
             kind="tsrg",
         )
 
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         user_col, ts_col, id_col = self.user_col, self.ts_col, self.id_col
         gap_us, num_shards = self.gap_us, self.num_shards
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        state_kind = self.STATE_KIND
-        self._check_monotone_ts(batch_id, bfiles)
 
         def route(t: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -192,16 +136,7 @@ class SessionStreamRunner:
                 pa.array(((uid * _SAMPLE_MIX) % np.uint64(num_shards)).astype(np.int32)),
             )
 
-        def shard_task(gt: pa.Table) -> pa.Table:
-            if gt.num_rows == 0:  # schema-inference call
-                return pa.table(
-                    {
-                        "shard": pa.array([], pa.int64()),
-                        "n_events": pa.array([], pa.int64()),
-                        "n_new_sessions": pa.array([], pa.int64()),
-                    }
-                )
-            shard = int(gt["_shard"][0].as_py())
+        def fold(gt: pa.Table, st: pa.Table | None):
             g = gt.to_pandas()
             g = g.sort_values([user_col, ts_col, id_col], kind="mergesort")
             uid = g[user_col].to_numpy().astype(np.int64)
@@ -209,12 +144,7 @@ class SessionStreamRunner:
             first = np.ones(len(g), bool)
             if len(g) > 1:
                 first[1:] = uid[1:] != uid[:-1]
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev_path = ck.latest_state_path(
-                shard, before_batch=batch_id, kind=state_kind
-            )
-            if prev_path:
-                st = pq.read_table(prev_path)
+            if st is not None:
                 su = st["user_id"].to_numpy(zero_copy_only=False)
                 slt = st["last_ts_us"].to_numpy(zero_copy_only=False)
                 ssn = st["sess_no"].to_numpy(zero_copy_only=False)
@@ -251,19 +181,12 @@ class SessionStreamRunner:
             merged = dict(zip(su, zip(slt, ssn)))
             merged.update(zip(run_users, zip(new_ts, new_sn)))
             mu = np.array(sorted(merged), dtype=np.int64)
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table(
-                    {
-                        "user_id": pa.array(mu, pa.int64()),
-                        "last_ts_us": pa.array(
-                            [merged[u][0] for u in mu], pa.int64()
-                        ),
-                        "sess_no": pa.array([merged[u][1] for u in mu], pa.int64()),
-                    }
-                ),
-                kind=state_kind,
+            state = pa.table(
+                {
+                    "user_id": pa.array(mu, pa.int64()),
+                    "last_ts_us": pa.array([merged[u][0] for u in mu], pa.int64()),
+                    "sess_no": pa.array([merged[u][1] for u in mu], pa.int64()),
+                }
             )
             out = pa.table(
                 {
@@ -273,33 +196,6 @@ class SessionStreamRunner:
                     "is_session_start": pa.array(ns),
                 }
             )
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(out, os.path.join(d, f"shard-{shard:05d}.parquet"))
-            return pa.table(
-                {
-                    "shard": pa.array([shard], pa.int64()),
-                    "n_events": pa.array([len(g)], pa.int64()),
-                    "n_new_sessions": pa.array([int(ns.sum())], pa.int64()),
-                }
-            )
+            return out, state, {"events": len(g), "sessions_started": int(ns.sum())}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(route, batch_format="pyarrow")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
-
-    # --------------------------------------------------------------- output
-    def read_output(self) -> pa.Table:
-        from ._microbatch import read_committed_output
-
-        return read_committed_output(self.ckpt, self.sink_dir)
-
-    def read_output_ds(self) -> ray.data.Dataset:
-        from ._microbatch import read_committed_output_ds
-
-        return read_committed_output_ds(self.ckpt, self.sink_dir)
+        return route, fold

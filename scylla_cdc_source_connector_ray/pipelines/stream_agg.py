@@ -31,21 +31,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
-from ..state.checkpoint import Checkpoint
+from ..state.checkpoint import Checkpoint, write_table_atomic
 
 _PANE_COLS = ["window_start_us", "n_events", "n_chars"]
 SESSION_COLS = ["conv_id", "session_start_us", "session_end_us", "n_turns", "n_chars"]
 
 
-def _atomic_pq(table: pa.Table, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp)
-    os.rename(tmp, path)
-
-
 def _write_late(rows: pa.Table, out_dir: str, kind: str, batch_id: int, shard: int) -> None:
-    _atomic_pq(
+    write_table_atomic(
         rows,
         os.path.join(out_dir, "late", kind, f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
     )
@@ -117,7 +110,7 @@ def sliding_panes(
     emitted = _emit_sliding(partial, size_us, slide_us, thr_prev, thr)
     if emitted.num_rows:
         emitted = emitted.append_column("shard", pa.array([shard] * emitted.num_rows, pa.int32()))
-        _atomic_pq(
+        write_table_atomic(
             emitted,
             os.path.join(out_dir, "windows_sliding", f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
         )
@@ -253,7 +246,7 @@ def merge_and_emit_sessions(
         out = pa.Table.from_pandas(emitted[SESSION_COLS], preserve_index=False).append_column(
             "shard", pa.array([shard] * len(emitted), pa.int32())
         )
-        _atomic_pq(
+        write_table_atomic(
             out,
             os.path.join(out_dir, "windows_session", f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
         )
@@ -325,7 +318,7 @@ def session_partials(
             }
         )
         t = t.append_column("base_shard", shard_of(t["conv_id"], cfg.num_shards))
-        _atomic_pq(
+        write_table_atomic(
             t,
             os.path.join(
                 out_dir, "_session_partials", f"batch-{batch_id:06d}", f"shard={shard}.parquet"
@@ -393,7 +386,7 @@ def window_partials(
             ("max_ts_us_max", "max_ts_us"),
         ],
     )
-    _atomic_pq(
+    write_table_atomic(
         partial,
         os.path.join(
             out_dir, "_window_partials", f"batch-{batch_id:06d}", f"shard={shard}.parquet"

@@ -30,16 +30,11 @@ Reference anchor: the connector's at-least-once delivery + idempotent sink
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.checkpoint import Checkpoint
+from ._microbatch import KeyedStateRunner
 from .segment_stream import SegmentDedupStreamRunner
 
 
@@ -47,10 +42,20 @@ class SubstringDedupStreamRunner(SegmentDedupStreamRunner):
     """Micro-batch substring dedup over ``log_dir/window-*.parquet``.
 
     Output: ``sink_dir/batch-B/part-K.parquet`` — one row per non-empty doc
-    of the batch, doc_id-ordered inside each part file. ``read_output``
-    (inherited) returns only COMMITTED batches."""
+    of the batch, doc_id-ordered inside each part file. The decision
+    stage emits CUT keys; the id guard, reassembly exchange and
+    ``read_output`` are inherited."""
 
     STATE_KIND = "grams"
+    STATS = ("docs", "words_kept", "words_total")
+    OUT_SCHEMA = pa.schema(
+        [
+            pa.field("doc_id", pa.int64()),
+            pa.field("text_dedup", pa.string()),
+            pa.field("n_words_kept", pa.int64()),
+            pa.field("n_words_total", pa.int64()),
+        ]
+    )
 
     def __init__(
         self,
@@ -65,26 +70,14 @@ class SubstringDedupStreamRunner(SegmentDedupStreamRunner):
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.log_dir = log_dir
-        self.num_shards = num_shards
-        self.sink_dir = sink_dir
+        KeyedStateRunner.__init__(self, log_dir, num_shards, sink_dir, checkpoint_dir)
         self.k = k
         self.text_col = text_col
         self.id_col = id_col
         self.num_parts = num_parts
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def _loop(self):
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "docs": int(sum(r["n_docs"] for r in stats)),
-                "words_kept": int(sum(r["n_words_kept"] for r in stats)),
-                "words_total": int(sum(r["n_words_total"] for r in stats)),
-            }
-
-        pins = {
+    def pins(self) -> dict:
+        return {
             "num_shards": self.num_shards,
             # gram width, tokenizer, hash and the reassembly fan-out are all
             # replay identity (ws-re2 split, md5 word hash mod 2^61-1,
@@ -93,27 +86,24 @@ class SubstringDedupStreamRunner(SegmentDedupStreamRunner):
             f"/ws-re2/md5-mersenne-fold",
             "sink_layout": f"part-v1/{self.num_parts}",
         }
-        return pins, process
 
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def reassembler(self):
+        from ..functions.dedup import _substring_reassemble_part
+
+        k = self.k
+        return lambda b: _substring_reassemble_part(b, k)
+
+    def plan(self, batch_id: int, bfiles: list[str]):
         from ..functions.dedup import (
             _SAMPLE_MIX,
             _SEG_IDX_BITS,
             _batch_gram_positional,
             _ranges,
-            _seg_doc_rows_table,
-            _seg_unpack_table,
-            _substring_reassemble_part,
         )
 
         text_col, id_col = self.text_col, self.id_col
         k, num_shards = self.k, self.num_shards
         num_parts = self.num_parts
-        ckpt_dir = self.ckpt.dir
-        sink_dir = self.sink_dir
-        state_kind = self.STATE_KIND
-        self._check_monotone_ids(batch_id, bfiles)
 
         def decisions(b: pd.DataFrame) -> pa.Table:
             texts = b[text_col].fillna("")
@@ -157,110 +147,35 @@ class SubstringDedupStreamRunner(SegmentDedupStreamRunner):
                 }
             )
 
-        def shard_task(g: pd.DataFrame) -> pa.Table:
+        def fold(g: pd.DataFrame, st: pa.Table | None):
             """Cut decisions for one gram shard: in-batch later occurrences
             plus batch-first occurrences of already-seen grams; state = prev
             ∪ newly-first gram hashes, sorted (ints only — text never enters
-            the decision plane). Pass-through shards (>= num_shards) carry
-            block-local pre-decided cuts and touch no state."""
-            if len(g) == 0:  # schema-inference call: no state, no cuts
-                return pa.table({"_cut": pa.array([], pa.int64())})
-            shard = int(g["_shard"].iloc[0])
+            the decision plane). Pass-through shards (>= num_shards, every
+            ``_gh`` -1) carry block-local pre-decided cuts and touch no
+            state."""
             pk = g["_pk"].to_numpy()
-            if shard >= num_shards:
-                return pa.table({"_cut": pa.array(pk, pa.int64())})
             gh = g["_gh"].to_numpy()
+            if gh[0] < 0:
+                return pa.table({"_pk": pa.array(pk, pa.int64())}), None, {}
             order = np.lexsort((pk, gh))
             gh, pk = gh[order], pk[order]
             first = np.ones(len(gh), dtype=bool)
             first[1:] = gh[1:] != gh[:-1]
             cand_gh, cand_pk = gh[first], pk[first]
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev_path = ck.latest_state_path(
-                shard, before_batch=batch_id, kind=state_kind
+            st = (
+                st["gh"].to_numpy(zero_copy_only=False)
+                if st is not None
+                else np.array([], np.int64)
             )
-            if prev_path:
-                st = pq.read_table(prev_path)["gh"].to_numpy(zero_copy_only=False)
-            else:
-                st = np.array([], np.int64)
             # gram hashes are < 2^61, so int64 order == uint64 order
             idx = np.searchsorted(st, cand_gh)
             seen = np.zeros(len(cand_gh), dtype=bool)
             inb = idx < len(st)
             seen[inb] = st[idx[inb]] == cand_gh[inb]
             new = np.sort(np.concatenate([st, cand_gh[~seen]]))
-            ck.write_state(
-                shard,
-                batch_id,
-                pa.table({"gh": pa.array(new, pa.int64())}),
-                kind=state_kind,
-            )
+            state = pa.table({"gh": pa.array(new, pa.int64())})
             cuts = np.concatenate([pk[~first], cand_pk[seen]])
-            return pa.table({"_cut": pa.array(cuts, pa.int64())})
+            return pa.table({"_pk": pa.array(cuts, pa.int64())}), state, {}
 
-        def part_task(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0:  # schema-inference call: write nothing
-                return pd.DataFrame(
-                    {
-                        "n_docs": pd.Series([], dtype="int64"),
-                        "n_words_kept": pd.Series([], dtype="int64"),
-                        "n_words_total": pd.Series([], dtype="int64"),
-                    }
-                )
-            out = _substring_reassemble_part(b.drop(columns=["_pid"]), k)
-            out = out.sort_values("doc_id", kind="mergesort")
-            pid = int(b["_pid"].iloc[0])
-            d = os.path.join(sink_dir, f"batch-{batch_id:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pandas(out, schema=_OUT_SCHEMA, preserve_index=False),
-                os.path.join(d, f"part-{pid:05d}.parquet"),
-            )
-            return pd.DataFrame(
-                {
-                    "n_docs": [len(out)],
-                    "n_words_kept": [int(out["n_words_kept"].sum())],
-                    "n_words_total": [int(out["n_words_total"].sum())],
-                }
-            )
-
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        # few/unsplittable batch files would fuse tokenize+hash onto one
-        # core; shuffle-free repartition slices the blocks first
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        cuts = (
-            ds.map_batches(decisions, batch_format="pandas")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pandas")
-            .map_batches(
-                lambda t: _seg_unpack_table(
-                    t["_cut"].to_numpy(zero_copy_only=False), num_parts
-                ),
-                batch_format="pyarrow",
-            )
-            # coalesce the per-shard tiny blocks before the reassembly
-            # shuffle (many-small-blocks sort pathology; see segment_dedup)
-            .repartition(num_parts, shuffle=False)
-        )
-        docs = ds.map_batches(
-            lambda b: _seg_doc_rows_table(b, text_col, id_col, num_parts),
-            batch_format="pandas",
-        )
-        return (
-            cuts.union(docs)
-            .groupby("_pid")
-            .map_groups(part_task, batch_format="pandas")
-            .take_all()
-        )
-
-
-#: pinned sink schema (the round-4 spill lesson: state/sink parquet is
-#: always written with an explicit schema)
-_OUT_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.int64()),
-        pa.field("text_dedup", pa.string()),
-        pa.field("n_words_kept", pa.int64()),
-        pa.field("n_words_total", pa.int64()),
-    ]
-)
+        return decisions, fold

@@ -20,18 +20,18 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+from ..state.checkpoint import current_hash_impl
+from ._microbatch import KeyedStateRunner
 
-from ..state.checkpoint import Checkpoint, current_hash_impl
 
-
-class TopKStreamRunner:
+class TopKStreamRunner(KeyedStateRunner):
     """Micro-batch per-group top-k over ``log_dir/window-*.parquet``.
     ``columns`` (keys + value + tiebreak at minimum) are the state/output
     payload; supply tiebreak columns forming a total order or replay is
     nondeterministic across block layouts."""
 
     STATE_KIND = "topk"
+    STATS = ("rows", "state_rows")
 
     def __init__(
         self,
@@ -44,8 +44,7 @@ class TopKStreamRunner:
         tiebreak: list[str] = (),
         columns: list[str] | None = None,
     ):
-        self.log_dir = log_dir
-        self.num_shards = num_shards
+        super().__init__(log_dir, num_shards, None, checkpoint_dir)
         self.keys = list(keys)
         self.value_col = value_col
         self.k = k
@@ -53,56 +52,29 @@ class TopKStreamRunner:
         self.columns = list(
             columns or [*self.keys, value_col, *self.tiebreak]
         )
-        self.ckpt = Checkpoint(checkpoint_dir)
 
-    # ------------------------------------------------------------------ run
-    def run(
-        self,
-        files_per_batch: int = 4,
-        max_batches: int | None = None,
-        crash_before_commit_at: int | None = None,
-    ) -> dict:
-        from ._microbatch import run_microbatches
+    def pins(self) -> dict:
+        return {
+            "num_shards": self.num_shards,
+            "hash_impl": current_hash_impl(),
+            # EVERY ranking ingredient is replay identity — a resumed run
+            # with a different tiebreak or payload would silently replay
+            # a batch under different pruning
+            "topk_impl": "/".join(
+                [
+                    str(self.k),
+                    self.value_col,
+                    ",".join(self.keys),
+                    ",".join(self.tiebreak),
+                    ",".join(self.columns),
+                ]
+            ),
+        }
 
-        def process(batch_id: int, bfiles: list[str]) -> dict:
-            stats = self._process_batch(batch_id, bfiles)
-            return {
-                "rows": sum(r["n_in"] for r in stats),
-                "state_rows": sum(r["n_state"] for r in stats),
-            }
-
-        return run_microbatches(
-            self.ckpt,
-            self.log_dir,
-            pins={
-                "num_shards": self.num_shards,
-                "hash_impl": current_hash_impl(),
-                # EVERY ranking ingredient is replay identity — a resumed run
-                # with a different tiebreak or payload would silently replay
-                # a batch under different pruning
-                "topk_impl": "/".join(
-                    [
-                        str(self.k),
-                        self.value_col,
-                        ",".join(self.keys),
-                        ",".join(self.tiebreak),
-                        ",".join(self.columns),
-                    ]
-                ),
-            },
-            process_batch=process,
-            files_per_batch=files_per_batch,
-            max_batches=max_batches,
-            crash_before_commit_at=crash_before_commit_at,
-        )
-
-    # -------------------------------------------------------------- batches
-    def _process_batch(self, batch_id: int, bfiles: list[str]) -> list[dict]:
+    def plan(self, batch_id: int, bfiles: list[str]):
         keys, columns = self.keys, self.columns
         value_col, tiebreak, k = self.value_col, self.tiebreak, self.k
         num_shards = self.num_shards
-        ckpt_dir = self.ckpt.dir
-        state_kind = self.STATE_KIND
 
         def prune(t: pa.Table) -> pa.Table:
             # plain closure over scalars — a bound method would ship the
@@ -118,14 +90,9 @@ class TopKStreamRunner:
             t = prune(t.select(columns))
             return t.append_column("_shard", shard_of(t[keys[0]], num_shards))
 
-        def shard_task(g: pa.Table) -> pa.Table:
-            shard = int(g["_shard"][0].as_py())
-            g = g.drop_columns(["_shard"])
+        def fold(g: pa.Table, st: pa.Table | None):
             n_in = g.num_rows  # batch rows only, BEFORE the state concat
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=state_kind)
-            if prev:
-                st = pq.read_table(prev)
+            if st is not None:
                 g = pa.concat_tables([st, g], promote_options="permissive")
             merged = prune(g)
             # canonical string type: the exchange may promote large_string,
@@ -135,32 +102,17 @@ class TopKStreamRunner:
                     merged = merged.set_column(
                         i, f.name, merged[f.name].cast(pa.string())
                     )
-            ck.write_state(shard, batch_id, merged, kind=state_kind)
-            return pa.table(
-                {
-                    "shard": pa.array([shard], pa.int32()),
-                    "n_in": pa.array([n_in], pa.int64()),
-                    "n_state": pa.array([merged.num_rows], pa.int64()),
-                }
-            )
+            return None, merged, {"rows": n_in, "state_rows": merged.num_rows}
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * num_shards)
-        ds = ds.repartition(2 * num_shards, shuffle=False)
-        return (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_shard")
-            .map_groups(shard_task, batch_format="pyarrow")
-            .take_all()
-        )
+        return partial, fold
 
     # --------------------------------------------------------------- output
     def read_topk(self) -> pa.Table:
         """Final top-k rows + 1-based int64 ``rank`` from the COMMITTED
         state."""
         from ..stages.topk import _rank_in_key
-        from ._microbatch import read_committed_state
 
-        frames = read_committed_state(self.ckpt, self.STATE_KIND)
+        frames = self.read_state()
         if not frames:
             # typed empty result (an all-empty log commits but writes no
             # state): schema from the log + the rank column

@@ -45,6 +45,19 @@ def _atomic_write(path: str, data: bytes) -> None:
             os.unlink(tmp)
 
 
+def write_table_atomic(table, path: str) -> None:
+    """Parquet write under a temp name, then rename into place (atomic on
+    POSIX): a reader never sees a half-written state or sink file. Calls
+    ``pq.write_table`` through the module attribute so tracing wrappers
+    installed on it see every write."""
+    import pyarrow.parquet as pq
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp)
+    os.rename(tmp, path)
+
+
 class Checkpoint:
     def __init__(self, checkpoint_dir: str):
         self.dir = checkpoint_dir
@@ -96,13 +109,7 @@ class Checkpoint:
 
     def write_state(self, shard: int, batch_id: int, table, kind: str = "state") -> None:
         """Atomic per-shard state write (temp + rename)."""
-        import pyarrow.parquet as pq
-
-        path = self.state_path(shard, batch_id, kind)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(table, tmp)
-        os.rename(tmp, path)
+        write_table_atomic(table, self.state_path(shard, batch_id, kind))
 
     def gc_state(self, keep_batches: int = 2) -> None:
         """Drop state files older than the newest ``keep_batches`` per shard,

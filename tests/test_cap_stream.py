@@ -123,6 +123,22 @@ def test_cap_resume_pin_mismatch_fails_loudly(tmp_path):
         _runner(tmp, log, k=3).run(files_per_batch=1)
 
 
+def test_cap_hash_impl_pin_rejects_mismatch(tmp_path, monkeypatch):
+    """Keys route through the polars-backed shard hash: a resume under a
+    different hash identity (a polars upgrade) could send a key to a shard
+    without its admitted count and over-admit it — it must fail loudly."""
+    import pytest
+
+    from scylla_cdc_source_connector_ray.pipelines import cap_stream
+
+    tmp = str(tmp_path)
+    log = _write_log(tmp, [_mk([0, 1], ["x", "y"]), _mk([2, 3], ["x", "y"])])
+    _runner(tmp, log).run(files_per_batch=1, max_batches=1)
+    monkeypatch.setattr(cap_stream, "current_hash_impl", lambda: "polars-0.0.0")
+    with pytest.raises(ValueError, match="hash_impl"):
+        _runner(tmp, log).run(files_per_batch=1)
+
+
 def test_cap_follow_live_tail(tmp_path):
     """follow() enforces the quota across tail polls exactly as run() does
     across batches: a late-arriving file cannot re-open an exhausted key."""

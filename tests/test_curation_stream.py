@@ -130,6 +130,19 @@ def test_resume_pin_guard(tmp_path):
         _runner(tmp, log, name="p", cap_k=7).run(files_per_batch=2)
 
 
+def test_hash_impl_pin_guard(tmp_path, monkeypatch):
+    """The cap stage routes sources through the polars-backed shard hash:
+    a resume under a different hash identity must fail loudly."""
+    from scylla_cdc_source_connector_ray.pipelines import curation_stream
+
+    tmp = str(tmp_path)
+    log = _write_log(tmp, _corpus())
+    _runner(tmp, log).run(files_per_batch=2, max_batches=1)
+    monkeypatch.setattr(curation_stream, "current_hash_impl", lambda: "polars-0.0.0")
+    with pytest.raises(ValueError, match="hash_impl"):
+        _runner(tmp, log).run(files_per_batch=2)
+
+
 def test_null_sources_flow_through_chain(tmp_path):
     """NULL source docs: pass the filters, dedup normally, and form ONE cap
     group (SQL PARTITION BY treats NULL as an ordinary group)."""

@@ -1,0 +1,195 @@
+"""Byte-identity fingerprint of the 16 lean streaming runners.
+
+Runs every runner on a tiny 4-window log, crashing once before the commit of
+batch 1 and then resuming, and prints one ``<case> <path> <md5>`` line per
+sink parquet, state parquet, ``pins.json`` and manifest JSON it leaves
+(``metrics/*.json`` records wall seconds and is skipped). Run it on two
+checkouts and diff the outputs: a refactor of the runners must print the same
+lines.
+
+Usage: python tools/stream_byte_identity.py REPO_ROOT WORK_DIR [case ...]
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import sys
+
+
+def _tables():
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    rng = np.random.default_rng(3)
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+    texts = [" ".join(rng.choice(words, 8)) for _ in range(44)]
+    texts += texts[:4]  # exact duplicates in the last window
+    docs = pa.table(
+        {
+            "doc_id": pa.array(np.arange(48, dtype=np.int64)),
+            "text": pa.array(texts),
+            "source": pa.array([["web", "wiki", "forum"][i % 3] for i in range(48)]),
+        }
+    )
+    rng = np.random.default_rng(9)
+    kv = pa.table(
+        {
+            "k": pa.array([f"k{i}" if i % 7 else None for i in rng.integers(0, 6, 60)]),
+            "o": pa.array(np.arange(60, dtype=np.int64)),
+            "v": pa.array(rng.integers(0, 100, 60).astype(np.int64)),
+            "f": pa.array(rng.random(60) * 50),
+        }
+    )
+    ts0 = 1_700_000_000_000_000
+    events = pa.table(
+        {
+            "event_id": pa.array(np.arange(20, dtype=np.int64)),
+            "user_id": pa.array(np.arange(20, dtype=np.int64) % 3),
+            "ts": pa.array(pd.to_datetime(ts0 + np.arange(20) * 60_000_000, unit="us")),
+        }
+    )
+    keys_ts = pa.table(
+        {
+            "conv_id": pa.array([f"c{i % 5}" for i in range(20)]),
+            "ts_us": pa.array(np.arange(20, dtype=np.int64) * 400),
+        }
+    )
+    m = np.random.default_rng(5).standard_normal((16, 64)).astype(np.float32)
+    m[-2:] = m[:2]
+    vectors = pa.table(
+        {
+            "vec_id": pa.array(np.arange(16, dtype=np.int64)),
+            "embedding": pa.array([v.tolist() for v in m], pa.list_(pa.float32())),
+        }
+    )
+    kinds = ["add", "remove", "wipe", "add"]
+    elements = pa.table(
+        {
+            "conv_id": pa.array([f"c{i % 3}" for i in range(12)]),
+            "turn_idx": pa.array([i % 3 for i in range(12)], pa.int32()),
+            "ts": pa.array([10 * i for i in range(12)], pa.timestamp("us")),
+            "seq": pa.array(np.arange(12, dtype=np.int64)),
+            "kind": pa.array([kinds[i % 4] for i in range(12)]),
+            "add_elems": pa.array(
+                [[f"e{i % 5}"] if i % 4 != 1 else [] for i in range(12)],
+                pa.list_(pa.string()),
+            ),
+            "rem_elems": pa.array(
+                [[f"e{(i + 1) % 5}"] if i % 4 == 1 else [] for i in range(12)],
+                pa.list_(pa.string()),
+            ),
+        }
+    )
+    roles = ["user", "tool", "assistant"]
+    turns = pa.table(
+        {
+            "conv_id": pa.array([f"conv{i % 4}" for i in range(30)]),
+            "role": pa.array([roles[(i // 4) % 3] for i in range(30)]),
+            "ts": pa.array(pd.to_datetime(ts0 + np.arange(30) * 1_000_000, unit="us")),
+            "seq": pa.array(np.arange(30, dtype=np.int64)),
+        }
+    )
+    return docs, kv, events, keys_ts, vectors, elements, turns
+
+
+def _cases():
+    from scylla_cdc_source_connector_ray.pipelines import (
+        analytic_stream as an,
+        cap_stream as cap,
+        cep_stream as cep,
+        curation_stream as cur,
+        dedup_stream as dd,
+        distinct_stream as ds,
+        element_stream as el,
+        embedding_stream as emb,
+        hh_stream as hh,
+        hist_stream as hist,
+        kll_stream as kll,
+        minhash_stream as mh,
+        segment_stream as seg,
+        session_stream as sess,
+        substring_stream as sub,
+        topk_stream as topk,
+    )
+
+    docs, kv, events, keys_ts, vectors, elements, turns = _tables()
+    s = 3
+    return {
+        "dedup": (docs, lambda lg, o, c: dd.DedupStreamRunner(lg, s, o, c)),
+        "element_list": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "list")),
+        "element_set": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "set")),
+        "cap": (docs, lambda lg, o, c: cap.SourceCapRunner(lg, s, o, c, k=5)),
+        "analytic": (kv, lambda lg, o, c: an.AnalyticStreamRunner(lg, s, o, c, "k", "o", "v")),
+        "cep_lit": (turns, lambda lg, o, c: cep.CepStreamRunner(lg, s, c, literal="uta")),
+        "cep_re": (turns, lambda lg, o, c: cep.CepStreamRunner(lg, s, c, pattern="ut+a")),
+        "curation": (docs, lambda lg, o, c: cur.CurationStreamRunner(lg, s, o, c, cap_k=4)),
+        "distinct": (keys_ts, lambda lg, o, c: ds.DistinctStreamRunner(lg, s, c, window_us=2000)),
+        "distinct_hll": (
+            keys_ts,
+            lambda lg, o, c: ds.DistinctStreamRunner(lg, s, c, 2000, mode="approx", hll_p=6),
+        ),
+        "emb": (vectors, lambda lg, o, c: emb.EmbeddingLshStreamRunner(lg, s, o, c)),
+        "hh": (docs, lambda lg, o, c: hh.HeavyHittersStreamRunner(lg, c, m=16)),
+        "hist": (kv, lambda lg, o, c: hist.HistStreamRunner(lg, s, c, 10.0, "k", "f")),
+        "kll": (kv, lambda lg, o, c: kll.KllStreamRunner(lg, s, c, "k", "f", k=8)),
+        "minhash": (docs, lambda lg, o, c: mh.MinHashStreamRunner(lg, s, o, c)),
+        "segment": (
+            docs,
+            lambda lg, o, c: seg.SegmentDedupStreamRunner(lg, s, o, c, seg_words=3, num_parts=2),
+        ),
+        "session": (
+            events,
+            lambda lg, o, c: sess.SessionStreamRunner(lg, s, o, c, gap_us=90_000_000),
+        ),
+        "substring": (
+            docs,
+            lambda lg, o, c: sub.SubstringDedupStreamRunner(lg, s, o, c, k=3, num_parts=2),
+        ),
+        "topk": (kv, lambda lg, o, c: topk.TopKStreamRunner(lg, s, c, ["k"], "v", 2, ["o"])),
+    }
+
+
+def main() -> int:
+    root, work = os.path.abspath(sys.argv[1]), sys.argv[2]
+    only = set(sys.argv[3:])
+    # Ray workers import the runners from the same checkout
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    DataContext.get_current().use_polars_sort = True
+    for name, (table, make) in _cases().items():
+        if only and name not in only:
+            continue
+        d = os.path.join(work, name)
+        shutil.rmtree(d, ignore_errors=True)
+        log, out, ck = (os.path.join(d, x) for x in ("log", "sink", "ckpt"))
+        os.makedirs(log)
+        n = table.num_rows
+        for i in range(4):
+            lo, hi = i * n // 4, (i + 1) * n // 4
+            pq.write_table(table.slice(lo, hi - lo), os.path.join(log, f"window-{i:05d}.parquet"))
+        make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1)
+        totals = make(log, out, ck).run(files_per_batch=1)
+        print(name, "totals", sorted(totals.items()), flush=True)
+        for top in (out, ck):
+            for dp, _, files in sorted(os.walk(top)):
+                for f in sorted(files):
+                    rel = os.path.relpath(os.path.join(dp, f), d)
+                    if rel.startswith(os.path.join("ckpt", "metrics")):
+                        continue
+                    with open(os.path.join(d, rel), "rb") as fh:
+                        print(name, rel, hashlib.md5(fh.read()).hexdigest(), flush=True)
+    ray.shutdown()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
