@@ -29,6 +29,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..stages.join import JOIN_PARTITIONS, shuffle_hash_join
+
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -1136,7 +1138,7 @@ def minhash_lsh_dedup(
     bands: int = 16,
     ngram: int = 3,
     threshold: float = 0.7,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
     spill_dir: str | None = None,
 ) -> ray.data.Dataset:
     """Full MinHash-LSH near-dup pipeline → verified duplicate pairs
@@ -1159,12 +1161,6 @@ def minhash_lsh_dedup(
     rotated away fails at consumption time with a read_parquet error. Small
     estimated forks are auto-placed on /dev/shm (see
     ``_scratch_spill_dir``)."""
-    from ..stages.join import default_join_partitions
-
-    if num_partitions is None:
-        # two chained joins below -> size partitions to the cluster or the
-        # aggregator-actor demand can deadlock the CPU supply
-        num_partitions = default_join_partitions()
     thr_micro = round(threshold * 1_000_000)
 
     if spill_dir is None:
@@ -1216,12 +1212,10 @@ def _verify_pairs_blob_join(
     grams_b = ray.data.read_parquet(spill_dir, columns=["doc_id", "grams"]).map_batches(
         lambda t: t.rename_columns(["doc_id_b", "grams_b"]), batch_format="pyarrow"
     )
-    witha = pairs.select_columns(["a", "b"]).join(
-        grams, "inner", num_partitions=num_partitions, on=("a",), right_on=("doc_id",)
+    witha = shuffle_hash_join(
+        pairs.select_columns(["a", "b"]), grams, "a", "doc_id", num_partitions=num_partitions
     )
-    withab = witha.join(
-        grams_b, "inner", num_partitions=num_partitions, on=("b",), right_on=("doc_id_b",)
-    )
+    withab = shuffle_hash_join(witha, grams_b, "b", "doc_id_b", num_partitions=num_partitions)
     verified = withab.map_batches(_jaccard_micro_from_blobs, batch_format="pandas")
     return verified.map_batches(
         lambda b: b[b["jaccard_micro"] >= thr_micro], batch_format="pandas"
@@ -1619,7 +1613,7 @@ def ngram_jaccard_dedup(
     ds: ray.data.Dataset,
     ngram: int = 3,
     threshold: float = 0.7,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
     spill_dir: str | None = None,
     vocab_mode: str = "auto",
     broadcast_vocab_limit: int = 50_000_000,
@@ -1665,10 +1659,6 @@ def ngram_jaccard_dedup(
     ``materialize()``) the returned Dataset before a 3rd default-spill call
     to this operator or :func:`minhash_lsh_dedup`, or pass ``spill_dir`` to
     own the lifetime."""
-    from ..stages.join import default_join_partitions
-
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
     thr_micro = round(threshold * 1_000_000)
     if spill_dir is None:
         est = _estimate_source_bytes(ds)

@@ -17,6 +17,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..stages.join import JOIN_PARTITIONS, shuffle_hash_join
+
 TOKEN_RE = r"\S+"
 PUNCT_RE = r"[.,;:!?]"
 STOP_RE = r"\b(the|and|of|a|to|in|is)\b"
@@ -304,7 +306,7 @@ def doc_term_relevance(
     id_col: str = "doc_id",
     k: int = 2,
     pattern: str = BPE_TOKEN_RE,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
 ) -> ray.data.Dataset:
     """TF-IDF-style top-``k`` most distinctive terms per document — the
     classic corpus-analysis / keyword-extraction pipeline, kept SQL-exact by
@@ -335,7 +337,6 @@ def doc_term_relevance(
 
     from ray.data.aggregate import Count
 
-    from ..stages.join import shuffle_hash_join
     from ..stages.topk import top_k_per_group
 
     def tf_rows(t: pa.Table) -> pa.Table:

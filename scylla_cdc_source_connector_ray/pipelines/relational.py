@@ -21,6 +21,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..stages.join import JOIN_PARTITIONS
+
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
@@ -101,24 +103,30 @@ def nation_revenue(sf_dir: str) -> ray.data.Dataset:
     scale factor — is pre-reduced to (c_custkey, n_name) and shuffle-joined
     against orders with the generic co-partitioned hash join. No table that
     grows with SF is ever broadcast."""
+    import pyarrow as pa
+
     from ..stages.join import shuffle_hash_join
 
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet")).to_pandas()
-    region = pq.read_table(os.path.join(sf_dir, "region.parquet")).to_pandas()
-    dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    dim = dim[dim["r_name"] == "ASIA"].set_index("n_nationkey")[["n_name"]]
+    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
+    region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
+    asia = region.filter(pc.equal(region["r_name"], "ASIA"))
+    dim = nation.join(
+        asia, keys="n_regionkey", right_keys="r_regionkey", join_type="inner"
+    ).select(["n_nationkey", "n_name"])
     ref = ray.put(dim)
 
     class TagNation:
         def __init__(self):
             self.dim = ray.get(ref)
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            j = batch.join(self.dim, on="c_nationkey", how="inner")
-            return j[["c_custkey", "n_name"]]
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            j = batch.join(
+                self.dim, keys="c_nationkey", right_keys="n_nationkey", join_type="inner"
+            )
+            return j.select(["c_custkey", "n_name"])
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).map_batches(
-        TagNation, batch_format="pandas", concurrency=(1, 4)
+        TagNation, batch_format="pyarrow", concurrency=(1, 4)
     )
 
     def cents(t):
@@ -1375,7 +1383,9 @@ def event_transitions(sf_dir: str, num_parts: int = 64) -> "pd.DataFrame":
     return out
 
 
-def purchase_error_daily_join(sf_dir: str, num_partitions: int = 8) -> ray.data.Dataset:
+def purchase_error_daily_join(
+    sf_dir: str, num_partitions: int = JOIN_PARTITIONS
+) -> ray.data.Dataset:
     """FULL OUTER co-partitioned hash join (the last join type in the
     §2.4 family): per-(user, day) purchase activity joined against error
     activity — each side has rows the other lacks (~40% orphans per side on
@@ -1385,11 +1395,11 @@ def purchase_error_daily_join(sf_dir: str, num_partitions: int = 8) -> ray.data.
 
     Scale shape: both sides are pre-aggregated per (user, day) BEFORE the
     join (the exchange ships one row per active user-day, not per event),
-    then stages/join.py::full_outer_join co-partitions the two aggregates
-    once. Money is integer cents so partials are exact."""
+    then stages/join.py::shuffle_hash_join(how="full_outer") co-partitions
+    the two aggregates once. Money is integer cents so partials are exact."""
     import pyarrow as pa
 
-    from ..stages.join import full_outer_join
+    from ..stages.join import shuffle_hash_join
 
     def side(event_type: str, prefix: str) -> ray.data.Dataset:
         ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_type", "value"])
@@ -1434,10 +1444,11 @@ def purchase_error_daily_join(sf_dir: str, num_partitions: int = 8) -> ray.data.
             )
         )
 
-    out = full_outer_join(
+    out = shuffle_hash_join(
         side("purchase", "purchase"),
         side("error", "error"),
-        on=("user_id", "day"),
+        ("user_id", "day"),
+        how="full_outer",
         num_partitions=num_partitions,
     )
 

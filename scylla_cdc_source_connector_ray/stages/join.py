@@ -1,7 +1,7 @@
 """Joins (SURVEY.md §2.4).
 
 The reference's only join is the pre/delta/post image correlation (ST1), which
-our op-derive kernel subsumes. The north_star adds two more:
+our op-derive kernel subsumes. The north_star adds three more:
 
 1. **Stream-state join** (:func:`enrich_with_conv_state`): every turn event is
    joined against the *per-conversation state store* — the running aggregate
@@ -15,6 +15,11 @@ our op-derive kernel subsumes. The north_star adds two more:
 2. **Broadcast enrichment join** (:func:`broadcast_join`): small dimension
    table shipped once via ``ray.put`` and hash-joined inside ``map_batches``
    (no shuffle) — ray_guide "Joins and lookups".
+
+3. **Co-partitioned joins** (:func:`_co_partition` and its verbs
+   :func:`shuffle_hash_join`, :func:`semi_anti_join`, :func:`asof_join`,
+   :func:`interval_join`, :func:`bloom_prefilter_join`): one keyed exchange
+   of both sides, one join per partition.
 """
 
 from __future__ import annotations
@@ -201,114 +206,65 @@ def conv_state_features(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.
     )
 
 
-def default_join_partitions(cap: int = 16) -> int:
-    """Join partition count sized to the cluster: each hash-join partition is
-    backed by an aggregator actor, and a pipeline chaining several joins can
-    DEADLOCK if the actor demand far exceeds the CPU supply (observed: two
-    chained 32-partition joins hang at 8 CPUs; 8-partition joins run fine).
-    cpus/2 capped at ``cap`` leaves headroom for two concurrent join stages;
-    pass ``num_partitions`` explicitly on a large cluster."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(cap, cpus // 2))
-
-
-def shuffle_hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    left_on: str | tuple[str, ...],
-    right_on: str | tuple[str, ...] | None = None,
-    how: str = "inner",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Generic co-partitioned large–large hash join: both sides hash-shuffle
-    on the key into ``num_partitions`` partitions, each partition joins
-    independently (Ray Data's hash-shuffle join operator underneath).
-
-    This is the scale path when neither side is a dimension: bytes moved =
-    both inputs once, memory per aggregator = partition size (raise
-    ``num_partitions`` to shrink it). Prune columns BEFORE calling — the
-    exchange ships every column you keep. For a small right side prefer
-    :func:`broadcast_join` (no shuffle at all).
-
-    Caveat: Arrow ``list``-typed payload columns are not supported by the
-    underlying join kernel — encode them (e.g. a binary blob) first, as
-    ``functions.dedup.minhash_lsh_dedup`` does for shingle sets.
-    """
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    left_on = (left_on,) if isinstance(left_on, str) else tuple(left_on)
-    right_on = left_on if right_on is None else (
-        (right_on,) if isinstance(right_on, str) else tuple(right_on)
-    )
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=left_on,
-        right_on=right_on,
-    )
-
-
-def broadcast_join(
-    ds: ray.data.Dataset,
-    small: pd.DataFrame,
-    left_on: str,
-    right_on: str,
-    columns: list[str],
-) -> ray.data.Dataset:
-    """Broadcast hash join: ship the small side once (``ray.put``), merge
-    inside each batch. No shuffle; the pattern for dimension enrichment."""
-    ref = ray.put(small[[right_on, *columns]])
-
-    class Joiner:
-        def __init__(self):
-            self.small = ray.get(ref).set_index(right_on)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.join(self.small, on=left_on)
-
-    return ds.map_batches(Joiner, batch_format="pandas", concurrency=(1, 8))
-
-
 # ---------------------------------------------------------------------------
-# As-of and interval (range) joins — custom ordered-join operators Ray Data
-# has no native kernel for (SURVEY §2.4 extension; round-3 brief "custom
-# operators": as-of join / range join). Both follow the same distributed
-# shape: tag each side, hash-co-partition on the equality key, union the two
-# streams, and run the vectorized ordered-join kernel (pandas C merge_asof /
-# merge+filter) once per partition via groupby().map_groups(). Shuffle cost =
-# both inputs moved exactly once; no barrier beyond the one keyed exchange.
-# Partitioning assumption: the by-key cardinality ≫ num_partitions and no
-# single key dominates (a hot key lands whole in one partition — salt the key
-# upstream if one key exceeds a worker's heap, as stages/salt.py does for
-# conversations).
+# Co-partitioned joins. Every shuffle join in the engine — relational
+# (inner/outer/semi/anti), as-of and interval — is one shape: tag each side,
+# hash the equality key to a partition, union the two streams and join each
+# partition once via groupby().map_groups(). Shuffle cost = both inputs moved
+# exactly once. Partitioning
+# assumption: no single key dominates (a hot key lands whole in one
+# partition — salt it upstream if one key exceeds a worker's heap, as
+# stages/salt.py does for conversations).
 # ---------------------------------------------------------------------------
+
+#: Partition count of every co-partitioned join unless the caller passes one.
+JOIN_PARTITIONS = 16
 
 _SIDE_COL = "__oj_side"
 _PART_COL = "__oj_part"
 _BUCKET_COL = "__oj_bucket"
+_RIGHT_PREFIX = "__oj_r."
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
     """Dataset schema as a real ``pa.Schema``. ``ds.schema().base_schema`` is
     a ``PandasBlockSchema`` (parallel names/types lists) for pandas-backed
-    datasets — normalize both representations."""
+    datasets — normalize both representations. A pandas ``object`` column
+    has no Arrow type to recover, so it fails here, by name."""
     schema = ds.schema()
     if schema is None:
         raise ValueError(
-            "ordered join: input dataset has no recoverable schema (an empty "
+            "join: input dataset has no recoverable schema (an empty "
             "pandas-block dataset loses its schema through repartition; read "
             "from parquet or pass the empty side un-repartitioned)"
         )
     s = schema.base_schema
     if isinstance(s, pa.Schema):
         return s
-    return pa.schema(
-        [
-            pa.field(n, t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-            for n, t in zip(s.names, s.types)
-        ]
-    )
+    fields = []
+    for n, t in zip(s.names, s.types):
+        if not isinstance(t, pa.DataType):
+            if np.dtype(t) == np.dtype(object):
+                raise ValueError(
+                    f"join: column {n!r} of a pandas-backed input has dtype "
+                    "object, which has no Arrow type; emit Arrow batches "
+                    "(batch_format='pyarrow') or cast the column first"
+                )
+            t = pa.from_numpy_dtype(t)
+        fields.append(pa.field(n, t))
+    return pa.schema(fields)
+
+
+def _resolve(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, pa.Schema]:
+    """``(ds, schema)`` without running ``ds``'s plan twice. A schema Ray
+    infers from the plan (reads, ``from_*``) is free; otherwise ``ds`` is
+    materialized once — its rows are what the exchange ships anyway — and
+    the schema is read off its blocks. ``ds.schema()`` alone would run the
+    plan up to its first block, which for an aggregate- or join-fed side is
+    all of it, and the join would then run it again."""
+    if ds.schema(fetch_if_missing=False) is None:
+        ds = ds.materialize()
+    return ds, _arrow_schema(ds)
 
 
 def _null_pad(t: pa.Table, target: pa.Schema) -> pa.Table:
@@ -327,40 +283,210 @@ def _null_pad(t: pa.Table, target: pa.Schema) -> pa.Table:
     return pa.table(dict(zip(target.names, cols)))
 
 
-def _part_of(key_arr: pa.ChunkedArray | pa.Array, num_partitions: int) -> pa.Array:
-    """Stable cross-process partition id for any castable-to-string key
-    (reuses the pinned polars hash from schema.shard_of)."""
+def _part_of(t: pa.Table, keys: list[str], num_partitions: int) -> pa.Array:
+    """Stable cross-process partition id over the FULL equality key (reuses
+    the pinned polars hash from schema.shard_of). A multi-column key hashes
+    its string-cast columns joined by a unit separator; a NULL in any key
+    column routes the row to one fixed partition, where it never matches."""
     from ..schema import shard_of
 
-    return shard_of(key_arr, num_partitions)
+    if len(keys) == 1:
+        return shard_of(t[keys[0]], num_partitions)
+    key = pc.binary_join_element_wise(
+        *[pc.cast(t[k], pa.string()) for k in keys], "\x1f"
+    )
+    return shard_of(key, num_partitions)
 
 
-def _restore_int_dtypes(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
-    """Outer/left ordered joins surface unmatched rows as NaN, silently
-    promoting int64 payload columns to float64; restore pandas nullable Int64
-    so the Arrow output keeps the input's integer types (oracle parity)."""
-    for f in schema:
-        if (
-            f.name in df.columns
-            and pa.types.is_integer(f.type)
-            and df[f.name].dtype.kind == "f"
-        ):
-            df[f.name] = df[f.name].astype("Int64")
-    return df
+def _co_partition(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_keys: tuple[str, ...],
+    right_keys: tuple[str, ...],
+    per_part,
+    num_partitions: int,
+    left_prep=None,
+    right_prep=None,
+) -> ray.data.Dataset:
+    """The one co-partition join kernel: ``per_part(l, r)`` runs once per
+    hash partition on the two typed Arrow slices that share it and returns
+    that partition's output table. ``left_prep`` / ``right_prep`` are
+    optional per-batch ``pa.Table -> pa.Table`` maps applied before tagging
+    (renames, bucket columns, key projections); keys name their output
+    columns, and their output schema is found by running them on a typed
+    empty table, so a side whose batches are all empty keeps its schema.
+
+    Shape: both schemas are recovered up front (:func:`_resolve` — free
+    when Ray infers them from the plan, else the side is materialized once
+    at call time); right columns are prefixed
+    (so equal names on the two sides never collide in the union), each
+    batch is null-padded to the one union schema, tagged with its side and
+    the pinned hash of its full equality key, the two streams are unioned
+    and ``groupby(partition).map_groups`` splits every group back into
+    ``(l, r)`` at exactly the input schemas — 0-row but typed when a side
+    has no rows in that partition. Checks: join keys exist, the reserved
+    tag columns are free, and payload (non-key) names are disjoint.
+
+    Why not Ray 2.49's native ``Dataset.join`` — it fails two ways:
+
+    1. Crash on an empty partition. Its hash-shuffle aggregator builds a
+       partition that received no shard from one side as a zero-column
+       table (``ArrowBlockBuilder().build()`` in
+       ``ray/data/_internal/execution/operators/join.py::finalize``) and
+       the Arrow join dies with "No match or multiple matches for key field
+       reference FieldRef.Name(k)". Repro (8 cpus)::
+
+           counts = (ray.data.from_items([{"k": i % 3} for i in range(90)])
+                     .repartition(6).groupby("k").aggregate(Count()))
+           ray.data.from_items([{"k": i % 5, "v": i} for i in range(200)]
+                               ).join(counts, "inner", num_partitions=4,
+                                      on=("k",)).count()
+
+    2. Hang on actor demand. Every partition is an aggregator actor; when
+       they outnumber the CPUs the plan stalls. The repro above with
+       ``num_partitions=16`` at 4 cpus had not finished after 300 s, and
+       ``doc_term_relevance`` at sf0.1 on 32 cpus had not finished after
+       900 s (68 s of CPU: stalled, not slow).
+
+    Here a partition with rows from only one side still has both typed
+    slices, partitions without rows never run, and the exchange is a plain
+    task shuffle, so neither failure can occur at any partition count.
+    """
+    left_keys, right_keys = list(left_keys), list(right_keys)
+    (left, ls), (right, rs) = _resolve(left), _resolve(right)
+    if left_prep:
+        ls = left_prep(ls.empty_table()).schema
+    if right_prep:
+        rs = right_prep(rs.empty_table()).schema
+    for schema, keys in ((ls, left_keys), (rs, right_keys)):
+        for reserved in (_SIDE_COL, _PART_COL):
+            if reserved in schema.names:
+                raise ValueError(f"input dataset already has a {reserved!r} column")
+        missing = [k for k in keys if k not in schema.names]
+        if missing:
+            raise ValueError(f"join keys {missing} missing from columns {schema.names}")
+    clash = (set(ls.names) - set(left_keys)) & (set(rs.names) - set(right_keys))
+    if clash:
+        raise ValueError(f"payload columns must be disjoint, both sides have {sorted(clash)}")
+    r_names = [_RIGHT_PREFIX + n for n in rs.names]
+    union = pa.schema([*ls, *[f.with_name(n) for f, n in zip(rs, r_names)]])
+
+    def tag(side: int, keys: list[str], prep):
+        def fn(t: pa.Table) -> pa.Table:
+            if prep:
+                t = prep(t)
+            part = _part_of(t, keys, num_partitions)
+            if side:
+                t = t.rename_columns([_RIGHT_PREFIX + n for n in t.column_names])
+            t = _null_pad(t, union)
+            t = t.append_column(_SIDE_COL, pa.array(np.full(t.num_rows, side, np.int8)))
+            return t.append_column(_PART_COL, part)
+
+        return fn
+
+    def run(g: pa.Table) -> pa.Table:
+        is_r = pc.equal(g[_SIDE_COL], 1)
+        l = g.filter(pc.invert(is_r)).select(ls.names).cast(ls)
+        r = g.filter(is_r).select(r_names).rename_columns(rs.names).cast(rs)
+        return per_part(l.combine_chunks(), r.combine_chunks())
+
+    tagged = left.map_batches(tag(0, left_keys, left_prep), batch_format="pyarrow").union(
+        right.map_batches(tag(1, right_keys, right_prep), batch_format="pyarrow")
+    )
+    return tagged.groupby(_PART_COL).map_groups(run, batch_format="pyarrow")
+
+
+def _keys(on: str | tuple[str, ...]) -> tuple[str, ...]:
+    return (on,) if isinstance(on, str) else tuple(on)
+
+
+def _arrow_join(how: str, left_keys: tuple[str, ...], right_keys: tuple[str, ...]):
+    """``(l, r) -> l ⋈ r`` with pyarrow's hash join — the same call Ray's
+    native join aggregator makes, so output columns match it: left columns,
+    then right non-key columns (right keys coalesced into the left's).
+    ``how`` takes Ray's join-type names (``inner``, ``left_outer``,
+    ``full_outer``, ``left_semi``, ``left_anti``, ...)."""
+    verb = how.replace("_", " ")
+    if verb not in (
+        "inner", "left outer", "right outer", "full outer",
+        "left semi", "right semi", "left anti", "right anti",
+    ):
+        raise ValueError(f"unsupported join type {how!r}")
+
+    def join(l: pa.Table, r: pa.Table) -> pa.Table:
+        return l.join(r, keys=list(left_keys), right_keys=list(right_keys), join_type=verb)
+
+    return join
+
+
+def shuffle_hash_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_on: str | tuple[str, ...],
+    right_on: str | tuple[str, ...] | None = None,
+    how: str = "inner",
+    num_partitions: int = JOIN_PARTITIONS,
+) -> ray.data.Dataset:
+    """Generic co-partitioned large–large hash join (multi-key): both sides
+    cross one keyed exchange into ``num_partitions`` partitions and each
+    partition runs pyarrow's hash join (:func:`_co_partition`).
+
+    This is the scale path when neither side is a dimension: bytes moved =
+    both inputs once, memory per partition task = partition size (raise
+    ``num_partitions`` to shrink it). Prune columns BEFORE calling — the
+    exchange ships every column you keep. For a small right side prefer
+    :func:`broadcast_join` (no shuffle at all). Payload (non-key) column
+    names must be disjoint.
+
+    NULL keys follow SQL semantics: a NULL key never matches (outer verbs
+    emit each NULL-key row unmatched; semi drops it, anti keeps it).
+
+    Caveat: Arrow ``list``-typed payload columns are not supported by the
+    pyarrow join — encode them (e.g. a binary blob) first, as
+    ``functions.dedup.minhash_lsh_dedup`` does for shingle sets.
+    """
+    left_on = _keys(left_on)
+    right_on = left_on if right_on is None else _keys(right_on)
+    return _co_partition(
+        left, right, left_on, right_on, _arrow_join(how, left_on, right_on), num_partitions
+    )
+
+
+def broadcast_join(
+    ds: ray.data.Dataset,
+    small: pd.DataFrame,
+    left_on: str,
+    right_on: str,
+    columns: list[str],
+) -> ray.data.Dataset:
+    """Broadcast hash join (left outer): ship the small side once as Arrow
+    (``ray.put``) and run the same pyarrow join as :func:`shuffle_hash_join`
+    inside each batch. No shuffle; the pattern for dimension enrichment."""
+    ref = ray.put(pa.Table.from_pandas(small[[right_on, *columns]], preserve_index=False))
+    join = _arrow_join("left_outer", (left_on,), (right_on,))
+
+    class Joiner:
+        def __init__(self):
+            self.small = ray.get(ref)
+
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return join(batch, self.small)
+
+    return ds.map_batches(Joiner, batch_format="pyarrow", concurrency=(1, 8))
 
 
 def _to_arrow_exact(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
-    """Group-fn output → Arrow at EXACTLY ``schema``. Per-group pandas frames
-    drift (all-NaN object columns infer null type, int-with-null promotes to
-    float); emitting a pinned schema from every group keeps Ray's block
+    """Partition output → Arrow at EXACTLY ``schema``. Per-partition pandas
+    frames drift (all-NaN object columns infer null type; unmatched outer
+    rows turn int64 payload into float64 NaN, restored here via nullable
+    Int64); a pinned schema from every partition keeps Ray's block
     concatenation and the downstream consumer schema-stable."""
-    df = _restore_int_dtypes(df.reindex(columns=schema.names), schema)
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    cols = []
+    df = df.reindex(columns=schema.names)
     for f in schema:
-        c = tbl[f.name]
-        cols.append(c if c.type == f.type else c.cast(f.type))
-    return pa.table(dict(zip(schema.names, cols)))
+        if pa.types.is_integer(f.type) and df[f.name].dtype.kind == "f":
+            df[f.name] = df[f.name].astype("Int64")
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    return pa.table({f.name: tbl[f.name].cast(f.type) for f in schema})
 
 
 def asof_join(
@@ -371,7 +497,7 @@ def asof_join(
     direction: str = "backward",
     suffix: str = "_r",
     tolerance: int | None = None,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed as-of join: for every left row, attach the right row with
     the same ``by`` key and the nearest ``on`` value (``backward``: greatest
@@ -382,58 +508,32 @@ def asof_join(
     sides; right payload columns (everything except ``by``) are renamed with
     ``suffix``. ``tolerance`` bounds the match distance in ``on`` units.
 
-    Scale shape: one hash exchange of both inputs keyed on ``by``; each
+    Scale shape: the :func:`_co_partition` exchange keyed on ``by``; each
     partition sorts its slice and runs ``pandas.merge_asof`` (a vectorized C
     merge over two sorted runs — no per-row Python). Prune columns before
     calling; the exchange ships everything you keep.
     """
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    lschema, rschema = _arrow_schema(left), _arrow_schema(right)
-    if on not in lschema.names or on not in rschema.names or by not in lschema.names:
-        raise ValueError(f"asof_join: by={by!r}/on={on!r} missing from inputs")
     on_r = on + suffix
-    r_renames = {n: (n if n == by else n + suffix) for n in rschema.names}
-    left_names = list(lschema.names)
-    right_out = [r_renames[n] for n in rschema.names if n != by]
-    clash = set(left_names) & set(right_out)
-    if clash:
-        raise ValueError(f"asof_join: suffixed right columns clash with left: {clash}")
-    target = pa.schema(
-        [*lschema, *[pa.field(r_renames[f.name], f.type) for f in rschema if f.name != by]]
-        + [pa.field(_SIDE_COL, pa.int8()), pa.field(_PART_COL, pa.int32())]
-    )
+    (left, ls), (right, rs) = _resolve(left), _resolve(right)
+    if on not in ls.names or on not in rs.names:
+        raise ValueError(f"asof_join: on={on!r} missing from inputs")
 
-    def tag(side: int, rename: dict[str, str] | None):
-        def fn(t: pa.Table) -> pa.Table:
-            if rename:
-                t = t.rename_columns([rename[n] for n in t.column_names])
-            t = _null_pad(t, pa.schema([f for f in target if f.name not in (_SIDE_COL, _PART_COL)]))
-            t = t.append_column(_SIDE_COL, pa.array(np.full(t.num_rows, side, np.int8)))
-            return t.append_column(_PART_COL, _part_of(t[by], num_partitions))
+    def suffix_right(t: pa.Table) -> pa.Table:
+        return t.rename_columns([n if n == by else n + suffix for n in t.column_names])
 
-        return fn
-
-    tagged = left.map_batches(tag(0, None), batch_format="pyarrow").union(
-        right.map_batches(tag(1, r_renames), batch_format="pyarrow")
-    )
-
-    out_cols = [*left_names, *right_out]
-    int_schema = pa.schema([target.field(n) for n in out_cols])
-
-    def join_group(df: pd.DataFrame) -> pa.Table:
-        l = df[df[_SIDE_COL] == 0]
-        r = df[df[_SIDE_COL] == 1]
-        if not len(l):
-            return int_schema.empty_table()
-        l = l[left_names].sort_values(on, kind="mergesort")
+    def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        right_out = [n for n in rt.column_names if n != by]
+        out_schema = pa.schema([*lt.schema, *[rt.schema.field(n) for n in right_out]])
+        if not lt.num_rows:
+            return out_schema.empty_table()
+        l = lt.to_pandas().sort_values(on, kind="mergesort")
         l_nullkey = l[l[by].isna()]  # merge_asof rejects null keys; keep unmatched
         if len(l_nullkey):
             l = l[l[by].notna()]
-        if not len(r) or not len(l):
-            out = pd.concat([l, l_nullkey]).reindex(columns=out_cols)
+        if not rt.num_rows or not len(l):
+            out = pd.concat([l, l_nullkey])
         else:
-            r = r[[by, *right_out]].dropna(subset=[by])
+            r = rt.to_pandas().dropna(subset=[by])
             # merge_asof keeps the LAST right row among equal `on` values and
             # a plain on-sort is only stable w.r.t. Ray's nondeterministic
             # block arrival order — total-order the right side so tied
@@ -447,7 +547,7 @@ def asof_join(
                 r = r.sort_values(on_r, kind="mergesort")
             tol = tolerance
             if tol is not None and l[on].dtype.kind == "f":
-                tol = float(tol)  # null-padding promoted on to float64 in this group
+                tol = float(tol)  # a nullable int `on` arrives as float64
             out = pd.merge_asof(
                 l,
                 r,
@@ -458,10 +558,12 @@ def asof_join(
                 tolerance=tol,
             )
             if len(l_nullkey):
-                out = pd.concat([out, l_nullkey.reindex(columns=out_cols)])
-        return _to_arrow_exact(out[out_cols], int_schema)
+                out = pd.concat([out, l_nullkey])
+        return _to_arrow_exact(out, out_schema)
 
-    return tagged.groupby(_PART_COL).map_groups(join_group, batch_format="pandas")
+    return _co_partition(
+        left, right, (by,), (by,), join_part, num_partitions, right_prep=suffix_right
+    )
 
 
 def interval_join(
@@ -473,7 +575,7 @@ def interval_join(
     end: str,
     bucket_width: int,
     suffix: str = "_r",
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed range (interval) join: emit one row per (point, interval)
     pair with equal ``by`` key and ``start <= ts < end`` (inner semantics;
@@ -482,48 +584,32 @@ def interval_join(
     ``ts``/``start``/``end`` are int64 (e.g. epoch-µs). The classic shuffle
     trick for inequality predicates: time is cut into ``bucket_width`` cells;
     every interval is REPLICATED to each cell it overlaps (np.repeat — no
-    Python loop), every point goes to its single cell, and the exchange
-    co-partitions on hash((by, cell)). Each partition then runs one hash
-    merge + vectorized band filter. Replication factor = avg interval length
-    / bucket_width + 1, so pick ``bucket_width`` ≈ the typical interval
-    length; shuffle cost = points once + intervals × replication.
+    Python loop), every point goes to its single cell, and the
+    :func:`_co_partition` exchange is keyed on (by, cell). Each partition
+    then runs one hash merge + vectorized band filter. Replication factor =
+    avg interval length / bucket_width + 1, so pick ``bucket_width`` ≈ the
+    typical interval length; shuffle cost = points once + intervals ×
+    replication.
     """
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    pschema, ischema = _arrow_schema(points), _arrow_schema(intervals)
-    i_renames = {n: (n if n == by else n + suffix if n in pschema.names else n) for n in ischema.names}
-    ivl_out = [i_renames[n] for n in ischema.names if n != by]
-    start_o, end_o = i_renames[start], i_renames[end]
-    target = pa.schema(
-        [*pschema, *[pa.field(i_renames[f.name], f.type) for f in ischema if f.name != by]]
-        + [
-            pa.field(_BUCKET_COL, pa.int64()),
-            pa.field(_SIDE_COL, pa.int8()),
-            pa.field(_PART_COL, pa.int32()),
-        ]
-    )
-    data_schema = pa.schema([f for f in target if f.name not in (_SIDE_COL, _PART_COL)])
+    from ..functions.dedup import _ranges
 
-    def finish(t: pa.Table, side: int) -> pa.Table:
-        t = _null_pad(t, data_schema)
-        key = pc.binary_join_element_wise(
-            pc.cast(t[by], pa.string()), pc.cast(t[_BUCKET_COL], pa.string()), ":"
-        )
-        t = t.append_column(_SIDE_COL, pa.array(np.full(t.num_rows, side, np.int8)))
-        return t.append_column(_PART_COL, _part_of(key, num_partitions))
+    points, pschema = _resolve(points)
+    pnames = pschema.names
 
-    def tag_points(t: pa.Table) -> pa.Table:
+    def out_name(n: str) -> str:
+        return n + suffix if n != by and n in pnames else n
+
+    start_o, end_o = out_name(start), out_name(end)
+
+    def bucket_points(t: pa.Table) -> pa.Table:
         # numpy floor division, NOT pc.divide: pc.divide truncates toward
         # zero, so negative timestamps would land one cell off the interval
         # side's `s // bucket_width` flooring and matching pairs vanish
         tv = t[ts].combine_chunks().to_numpy(zero_copy_only=False)
-        b = pa.array(tv // bucket_width, pa.int64())
-        return finish(t.append_column(_BUCKET_COL, b), 0)
+        return t.append_column(_BUCKET_COL, pa.array(tv // bucket_width, pa.int64()))
 
-    def tag_intervals(t: pa.Table) -> pa.Table:
-        from ..functions.dedup import _ranges
-
-        t = t.rename_columns([i_renames[n] for n in t.column_names])
+    def replicate_intervals(t: pa.Table) -> pa.Table:
+        t = t.rename_columns([out_name(n) for n in t.column_names])
         s = t[start_o].combine_chunks().to_numpy(zero_copy_only=False)
         e = t[end_o].combine_chunks().to_numpy(zero_copy_only=False)
         b0 = s // bucket_width
@@ -532,107 +618,24 @@ def interval_join(
         idx = np.repeat(np.arange(len(s), dtype=np.int64), counts)
         buckets = b0[idx] + _ranges(counts)
         rep = t.take(pa.array(idx))
-        return finish(rep.append_column(_BUCKET_COL, pa.array(buckets, pa.int64())), 1)
+        return rep.append_column(_BUCKET_COL, pa.array(buckets, pa.int64()))
 
-    tagged = points.map_batches(tag_points, batch_format="pyarrow").union(
-        intervals.map_batches(tag_intervals, batch_format="pyarrow")
-    )
-
-    out_cols = [*pschema.names, *ivl_out]
-    int_schema = pa.schema([target.field(n) for n in out_cols])
-
-    def join_group(df: pd.DataFrame) -> pa.Table:
-        l = df[df[_SIDE_COL] == 0]
-        r = df[df[_SIDE_COL] == 1]
-        if not len(l) or not len(r):
-            return int_schema.empty_table()
-        m = l[[*pschema.names, _BUCKET_COL]].merge(
-            r[[by, _BUCKET_COL, *ivl_out]], on=[by, _BUCKET_COL]
+    def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        ivl_out = [n for n in rt.column_names if n not in (by, _BUCKET_COL)]
+        out_schema = pa.schema(
+            [*[lt.schema.field(n) for n in pnames], *[rt.schema.field(n) for n in ivl_out]]
         )
+        if not lt.num_rows or not rt.num_rows:
+            return out_schema.empty_table()
+        m = lt.to_pandas().merge(rt.to_pandas(), on=[by, _BUCKET_COL])
         m = m[(m[start_o] <= m[ts]) & (m[ts] < m[end_o])]
-        return _to_arrow_exact(m[out_cols], int_schema)
+        return _to_arrow_exact(m, out_schema)
 
-    return tagged.groupby(_PART_COL).map_groups(join_group, batch_format="pandas")
-
-
-def full_outer_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str | tuple[str, ...],
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """FULL OUTER co-partitioned hash join (multi-key): unmatched rows from
-    BOTH sides survive with NULL payload from the other side. Key columns
-    must share names on both sides (rename upstream); payload column names
-    must be disjoint.
-
-    Why not ``Dataset.join(join_type='full_outer')``: Ray's hash-shuffle
-    join aggregator builds a partition that received no shards from one side
-    as a SCHEMA-LESS empty table (``ray/data/_internal/execution/operators/
-    join.py::finalize`` → ``ArrowBlockBuilder().build()``), and the Arrow
-    join then dies with "No match ... for key field" — any small or skewed
-    input whose hash leaves one side of a partition empty crashes. The
-    tagged-union shape sidesteps it structurally: groupby only materializes
-    partitions that exist, the union pins ONE schema for both sides, and the
-    per-partition Arrow join always sees typed (possibly 0-row) tables.
-
-    Scale shape: identical to the other ordered/relational joins here — both
-    (pre-projected) inputs cross the one keyed exchange exactly once, each
-    partition joins independently (pyarrow hash join, keys coalesced).
-
-    NULL keys follow SQL semantics: a NULL key never matches (each NULL-key
-    row emits as an unmatched outer row — pyarrow's join behavior, pinned by
-    test). The exchange routes all NULL-first-key rows to one partition via
-    the pinned shard hash, so they stay co-located but unpaired."""
-    keys = [on] if isinstance(on, str) else list(on)
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-
-    ls, rs = _arrow_schema(left), _arrow_schema(right)
-    for reserved in (_SIDE_COL, _PART_COL):
-        if reserved in ls.names or reserved in rs.names:
-            raise ValueError(f"input dataset already has a {reserved!r} column")
-    for k in keys:
-        if k not in ls.names or k not in rs.names:
-            raise ValueError(f"join key {k!r} must exist on both sides")
-    left_payload = [n for n in ls.names if n not in keys]
-    right_payload = [n for n in rs.names if n not in keys]
-    clash = set(left_payload) & set(right_payload)
-    if clash:
-        raise ValueError(f"payload columns must be disjoint, both sides have {sorted(clash)}")
-    target = pa.schema(
-        [
-            *[ls.field(k) for k in keys],
-            *[ls.field(n) for n in left_payload],
-            *[rs.field(n) for n in right_payload],
-            pa.field(_SIDE_COL, pa.int8()),
-        ]
+    keys = (by, _BUCKET_COL)
+    return _co_partition(
+        points, intervals, keys, keys, join_part, num_partitions,
+        left_prep=bucket_points, right_prep=replicate_intervals,
     )
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column(
-                _SIDE_COL, pa.array(np.full(t.num_rows, side, np.int8))
-            )
-            t = _null_pad(t, target)
-            return t.append_column(
-                _PART_COL, _part_of(t[keys[0]], num_partitions)
-            )
-
-        return fn
-
-    def per_part(g: pa.Table) -> pa.Table:
-        side = g[_SIDE_COL].combine_chunks()
-        l = g.filter(pc.equal(side, 0)).select([*keys, *left_payload])
-        r = g.filter(pc.equal(side, 1)).select([*keys, *right_payload])
-        return l.combine_chunks().join(
-            r.combine_chunks(), keys=keys, join_type="full outer"
-        ).select(target.names[:-1])
-
-    tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
-    )
-    return tagged.groupby(_PART_COL).map_groups(per_part, batch_format="pyarrow")
 
 
 def semi_anti_join(
@@ -641,57 +644,33 @@ def semi_anti_join(
     left_on: str,
     right_on: str | None = None,
     anti: bool = False,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed SEMI (EXISTS) / ANTI (NOT EXISTS) join: keep left rows
     whose key does (semi) or does not (anti) appear in ``right``.
 
     Scale shape: the right side is projected to DISTINCT KEYS PER BATCH
-    before the exchange (the probe needs membership only — right payload and
-    right duplicates never ship), both sides co-partition once on the pinned
-    key hash, and each partition task answers membership with one vectorized
-    ``pc.is_in``. No pairing, no row multiplication — bytes moved = left
-    once + right's unique keys once.
+    before the :func:`_co_partition` exchange (the probe needs membership
+    only — right payload and right duplicates never ship), and each
+    partition runs pyarrow's ``left semi`` / ``left anti`` join. No
+    pairing, no row multiplication — bytes moved = left once + right's
+    unique keys once.
 
-    Reference anchor: the relational family SURVEY §2.4 implies but
-    Dataset.join does not provide (inner/outer only)."""
+    NULL keys: right NULLs are dropped (SQL ``o.k = c.k`` never matches
+    NULL), so a NULL left key is dropped by semi and kept by anti."""
     right_on = right_on or left_on
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
+    left, ls = _resolve(left)
+    key_type = ls.field(left_on).type
 
-    left_schema = _arrow_schema(left)
-    for reserved in (_SIDE_COL, _PART_COL):
-        if reserved in left_schema.names:
-            raise ValueError(f"left dataset already has a {reserved!r} column")
-    target = pa.schema([*left_schema, pa.field(_SIDE_COL, pa.int8())])
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = t.append_column(_SIDE_COL, pa.array(np.zeros(t.num_rows, np.int8)))
-        t = _null_pad(t, target)
-        return t.append_column(_PART_COL, _part_of(t[left_on], num_partitions))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        # drop null right keys: SQL `o.k = c.k` never matches NULL, while
-        # is_in with a null in the value_set would match null left keys
+    def distinct_keys(t: pa.Table) -> pa.Table:
         keys = pc.drop_null(pc.unique(t[right_on].combine_chunks()))
-        t = pa.table({left_on: keys.cast(left_schema.field(left_on).type)})
-        t = t.append_column(_SIDE_COL, pa.array(np.ones(len(keys), np.int8)))
-        t = _null_pad(t, target)
-        return t.append_column(_PART_COL, _part_of(t[left_on], num_partitions))
+        return pa.table({right_on: keys.cast(key_type)})
 
-    def per_part(g: pa.Table) -> pa.Table:
-        side = g[_SIDE_COL].combine_chunks()
-        is_right = pc.equal(side, 1)
-        probe = pc.unique(g.filter(is_right)[left_on].combine_chunks())
-        lrows = g.filter(pc.equal(side, 0)).drop_columns([_SIDE_COL, _PART_COL])
-        member = pc.is_in(lrows[left_on].combine_chunks(), value_set=probe)
-        keep = pc.invert(member) if anti else member
-        return lrows.filter(keep)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
+    how = "left_anti" if anti else "left_semi"
+    return _co_partition(
+        left, right, (left_on,), (right_on,), _arrow_join(how, (left_on,), (right_on,)),
+        num_partitions, right_prep=distinct_keys,
     )
-    return tagged.groupby(_PART_COL).map_groups(per_part, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +716,7 @@ def bloom_prefilter_join(
     right_on: str | None = None,
     m_bits: int = 1 << 22,
     k_hashes: int = 4,
-    num_partitions: int | None = None,
+    num_partitions: int = JOIN_PARTITIONS,
 ) -> ray.data.Dataset:
     """Inner join where the LEFT side is pre-filtered by a Bloom filter of
     the right side's keys before anything is shuffled — the classic

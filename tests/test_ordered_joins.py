@@ -3,7 +3,9 @@
 The distributed kernels (stages/join.py::asof_join / interval_join) must
 match a single-frame pandas merge_asof / O(n*m) nested predicate scan for
 every partitioning, including keys split across partitions, empty sides in a
-partition, null keys, and intervals spanning multiple hash buckets.
+partition, null keys, and intervals spanning multiple hash buckets. The
+relational verbs of shuffle_hash_join are checked against pandas merges,
+including partition counts far above the key cardinality and the CPU count.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from scylla_cdc_source_connector_ray.stages.join import asof_join, interval_join
+from scylla_cdc_source_connector_ray.stages.join import (
+    asof_join,
+    interval_join,
+    shuffle_hash_join,
+)
 
 
 def _mk(df: pd.DataFrame, parallelism: int = 4) -> ray.data.Dataset:
@@ -255,8 +261,6 @@ def test_bloom_prefilter_join_exact_and_pruning():
 
 
 def test_full_outer_join_matches_pandas_outer_merge():
-    from scylla_cdc_source_connector_ray.stages.join import full_outer_join
-
     left = pd.DataFrame(
         {"k": np.array([1, 2, 3, 3], np.int64),
          "d": np.array([0, 0, 0, 1], np.int64),
@@ -268,9 +272,9 @@ def test_full_outer_join_matches_pandas_outer_merge():
          "rb": np.array([5, 6, 7], np.int64)}
     )
     got = (
-        full_outer_join(
+        shuffle_hash_join(
             ray.data.from_pandas(left), ray.data.from_pandas(right),
-            on=("k", "d"), num_partitions=4,
+            ("k", "d"), how="full_outer", num_partitions=4,
         )
         .to_pandas()
         .sort_values(["k", "d"]).reset_index(drop=True)
@@ -290,16 +294,14 @@ def test_full_outer_join_survives_one_sided_partitions():
     """The case Ray's native full_outer join crashes on (schema-less empty
     partition): a 1-row left side against a larger right side at many
     partitions — most partitions see only one side."""
-    from scylla_cdc_source_connector_ray.stages.join import full_outer_join
-
     left = pd.DataFrame({"k": np.array([5], np.int64), "la": np.array([1], np.int64)})
     right = pd.DataFrame(
         {"k": np.arange(20, dtype=np.int64), "rb": np.arange(20, dtype=np.int64)}
     )
     got = (
-        full_outer_join(
+        shuffle_hash_join(
             ray.data.from_pandas(left), ray.data.from_pandas(right),
-            on="k", num_partitions=8,
+            "k", how="full_outer", num_partitions=8,
         )
         .to_pandas()
         .sort_values("k").reset_index(drop=True)
@@ -310,20 +312,16 @@ def test_full_outer_join_survives_one_sided_partitions():
 
 
 def test_full_outer_join_rejects_clashing_payload():
-    from scylla_cdc_source_connector_ray.stages.join import full_outer_join
-
     a = ray.data.from_pandas(pd.DataFrame({"k": [1], "x": [1]}))
     b = ray.data.from_pandas(pd.DataFrame({"k": [1], "x": [2]}))
     with pytest.raises(ValueError, match="disjoint"):
-        full_outer_join(a, b, on="k")
+        shuffle_hash_join(a, b, "k", how="full_outer")
 
 
 def test_full_outer_join_null_keys_never_match():
     """SQL semantics: a NULL key matches nothing — each NULL-key row emits
     as an unmatched outer row from its own side (pyarrow join behavior,
     pinned here so an engine swap can't silently change it)."""
-    from scylla_cdc_source_connector_ray.stages.join import full_outer_join
-
     left = pa.table(
         {"k": pa.array([1, None, 3], pa.int64()), "la": pa.array([10, 20, 30], pa.int64())}
     )
@@ -331,9 +329,9 @@ def test_full_outer_join_null_keys_never_match():
         {"k": pa.array([None, 3, 4], pa.int64()), "rb": pa.array([5, 6, 7], pa.int64())}
     )
     got = (
-        full_outer_join(
+        shuffle_hash_join(
             ray.data.from_arrow(left), ray.data.from_arrow(right),
-            on="k", num_partitions=3,
+            "k", how="full_outer", num_partitions=3,
         )
         .to_pandas()
         .sort_values(["la", "rb"], na_position="last")
@@ -345,9 +343,15 @@ def test_full_outer_join_null_keys_never_match():
     assert (nulls["la"].isna() ^ nulls["rb"].isna()).all()  # never paired
 
 
-def test_full_outer_join_random_property():
-    """Randomized multi-key equality vs pandas outer merge (non-null keys;
-    NULL-key semantics pinned separately above)."""
+_PANDAS_HOW = {"inner": "inner", "left_outer": "left", "full_outer": "outer"}
+
+
+@pytest.mark.parametrize("num_partitions", [4, 16])
+@pytest.mark.parametrize("how", ["inner", "left_outer", "full_outer", "left_semi", "left_anti"])
+def test_full_outer_join_random_property(how, num_partitions):
+    """Randomized multi-key equality vs the matching pandas operation, for
+    every relational verb (non-null keys; NULL-key semantics pinned
+    separately above)."""
     rng = np.random.default_rng(42)
     for trial in range(3):
         nl, nr = rng.integers(0, 40, 2)
@@ -367,18 +371,57 @@ def test_full_outer_join_random_property():
         ).drop_duplicates(["k", "d"])
         if len(left) == 0 or len(right) == 0:
             continue  # empty Dataset loses schema through from_pandas
-        from scylla_cdc_source_connector_ray.stages.join import full_outer_join
 
-        got = (
-            full_outer_join(
-                ray.data.from_pandas(left), ray.data.from_pandas(right),
-                on=("k", "d"), num_partitions=4,
-            )
-            .to_pandas()
-            .sort_values(["k", "d"]).reset_index(drop=True).astype("float64")
+        out = shuffle_hash_join(
+            ray.data.from_pandas(left), ray.data.from_pandas(right),
+            ("k", "d"), how=how, num_partitions=num_partitions,
         )
-        want = (
-            left.merge(right, on=["k", "d"], how="outer")
-            .sort_values(["k", "d"]).reset_index(drop=True).astype("float64")
-        )
+        got = out.to_pandas()
+        if got.empty:  # Ray returns a column-less frame for a 0-row result
+            got = got.reindex(columns=out.schema().names)
+        got = got.sort_values(["k", "d"]).reset_index(drop=True).astype("float64")
+        if how in _PANDAS_HOW:
+            want = left.merge(right, on=["k", "d"], how=_PANDAS_HOW[how])
+        else:
+            hit = left.merge(right[["k", "d"]], on=["k", "d"], how="left", indicator=True)
+            want = left[(hit["_merge"] == "both").to_numpy() == (how == "left_semi")]
+        want = want.sort_values(["k", "d"]).reset_index(drop=True).astype("float64")
         pd.testing.assert_frame_equal(got, want)
+
+
+def test_join_aggregate_output_more_partitions_than_keys_and_cpus():
+    """The right side is groupby().aggregate() output over 3 keys, joined at
+    16 partitions — far more partitions than keys (most are empty on one
+    side) and more than the session's 4 CPUs. Ray's native Dataset.join
+    crashes on the first and hangs on the second; the co-partition kernel
+    must simply return the pandas merge."""
+    from ray.data.aggregate import Count
+
+    rng = np.random.default_rng(3)
+    left = pd.DataFrame(
+        {"k": rng.integers(0, 5, 200).astype(np.int64), "v": np.arange(200, dtype=np.int64)}
+    )
+    events = pd.DataFrame({"k": rng.integers(0, 3, 90).astype(np.int64)})
+    counts = (
+        ray.data.from_pandas(events).repartition(6)
+        .groupby("k").aggregate(Count(alias_name="n"))
+    )
+    got = (
+        shuffle_hash_join(_mk(left), counts, "k", num_partitions=16)
+        .to_pandas()[["k", "v", "n"]]
+        .sort_values("v").reset_index(drop=True)
+    )
+    want = (
+        left.merge(events.groupby("k").size().rename("n").reset_index(), on="k")
+        [["k", "v", "n"]].sort_values("v").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_join_rejects_pandas_object_column_by_name():
+    """A pandas-backed input's object column has no Arrow type: the join
+    fails up front with a ValueError naming it, not deep inside Arrow."""
+    left = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "name": ["a", "b"]}))
+    right = ray.data.from_pandas(pd.DataFrame({"k": [1], "rb": [5]}))
+    with pytest.raises(ValueError, match="'name'.*object"):
+        shuffle_hash_join(left, right, "k")

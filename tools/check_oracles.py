@@ -2,16 +2,27 @@
 and its ``oracle_sql()`` twin on the same sf dir, compare row count, column
 names, and order-insensitive values.
 
-Usage: python tools/check_oracles.py [sf_dir] [query ...]
+Usage: python tools/check_oracles.py [--cpus N] [--cold] [sf_dir] [query ...]
+
+``--cpus N`` sizes the local Ray instance (default 8). ``--cold`` runs every
+query in a fresh process, as the driver does, and prints each one's wall
+time; a query still running after ``COLD_TIMEOUT_S`` counts as failed.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
+import subprocess
 import sys
+import time
 
 import duckdb
 import pandas as pd
 import ray
+
+COLD_TIMEOUT_S = 1800
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -34,17 +45,45 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
+def run_cold(sf_dir: str, names: list[str], cpus: int) -> int:
+    """One fresh interpreter (and Ray instance) per query."""
+    failed = []
+    for name in names:
+        t0 = time.perf_counter()
+        try:
+            rc = subprocess.run(
+                [sys.executable, __file__, "--cpus", str(cpus), sf_dir, name],
+                timeout=COLD_TIMEOUT_S,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            print(f"[FAIL] {name}: no result after {COLD_TIMEOUT_S} s")
+            rc = 1
+        print(f"  {name}: {time.perf_counter() - t0:.1f} s wall", flush=True)
+        if rc:
+            failed.append(name)
+    print(f"{len(names) - len(failed)}/{len(names)} passed; failed: {failed}")
+    return 1 if failed else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cpus", type=int, default=8, help="num_cpus for ray.init")
+    parser.add_argument("--cold", action="store_true", help="one fresh process per query")
+    opts, sys.argv[1:] = parser.parse_known_args()
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    sys.path.insert(0, REPO)
+    if opts.cold:
+        import __ray_entry__ as e
+
+        return run_cold(sf_dir, [n for n in e.queries() if not only or n in only], opts.cpus)
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=opts.cpus, include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
     DataContext.get_current().use_polars_sort = True
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     con = duckdb.connect()
