@@ -1209,8 +1209,8 @@ def _verify_pairs_blob_join(
     pairs, then integer Jaccard per row and the threshold filter. No
     driver-side collect, no whole-corpus broadcast."""
     grams = ray.data.read_parquet(spill_dir, columns=["doc_id", "grams"])
-    grams_b = ray.data.read_parquet(spill_dir, columns=["doc_id", "grams"]).map_batches(
-        lambda t: t.rename_columns(["doc_id_b", "grams_b"]), batch_format="pyarrow"
+    grams_b = ray.data.read_parquet(spill_dir, columns=["doc_id", "grams"]).rename_columns(
+        {"doc_id": "doc_id_b", "grams": "grams_b"}
     )
     witha = shuffle_hash_join(
         pairs.select_columns(["a", "b"]), grams, "a", "doc_id", num_partitions=num_partitions

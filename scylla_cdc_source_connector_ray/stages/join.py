@@ -24,6 +24,8 @@ our op-derive kernel subsumes. The north_star adds three more:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -210,11 +212,9 @@ def conv_state_features(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.
 # Co-partitioned joins. Every shuffle join in the engine — relational
 # (inner/outer/semi/anti), as-of and interval — is one shape: tag each side,
 # hash the equality key to a partition, union the two streams and join each
-# partition once via groupby().map_groups(). Shuffle cost = both inputs moved
-# exactly once. Partitioning
-# assumption: no single key dominates (a hot key lands whole in one
-# partition — salt it upstream if one key exceeds a worker's heap, as
-# stages/salt.py does for conversations).
+# partition once via groupby().map_groups(); both inputs move exactly once.
+# Assumption: no single key dominates (a hot key lands whole in one
+# partition — salt it upstream, as stages/salt.py does for conversations).
 # ---------------------------------------------------------------------------
 
 #: Partition count of every co-partitioned join unless the caller passes one.
@@ -226,17 +226,15 @@ _BUCKET_COL = "__oj_bucket"
 _RIGHT_PREFIX = "__oj_r."
 
 
-def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
-    """Dataset schema as a real ``pa.Schema``. ``ds.schema().base_schema`` is
-    a ``PandasBlockSchema`` (parallel names/types lists) for pandas-backed
+def _arrow_schema(schema) -> pa.Schema:
+    """A Ray ``Schema`` as a real ``pa.Schema``. ``schema.base_schema`` is a
+    ``PandasBlockSchema`` (parallel names/types lists) for pandas-backed
     datasets — normalize both representations. A pandas ``object`` column
     has no Arrow type to recover, so it fails here, by name."""
-    schema = ds.schema()
     if schema is None:
         raise ValueError(
-            "join: input dataset has no recoverable schema (an empty "
-            "pandas-block dataset loses its schema through repartition; read "
-            "from parquet or pass the empty side un-repartitioned)"
+            "join: input has no rows and no recoverable schema (Ray keeps no "
+            "column types for an all-empty computed side)"
         )
     s = schema.base_schema
     if isinstance(s, pa.Schema):
@@ -255,16 +253,49 @@ def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
     return pa.schema(fields)
 
 
-def _resolve(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, pa.Schema]:
-    """``(ds, schema)`` without running ``ds``'s plan twice. A schema Ray
-    infers from the plan (reads, ``from_*``) is free; otherwise ``ds`` is
-    materialized once — its rows are what the exchange ships anyway — and
-    the schema is read off its blocks. ``ds.schema()`` alone would run the
-    plan up to its first block, which for an aggregate- or join-fed side is
-    all of it, and the join would then run it again."""
-    if ds.schema(fetch_if_missing=False) is None:
-        ds = ds.materialize()
-    return ds, _arrow_schema(ds)
+#: output schema of every dataset :func:`_co_partition` returned, so a join
+#: fed straight into another join is never run early to learn its schema
+_OUT_SCHEMAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _all_to_all_upstream(op) -> bool:
+    """True when logical plan ``op`` has a step that must consume all its
+    input before it emits a block (aggregate, sort, repartition, join)."""
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+    from ray.data._internal.logical.operators.join_operator import Join
+
+    return isinstance(op, (AbstractAllToAll, Join)) or any(
+        _all_to_all_upstream(d) for d in op.input_dependencies
+    )
+
+
+def _resolve(ds: ray.data.Dataset, prep=None) -> tuple[ray.data.Dataset, pa.Schema]:
+    """``(ds with prep applied, its Arrow schema)`` for one join side,
+    without running ``ds``'s plan twice. ``prep`` is an optional per-batch
+    ``pa.Table -> pa.Table`` map (renames, bucket columns, key projections).
+
+    - A kernel output's schema, or one Ray infers from the plan (reads,
+      ``from_*``), is free; ``prep``'s comes from a typed empty table.
+    - A plan without an all-to-all step yields its first block cheaply:
+      ``ds.schema()`` runs ``ds.limit(1)`` and ``ds`` stays lazy.
+    - Otherwise (aggregate-, sort- or join-fed) the first block needs the
+      whole upstream, which the join would then run again, so the side is
+      materialized once — after ``prep``, so a semi-join probe pins only
+      its distinct keys — and its schema read off its blocks.
+    """
+    schema = _OUT_SCHEMAS.get(ds)
+    if schema is None:
+        known = ds.schema(fetch_if_missing=False)
+        if known is None and _all_to_all_upstream(ds._logical_plan.dag):
+            if prep:
+                ds = ds.map_batches(prep, batch_format="pyarrow")
+            ds = ds.materialize()
+            return ds, _arrow_schema(ds.schema())
+        schema = _arrow_schema(known if known is not None else ds.schema())
+    if prep:
+        ds = ds.map_batches(prep, batch_format="pyarrow")
+        schema = prep(schema.empty_table()).schema
+    return ds, schema
 
 
 def _null_pad(t: pa.Table, target: pa.Schema) -> pa.Table:
@@ -299,33 +330,29 @@ def _part_of(t: pa.Table, keys: list[str], num_partitions: int) -> pa.Array:
 
 
 def _co_partition(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
+    left: tuple[ray.data.Dataset, pa.Schema],
+    right: tuple[ray.data.Dataset, pa.Schema],
     left_keys: tuple[str, ...],
     right_keys: tuple[str, ...],
     per_part,
     num_partitions: int,
-    left_prep=None,
-    right_prep=None,
 ) -> ray.data.Dataset:
     """The one co-partition join kernel: ``per_part(l, r)`` runs once per
     hash partition on the two typed Arrow slices that share it and returns
-    that partition's output table. ``left_prep`` / ``right_prep`` are
-    optional per-batch ``pa.Table -> pa.Table`` maps applied before tagging
-    (renames, bucket columns, key projections); keys name their output
-    columns, and their output schema is found by running them on a typed
-    empty table, so a side whose batches are all empty keeps its schema.
+    that partition's output table. ``left`` / ``right`` are sides resolved
+    by :func:`_resolve` — ``(dataset, its Arrow schema)`` — and the keys
+    name columns of those schemas.
 
-    Shape: both schemas are recovered up front (:func:`_resolve` — free
-    when Ray infers them from the plan, else the side is materialized once
-    at call time); right columns are prefixed
-    (so equal names on the two sides never collide in the union), each
-    batch is null-padded to the one union schema, tagged with its side and
-    the pinned hash of its full equality key, the two streams are unioned
-    and ``groupby(partition).map_groups`` splits every group back into
-    ``(l, r)`` at exactly the input schemas — 0-row but typed when a side
-    has no rows in that partition. Checks: join keys exist, the reserved
-    tag columns are free, and payload (non-key) names are disjoint.
+    Shape: right columns are prefixed (so equal names on the two sides never
+    collide in the union), each batch is null-padded to the one union
+    schema, tagged with its side and the pinned hash of its full equality
+    key, the two streams are unioned and ``groupby(partition).map_groups``
+    splits every group back into ``(l, r)`` at exactly the input schemas —
+    0-row but typed when a side has no rows in that partition. Checks: join
+    keys exist, the reserved tag columns are free, and payload (non-key)
+    names are disjoint; ``per_part`` then runs once on two empty slices, so
+    it fails at call time on anything it rejects and the output schema is
+    known before any row moves.
 
     Why not Ray 2.49's native ``Dataset.join`` — it fails two ways:
 
@@ -352,12 +379,8 @@ def _co_partition(
     slices, partitions without rows never run, and the exchange is a plain
     task shuffle, so neither failure can occur at any partition count.
     """
+    (left, ls), (right, rs) = left, right
     left_keys, right_keys = list(left_keys), list(right_keys)
-    (left, ls), (right, rs) = _resolve(left), _resolve(right)
-    if left_prep:
-        ls = left_prep(ls.empty_table()).schema
-    if right_prep:
-        rs = right_prep(rs.empty_table()).schema
     for schema, keys in ((ls, left_keys), (rs, right_keys)):
         for reserved in (_SIDE_COL, _PART_COL):
             if reserved in schema.names:
@@ -368,13 +391,12 @@ def _co_partition(
     clash = (set(ls.names) - set(left_keys)) & (set(rs.names) - set(right_keys))
     if clash:
         raise ValueError(f"payload columns must be disjoint, both sides have {sorted(clash)}")
+    out_schema = per_part(ls.empty_table(), rs.empty_table()).schema
     r_names = [_RIGHT_PREFIX + n for n in rs.names]
     union = pa.schema([*ls, *[f.with_name(n) for f, n in zip(rs, r_names)]])
 
-    def tag(side: int, keys: list[str], prep):
+    def tag(side: int, keys: list[str]):
         def fn(t: pa.Table) -> pa.Table:
-            if prep:
-                t = prep(t)
             part = _part_of(t, keys, num_partitions)
             if side:
                 t = t.rename_columns([_RIGHT_PREFIX + n for n in t.column_names])
@@ -390,10 +412,12 @@ def _co_partition(
         r = g.filter(is_r).select(r_names).rename_columns(rs.names).cast(rs)
         return per_part(l.combine_chunks(), r.combine_chunks())
 
-    tagged = left.map_batches(tag(0, left_keys, left_prep), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_keys, right_prep), batch_format="pyarrow")
+    tagged = left.map_batches(tag(0, left_keys), batch_format="pyarrow").union(
+        right.map_batches(tag(1, right_keys), batch_format="pyarrow")
     )
-    return tagged.groupby(_PART_COL).map_groups(run, batch_format="pyarrow")
+    out = tagged.groupby(_PART_COL).map_groups(run, batch_format="pyarrow")
+    _OUT_SCHEMAS[out] = out_schema
+    return out
 
 
 def _keys(on: str | tuple[str, ...]) -> tuple[str, ...]:
@@ -405,13 +429,9 @@ def _arrow_join(how: str, left_keys: tuple[str, ...], right_keys: tuple[str, ...
     native join aggregator makes, so output columns match it: left columns,
     then right non-key columns (right keys coalesced into the left's).
     ``how`` takes Ray's join-type names (``inner``, ``left_outer``,
-    ``full_outer``, ``left_semi``, ``left_anti``, ...)."""
+    ``full_outer``, ``left_semi``, ``left_anti``, ...); pyarrow rejects any
+    other."""
     verb = how.replace("_", " ")
-    if verb not in (
-        "inner", "left outer", "right outer", "full outer",
-        "left semi", "right semi", "left anti", "right anti",
-    ):
-        raise ValueError(f"unsupported join type {how!r}")
 
     def join(l: pa.Table, r: pa.Table) -> pa.Table:
         return l.join(r, keys=list(left_keys), right_keys=list(right_keys), join_type=verb)
@@ -438,6 +458,11 @@ def shuffle_hash_join(
     :func:`broadcast_join` (no shuffle at all). Payload (non-key) column
     names must be disjoint.
 
+    Inputs are Arrow-typed: a pandas-backed input (``from_pandas``, a
+    ``batch_format="pandas"`` map) must not carry ``object`` columns, such
+    as strings — those fail with a ``ValueError`` naming the column. Emit
+    Arrow batches or cast such columns first.
+
     NULL keys follow SQL semantics: a NULL key never matches (outer verbs
     emit each NULL-key row unmatched; semi drops it, anti keeps it).
 
@@ -448,7 +473,8 @@ def shuffle_hash_join(
     left_on = _keys(left_on)
     right_on = left_on if right_on is None else _keys(right_on)
     return _co_partition(
-        left, right, left_on, right_on, _arrow_join(how, left_on, right_on), num_partitions
+        _resolve(left), _resolve(right), left_on, right_on,
+        _arrow_join(how, left_on, right_on), num_partitions,
     )
 
 
@@ -514,26 +540,33 @@ def asof_join(
     calling; the exchange ships everything you keep.
     """
     on_r = on + suffix
-    (left, ls), (right, rs) = _resolve(left), _resolve(right)
-    if on not in ls.names or on not in rs.names:
-        raise ValueError(f"asof_join: on={on!r} missing from inputs")
 
     def suffix_right(t: pa.Table) -> pa.Table:
         return t.rename_columns([n if n == by else n + suffix for n in t.column_names])
+
+    left, right = _resolve(left), _resolve(right, suffix_right)
+    if on not in left[1].names or on_r not in right[1].names:
+        raise ValueError(f"asof_join: on={on!r} missing from inputs")
 
     def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
         right_out = [n for n in rt.column_names if n != by]
         out_schema = pa.schema([*lt.schema, *[rt.schema.field(n) for n in right_out]])
         if not lt.num_rows:
             return out_schema.empty_table()
+        # merge_asof rejects NULL keys and wants one `by` dtype on both sides:
+        # drop NULL keys in Arrow (left ones stay, unmatched) so neither `by`
+        # turns float64 in pandas, and give the right key the left's type
+        l_nullkey = lt.filter(pc.is_null(lt[by])).to_pandas()
+        lt = lt.filter(pc.is_valid(lt[by]))
+        rt = rt.filter(pc.is_valid(rt[by]))
+        rt = rt.set_column(
+            rt.schema.get_field_index(by), by, rt[by].cast(lt.schema.field(by).type)
+        )
         l = lt.to_pandas().sort_values(on, kind="mergesort")
-        l_nullkey = l[l[by].isna()]  # merge_asof rejects null keys; keep unmatched
-        if len(l_nullkey):
-            l = l[l[by].notna()]
         if not rt.num_rows or not len(l):
-            out = pd.concat([l, l_nullkey])
+            out = l
         else:
-            r = rt.to_pandas().dropna(subset=[by])
+            r = rt.to_pandas()
             # merge_asof keeps the LAST right row among equal `on` values and
             # a plain on-sort is only stable w.r.t. Ray's nondeterministic
             # block arrival order — total-order the right side so tied
@@ -545,25 +578,15 @@ def asof_join(
                 )
             except TypeError:
                 r = r.sort_values(on_r, kind="mergesort")
-            tol = tolerance
-            if tol is not None and l[on].dtype.kind == "f":
-                tol = float(tol)  # a nullable int `on` arrives as float64
             out = pd.merge_asof(
-                l,
-                r,
-                left_on=on,
-                right_on=on_r,
-                by=by,
-                direction=direction,
-                tolerance=tol,
+                l, r, left_on=on, right_on=on_r, by=by, direction=direction,
+                tolerance=tolerance,
             )
-            if len(l_nullkey):
-                out = pd.concat([out, l_nullkey])
+        if len(l_nullkey):
+            out = pd.concat([out, l_nullkey])
         return _to_arrow_exact(out, out_schema)
 
-    return _co_partition(
-        left, right, (by,), (by,), join_part, num_partitions, right_prep=suffix_right
-    )
+    return _co_partition(left, right, (by,), (by,), join_part, num_partitions)
 
 
 def interval_join(
@@ -593,20 +616,20 @@ def interval_join(
     """
     from ..functions.dedup import _ranges
 
-    points, pschema = _resolve(points)
-    pnames = pschema.names
-
-    def out_name(n: str) -> str:
-        return n + suffix if n != by and n in pnames else n
-
-    start_o, end_o = out_name(start), out_name(end)
-
     def bucket_points(t: pa.Table) -> pa.Table:
         # numpy floor division, NOT pc.divide: pc.divide truncates toward
         # zero, so negative timestamps would land one cell off the interval
         # side's `s // bucket_width` flooring and matching pairs vanish
         tv = t[ts].combine_chunks().to_numpy(zero_copy_only=False)
         return t.append_column(_BUCKET_COL, pa.array(tv // bucket_width, pa.int64()))
+
+    points = _resolve(points, bucket_points)
+    pnames = [n for n in points[1].names if n != _BUCKET_COL]
+
+    def out_name(n: str) -> str:
+        return n + suffix if n != by and n in pnames else n
+
+    start_o, end_o = out_name(start), out_name(end)
 
     def replicate_intervals(t: pa.Table) -> pa.Table:
         t = t.rename_columns([out_name(n) for n in t.column_names])
@@ -620,11 +643,11 @@ def interval_join(
         rep = t.take(pa.array(idx))
         return rep.append_column(_BUCKET_COL, pa.array(buckets, pa.int64()))
 
+    intervals = _resolve(intervals, replicate_intervals)
+
     def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
         ivl_out = [n for n in rt.column_names if n not in (by, _BUCKET_COL)]
-        out_schema = pa.schema(
-            [*[lt.schema.field(n) for n in pnames], *[rt.schema.field(n) for n in ivl_out]]
-        )
+        out_schema = pa.schema([*map(lt.schema.field, pnames), *map(rt.schema.field, ivl_out)])
         if not lt.num_rows or not rt.num_rows:
             return out_schema.empty_table()
         m = lt.to_pandas().merge(rt.to_pandas(), on=[by, _BUCKET_COL])
@@ -632,10 +655,7 @@ def interval_join(
         return _to_arrow_exact(m, out_schema)
 
     keys = (by, _BUCKET_COL)
-    return _co_partition(
-        points, intervals, keys, keys, join_part, num_partitions,
-        left_prep=bucket_points, right_prep=replicate_intervals,
-    )
+    return _co_partition(points, intervals, keys, keys, join_part, num_partitions)
 
 
 def semi_anti_join(
@@ -659,8 +679,8 @@ def semi_anti_join(
     NULL keys: right NULLs are dropped (SQL ``o.k = c.k`` never matches
     NULL), so a NULL left key is dropped by semi and kept by anti."""
     right_on = right_on or left_on
-    left, ls = _resolve(left)
-    key_type = ls.field(left_on).type
+    left = _resolve(left)
+    key_type = left[1].field(left_on).type
 
     def distinct_keys(t: pa.Table) -> pa.Table:
         keys = pc.drop_null(pc.unique(t[right_on].combine_chunks()))
@@ -668,8 +688,8 @@ def semi_anti_join(
 
     how = "left_anti" if anti else "left_semi"
     return _co_partition(
-        left, right, (left_on,), (right_on,), _arrow_join(how, (left_on,), (right_on,)),
-        num_partitions, right_prep=distinct_keys,
+        left, _resolve(right, distinct_keys), (left_on,), (right_on,),
+        _arrow_join(how, (left_on,), (right_on,)), num_partitions,
     )
 
 

@@ -102,6 +102,31 @@ def test_asof_null_left_key_survives_unmatched():
     assert by_k[1.0] == 3.0 and by_k[None] is None
 
 
+@pytest.mark.parametrize("null_side", ["left", "right"])
+def test_asof_arrow_int_key_null_on_one_side(null_side):
+    """Arrow int64 ``by`` with a NULL on one side only: the NULL routes to
+    one fixed partition, which also holds non-NULL keys of both sides, so
+    merge_asof runs there and must see one key dtype on both sides."""
+    n = 40
+    keys = pa.array(range(n), pa.int64())
+    left = pa.table({"k": keys, "t": pa.array([10] * n, pa.int64())})
+    right = pa.table({"k": keys, "t": pa.array([5] * n, pa.int64()), "w": keys})
+    null = {"k": pa.array([None], pa.int64()), "t": pa.array([1], pa.int64())}
+    if null_side == "left":
+        left = pa.concat_tables([left, pa.table(null)])
+    else:
+        right = pa.concat_tables([right, pa.table({**null, "w": pa.array([99], pa.int64())})])
+    out = asof_join(
+        ray.data.from_arrow(left), ray.data.from_arrow(right), by="k", on="t",
+        num_partitions=2,
+    ).take_all()
+    got = {r["k"]: r["w_r"] for r in out}
+    want = {k: k for k in range(n)}
+    if null_side == "left":
+        want[None] = None
+    assert got == want
+
+
 def _brute_interval(points, ivls):
     m = points.merge(ivls, on="k")
     return m[(m["s"] <= m["t"]) & (m["t"] < m["e"])][
