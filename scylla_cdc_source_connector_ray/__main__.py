@@ -63,17 +63,16 @@ def cmd_validate(args) -> int:
     if not os.path.isdir(args.log_dir):
         problems.append(f"log dir does not exist: {args.log_dir}")
     else:
-        from .sources.windowed import discover, discover_bucketed, is_bucketed
+        from .sources.windowed import LogWindow, list_log
 
-        files = (
-            [p for _w, m in discover_bucketed(args.log_dir) for p in m.values()]
-            if is_bucketed(args.log_dir)
-            else [f.path for f in discover(args.log_dir)]
-        )
-        if not files:
+        units = list_log(args.log_dir)
+        if not units:
             problems.append("log dir contains no parquet files (connector will wait)")
         else:
-            schema = pq.read_schema(files[0])
+            u = units[0]
+            schema = pq.read_schema(
+                next(iter(u.paths.values())) if isinstance(u, LogWindow) else u.path
+            )
             missing = [c for c in ("conv_id", "turn_idx", "role", "text", "tool", "ts") if c not in schema.names]
             if missing:
                 problems.append(f"first log file missing columns: {missing}")
@@ -93,23 +92,18 @@ def cmd_validate(args) -> int:
                 "hash_impl": last.get("hash_impl"),
                 "value_cols_extra": last.get("value_cols_extra", {}),
             }
-            if last.get("num_shards") != cfg.num_shards or last.get("epoch") != cfg.epoch:
-                problems.append(
-                    f"checkpoint has num_shards={last.get('num_shards')} "
-                    f"epoch={last.get('epoch')} but config asks "
-                    f"num_shards={cfg.num_shards} epoch={cfg.epoch} (epoch bump required)"
-                )
-            try:
-                from .state.checkpoint import current_hash_impl
+            # the run's own pin check; a resume adopts the recorded hot set
+            from .pipelines._microbatch import check_pins
+            from .pipelines.runner import CaptureRunner
 
-                here = current_hash_impl()
-                if last.get("hash_impl", here) != here:
-                    problems.append(
-                        f"checkpoint shard hash is {last.get('hash_impl')} but this "
-                        f"environment has {here} (keys would remap; epoch bump required)"
-                    )
+            runner = CaptureRunner(args.log_dir, cfg)
+            try:
+                pins = {**runner.pins(), "hot_convs": last.get("hot_convs", [])}
+                check_pins(runner.ckpt, {**pins, "files_per_batch": args.files_per_batch})
             except ImportError:
                 problems.append("polars unavailable: cannot verify checkpoint shard hash")
+            except ValueError as ex:
+                problems.append(str(ex))
     print(
         json.dumps(
             {

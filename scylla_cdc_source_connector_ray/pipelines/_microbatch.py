@@ -1,7 +1,16 @@
-"""The keyed-state micro-batch runner every lean streaming runner shares:
-read a window of the log, fold it into per-key state, commit the offset.
+"""The micro-batch control plane every streaming runner shares — read a
+window of the log, fold it into per-key state, commit the offset — and the
+keyed-state base of the lean runners.
 
-A runner declares four things:
+:func:`run_microbatches` is the one batch loop (≙ the reference's task
+lifecycle: restore offsets → loop windows → commit). It owns the
+single-writer checkpoint lock, the listing of either log layout, the
+resume-pin checks, the manifest commit, state GC and the per-batch metrics
+file; a runner hands it a ``process_batch`` callback. ``CaptureRunner``
+and the 16 lean runners all commit through it, so a rule added here (a
+pin, a fault point, a listing check) protects every runner.
+
+A lean runner declares four things:
 
 * its **pins** (:meth:`KeyedStateRunner.pins`) — replay-identity fields
   committed into every manifest and checked on resume;
@@ -12,21 +21,18 @@ A runner declares four things:
 * a pure per-shard **fold** ``fold(rows, prior_state) -> (sink_rows | None,
   new_state | None, stats)``.
 
-The base owns the rest: the constructor fields, ``run``/``follow`` (file
-discovery, resume-pin checks, the batch loop with manifest commit + state
-GC + per-batch metrics), the keyed exchange, loading the prior state and
-writing the new one, the ``sink_dir/batch-B/shard-K.parquet`` write,
-summing per-shard stats, and the manifest-gated output and state readers.
-One definition of the replay-identity rules — a pin check added here
-protects every runner. Runners with extra stages chain :meth:`keyed`, which
-returns the Dataset before ``take_all()``.
-
-(The full ``CaptureRunner`` keeps its own loop: it owns watermarks, hot-set
-pinning, schema evolution and window flushing that don't fit this shape.)
+The base owns the rest: the constructor fields, ``run``/``follow``, the
+keyed exchange, loading the prior state and writing the new one, the
+``sink_dir/batch-B/shard-K.parquet`` write, summing per-shard stats, and the
+manifest-gated output and state readers. Runners with extra stages chain
+:meth:`keyed`, which returns the Dataset before ``take_all()``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import fcntl
 import gc
 import json
 import os
@@ -37,7 +43,65 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sources import windowed
 from ..state.checkpoint import Checkpoint, _atomic_write, write_table_atomic
+
+
+@dataclasses.dataclass
+class BatchResult:
+    """What a ``process_batch`` callback may return instead of a plain
+    stats dict: ``stats`` are numeric and summed (run totals, the manifest's
+    ``cum``); ``manifest`` is runner state committed next to the offsets;
+    ``metrics`` are extra per-batch metrics-file fields (not summed)."""
+
+    stats: dict
+    manifest: dict = dataclasses.field(default_factory=dict)
+    metrics: dict = dataclasses.field(default_factory=dict)
+
+
+@contextlib.contextmanager
+def checkpoint_lock(ckpt: Checkpoint):
+    """Single-writer guard: two runners on one checkpoint would interleave
+    state files nondeterministically (≙ Kafka Connect's single task
+    ownership per partition). Advisory flock, released on exit."""
+    os.makedirs(ckpt.dir, exist_ok=True)  # may vanish after construction
+    with open(os.path.join(ckpt.dir, "runner.lock"), "w") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            raise RuntimeError(
+                f"another runner holds the checkpoint lock at {ckpt.dir}"
+            ) from None
+        yield
+
+
+def recorded_pins(ckpt: Checkpoint) -> dict | None:
+    """The pins a checkpoint recorded: its last manifest or, before the
+    first commit, ``pins.json`` of an earlier run that crashed."""
+    last = ckpt.last_committed()
+    path = os.path.join(ckpt.dir, "pins.json")
+    if last is None and os.path.exists(path):
+        with open(path) as f:
+            return json.load(f)
+    return last
+
+
+def check_pins(ckpt: Checkpoint, pins: dict) -> None:
+    """Raise ``ValueError`` when ``pins`` differ from the recorded ones:
+    changing any of them would silently re-cut batch boundaries, remap
+    shards, or change semantics mid-stream. The check covers a run that
+    crashed mid-batch-0 too: it left per-shard state/sink files but no
+    manifest, and a restart with a different ``files_per_batch`` would re-cut
+    batch 0 so that shards absent from the new batch keep STALE state.
+    Same-pin restarts overwrite that state deterministically."""
+    recorded = recorded_pins(ckpt)
+    for k, mine in pins.items():
+        if recorded is not None and recorded.get(k) != mine:
+            where = "checkpoint has" if "batch_id" in recorded else "a previous uncommitted run pinned"
+            raise ValueError(
+                f"{where} {k}={recorded.get(k)!r}, run has {mine!r}: replay identity "
+                "would change — keep pins fixed or use a fresh checkpoint/sink dir"
+            )
 
 
 def run_microbatches(
@@ -45,151 +109,122 @@ def run_microbatches(
     log_dir: str,
     *,
     pins: dict,
-    process_batch: Callable[[int, list[str]], dict],
+    process_batch: Callable[[int, list], dict | BatchResult],
     files_per_batch: int,
     max_batches: int | None = None,
     crash_before_commit_at: int | None = None,
     tail: bool = False,
+    confidence_window_us: int | None = None,
+    initial_lookback_us: int | None = None,
+    on_listing: Callable[[list], None] | None = None,
 ) -> dict:
-    """Consume ``log_dir/*.parquet`` in order, ``files_per_batch`` at a time.
+    """Consume the log's unconsumed units in order, ``files_per_batch`` at a
+    time, under the checkpoint lock. Units come from
+    :func:`..sources.windowed.list_log`: ``process_batch(batch_id, units)``
+    gets a flat log's file paths or a bucketed log's ``LogWindow`` objects,
+    and returns a numeric stats dict or a :class:`BatchResult`. Stats are
+    summed per run (returned) and per stream (the manifest's ``cum``, so
+    they survive resume). ``pins`` (see :func:`check_pins`) are committed
+    into every manifest with ``files_per_batch``.
 
-    ``pins`` are replay-identity fields: committed into every manifest and
-    required to match on resume (changing any of them would silently re-cut
-    batch boundaries, remap shards, or change semantics mid-stream).
-    ``process_batch(batch_id, files)`` does the work and returns a flat
-    numeric metrics dict; per-RUN sums are returned, per-STREAM cumulative
-    sums persist in the manifest under ``cum`` (so they survive resume).
-
-    ``tail=True`` (live polling): a concurrent writer's in-flight file —
-    parquet footers are written LAST, so it is unreadable — is dropped from
-    the listing's tail ("not yet arrived"; the next poll retries) instead of
-    crashing the poll. Files arrive in monotone name order, so in-flight
-    files are contiguous at the end of the sorted listing."""
-    files = sorted(
-        os.path.join(log_dir, f) for f in os.listdir(log_dir) if f.endswith(".parquet")
-    )
-    if tail:
-        from ..sources.windowed import ts_stats_or_none
-
-        while files and ts_stats_or_none(files[-1]) is None:
-            files.pop()
-    last = ckpt.last_committed()
-    all_pins = {**pins, "files_per_batch": files_per_batch}
-    for k, mine in all_pins.items():
-        if last is not None and last.get(k) != mine:
-            raise ValueError(
-                f"checkpoint has {k}={last.get(k)!r}, run has {mine!r}: replay "
-                "identity would change — keep it fixed or use a fresh "
-                "checkpoint/sink dir"
-            )
-    # pins are also recorded BEFORE the first commit: a run that crashed
-    # mid-batch-0 left per-shard state/sink files on disk but no manifest,
-    # so the manifest check above cannot fire — a restart with a different
-    # files_per_batch would re-cut batch 0 smaller and shards absent from
-    # the new batch would keep STALE batch-0 state, silently dropping rows
-    # at batch 1. Same-pin restarts overwrite that state deterministically,
-    # so pinning (not wiping) is sufficient.
-    pins_path = os.path.join(ckpt.dir, "pins.json")
-    if last is None:
-        if os.path.exists(pins_path):
-            with open(pins_path) as f:
-                prev = json.load(f)
-            for k, mine in all_pins.items():
-                if prev.get(k) != mine:
-                    raise ValueError(
-                        f"a previous uncommitted run pinned {k}={prev.get(k)!r}, "
-                        f"this run has {mine!r}: its on-disk state would be "
-                        "misread — keep pins fixed or use a fresh "
-                        "checkpoint/sink dir"
-                    )
-        else:
-            os.makedirs(ckpt.dir, exist_ok=True)
+    ``tail=True`` (live polling): the listing stops at a concurrent writer's
+    in-flight file (the next poll retries) and, if the runner passes
+    ``confidence_window_us``, holds back units newer than (frontier −
+    confidence window). ``initial_lookback_us`` (fresh start only) skips
+    the leading units older than (frontier − lookback), as consumed.
+    ``on_listing(units)`` sees the whole listing before the first batch.
+    ``crash_before_commit_at=k`` simulates a hard kill after the k-th
+    batch's writes but BEFORE its commit (the worst case for exactly-once)."""
+    with checkpoint_lock(ckpt):
+        all_pins = {**pins, "files_per_batch": files_per_batch}
+        check_pins(ckpt, all_pins)
+        last = ckpt.last_committed()
+        pins_path = os.path.join(ckpt.dir, "pins.json")
+        if last is None and not os.path.exists(pins_path):
             _atomic_write(pins_path, json.dumps(all_pins, sort_keys=True).encode())
-    consumed = last["consumed_files"] if last else 0
-    # consumption is positional over the SORTED listing, which requires the
-    # CDC-log contract that window file names arrive in monotone order: a
-    # late file sorting BEFORE already-consumed names would silently shift
-    # the positions (one consumed file re-processed, the new one skipped
-    # forever). Verify the boundary file and fail loud instead.
-    if last is not None and consumed > 0 and "last_file" in last:
-        if consumed > len(files) or os.path.basename(files[consumed - 1]) != last["last_file"]:
-            raise ValueError(
-                f"log listing changed under the checkpoint: expected "
-                f"{last['last_file']!r} at consumed position {consumed}, found "
-                f"{os.path.basename(files[consumed - 1]) if consumed <= len(files) else 'missing'!r} "
-                "— window files must be named in monotone arrival order"
-            )
-    next_batch = (last["batch_id"] + 1) if last else 0
-    cum = dict(last.get("cum", {})) if last else {}
-    todo = files[consumed:]
-    batches = [todo[i : i + files_per_batch] for i in range(0, len(todo), files_per_batch)]
-    if max_batches is not None:
-        batches = batches[:max_batches]
+        lookback = initial_lookback_us if last is None else None
+        units = windowed.list_log(log_dir, tail=tail, with_ts=lookback is not None)
+        if on_listing is not None:
+            on_listing(units)
+        consumed = last["consumed_files"] if last else 0
+        # consumption is positional over the SORTED listing, which requires
+        # the CDC-log contract that window file names arrive in monotone
+        # order: a late file sorting BEFORE already-consumed names would
+        # silently shift the positions (one consumed file re-processed, the
+        # new one skipped forever). Verify the boundary file and fail loud.
+        if last is not None and consumed > 0 and "last_file" in last:
+            found = units[consumed - 1].name if consumed <= len(units) else "missing"
+            if found != last["last_file"]:
+                raise ValueError(
+                    f"log listing changed under the checkpoint: expected "
+                    f"{last['last_file']!r} at consumed position {consumed}, found "
+                    f"{found!r} — window files must be named in monotone arrival order"
+                )
+        if lookback is not None:
+            consumed = windowed.lookback_skip(units, lookback)
+        batches = windowed.plan_batches(
+            units,
+            consumed,
+            files_per_batch,
+            confidence_window_us or 0,
+            log_complete=not tail or confidence_window_us is None,
+        )
+        if max_batches is not None:
+            batches = batches[:max_batches]
+        next_batch = (last["batch_id"] + 1) if last else 0
+        cum = dict(last.get("cum", {})) if last else {}
 
-    totals: dict = {"batches": 0, "crashed": False}
-    for i, bfiles in enumerate(batches):
-        batch_id = next_batch + i
-        t0 = time.perf_counter()
-        m = process_batch(batch_id, bfiles)
-        for k, v in m.items():
-            totals[k] = totals.get(k, 0) + v
-        if crash_before_commit_at is not None and i >= crash_before_commit_at:
-            totals["crashed"] = True
-            return totals
-        for k, v in m.items():  # cumulative only past the crash point
-            cum[k] = cum.get(k, 0) + v
-        consumed += len(bfiles)
-        ckpt.commit(
-            batch_id,
-            {
-                "consumed_files": consumed,
-                "last_file": os.path.basename(bfiles[-1]),
-                "cum": cum,
-                **all_pins,
-            },
-        )
-        ckpt.gc_state(keep_batches=2)
-        _atomic_write(
-            os.path.join(ckpt.dir, "metrics", f"batch-{batch_id:06d}.json"),
-            json.dumps(
-                {"batch_id": batch_id, "sec": round(time.perf_counter() - t0, 3), **m},
-                sort_keys=True,
-            ).encode(),
-        )
-        totals["batches"] += 1
-    return totals
+        totals: dict = {"batches": 0, "crashed": False}
+        for i, bunits in enumerate(batches):
+            batch_id = next_batch + i
+            t0 = time.perf_counter()
+            r = process_batch(
+                batch_id,
+                [u.path if isinstance(u, windowed.LogFile) else u for u in bunits],
+            )
+            if not isinstance(r, BatchResult):
+                r = BatchResult(r)
+            for k, v in r.stats.items():
+                totals[k] = totals.get(k, 0) + v
+            if crash_before_commit_at is not None and i >= crash_before_commit_at:
+                totals["crashed"] = True
+                return totals
+            for k, v in r.stats.items():  # cumulative only past the crash point
+                cum[k] = cum.get(k, 0) + v
+            consumed += len(bunits)
+            offsets = {"consumed_files": consumed, "last_file": bunits[-1].name, "cum": cum}
+            ckpt.commit(batch_id, {**offsets, **all_pins, **r.manifest})
+            ckpt.gc_state(keep_batches=2)
+            sec = round(time.perf_counter() - t0, 3)
+            _atomic_write(
+                os.path.join(ckpt.dir, "metrics", f"batch-{batch_id:06d}.json"),
+                json.dumps(
+                    {"batch_id": batch_id, "sec": sec, **r.stats, **r.metrics}, sort_keys=True
+                ).encode(),
+            )
+            totals["batches"] += 1
+        return totals
 
 
 def follow_microbatches(
     ckpt: Checkpoint,
     log_dir: str,
     *,
-    pins: dict,
-    process_batch: Callable[[int, list[str]], dict],
-    files_per_batch: int,
     poll_interval_s: float = 1.0,
     idle_polls: int = 3,
+    **loop_kw,
 ) -> dict:
-    """Live tail for the lean runners: keep draining ``log_dir`` until
-    ``idle_polls`` consecutive polls find nothing new. Each drain is a
-    normal :func:`run_microbatches` pass, so every batch commits through
-    the same manifest/pins/replay contract — killing the tail and resuming
-    (in either mode) never duplicates or drops a batch. A trailing
-    incomplete file group is consumed rather than held back (tail = lowest
-    latency); a replayed-after-crash batch may therefore contain MORE files
-    than the crashed attempt saw, which is safe: the crashed attempt never
-    committed and its state/sink files are overwritten by batch id."""
+    """Live tail: keep draining ``log_dir`` until ``idle_polls`` consecutive
+    polls find nothing new. Each drain is a normal :func:`run_microbatches`
+    pass (``tail=True``, ``loop_kw`` passed through), so killing the tail
+    and resuming (in either mode) never duplicates or drops a batch. A
+    trailing incomplete file group is consumed rather than held back (tail
+    = lowest latency); a replay may then see MORE files than its crashed
+    attempt, which is safe: its shards are a superset and overwrite by id."""
     totals: dict = {"batches": 0, "crashed": False, "polls": 0}
     idle = 0
     while idle < idle_polls:
-        r = run_microbatches(
-            ckpt,
-            log_dir,
-            pins=pins,
-            process_batch=process_batch,
-            files_per_batch=files_per_batch,
-            tail=True,
-        )
+        r = run_microbatches(ckpt, log_dir, tail=True, **loop_kw)
         for k, v in r.items():
             if k != "crashed":
                 totals[k] = totals.get(k, 0) + v
@@ -206,13 +241,12 @@ def read_committed_state(ckpt: Checkpoint, kind: str) -> list[pa.Table]:
     """Latest COMMITTED state snapshot per shard for ``kind`` — ONE
     definition of the manifest-gated state-read rule (a crashed attempt's
     uncommitted state files are invisible: latest_state_path filters to
-    batch_id <= last committed)."""
+    batch_id <= last committed). A checkpoint with no commit has no state:
+    ``[]``, the same rule the output readers follow."""
     last = ckpt.last_committed()
-    if last is None:
-        raise ValueError("no committed batches")
     tables = []
     root = os.path.join(ckpt.dir, kind)
-    if os.path.isdir(root):
+    if last is not None and os.path.isdir(root):
         for d in sorted(os.listdir(root)):
             if not d.startswith("shard="):
                 continue
@@ -224,37 +258,51 @@ def read_committed_state(ckpt: Checkpoint, kind: str) -> list[pa.Table]:
     return tables
 
 
-def read_committed_output(ckpt: Checkpoint, sink_dir: str) -> pa.Table:
-    """Concat the sink files of COMMITTED batches only (a crashed attempt's
-    files for an uncommitted batch are invisible until its replay commits)."""
+def committed_sink_files(ckpt: Checkpoint, sink_dir: str) -> list[str]:
+    """The ``sink_dir/batch-B/*.parquet`` files of COMMITTED batches, in
+    batch then name order. A crashed attempt's files for an uncommitted
+    batch are invisible until its replay commits; a checkpoint with no
+    commit has none, so every output reader returns an empty result (never
+    raises) before the first commit."""
     last = ckpt.last_committed()
-    if last is None:
-        raise ValueError("no committed batches")
-    parts = []
-    for b in range(last["batch_id"] + 1):
+    paths = []
+    for b in range(last["batch_id"] + 1 if last else 0):
         d = os.path.join(sink_dir, f"batch-{b:06d}")
-        if not os.path.isdir(d):
-            continue
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet"):
-                parts.append(pq.read_table(os.path.join(d, f)))
+        if os.path.isdir(d):
+            paths += [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+    return paths
+
+
+def read_committed_output(
+    ckpt: Checkpoint,
+    sink_dir: str,
+    conform: Callable[[list[pa.Table]], list[pa.Table]] | None = None,
+) -> pa.Table:
+    """Concat the sink files of committed batches (see
+    :func:`committed_sink_files`); ``conform`` unifies their schemas first."""
+    parts = [pq.read_table(p) for p in committed_sink_files(ckpt, sink_dir)]
+    if conform is not None:
+        parts = conform(parts)
     return pa.concat_tables(parts) if parts else pa.table({})
 
 
-def read_committed_output_ds(ckpt: Checkpoint, sink_dir: str):
+def read_committed_output_ds(
+    ckpt: Checkpoint,
+    sink_dir: str,
+    conform: Callable[[list[pa.Schema]], Callable | None] | None = None,
+):
+    """Dataset twin of :func:`read_committed_output`: streams the committed
+    sink files instead of concatenating on the driver. ``conform(schemas)``
+    gets the files' footer schemas and may return a per-block
+    ``map_batches`` function that unifies them."""
     import ray.data
 
-    last = ckpt.last_committed()
-    if last is None:
-        raise ValueError("no committed batches")
-    dirs = [
-        os.path.join(sink_dir, f"batch-{b:06d}")
-        for b in range(last["batch_id"] + 1)
-        if os.path.isdir(os.path.join(sink_dir, f"batch-{b:06d}"))
-    ]
-    if not dirs:  # committed all-empty log: mirror read_committed_output
+    paths = committed_sink_files(ckpt, sink_dir)
+    if not paths:
         return ray.data.from_arrow(pa.table({}))
-    return ray.data.read_parquet(dirs)
+    ds = ray.data.read_parquet(paths)
+    fn = conform([pq.read_schema(p) for p in paths]) if conform is not None else None
+    return ds.map_batches(fn, batch_format="pyarrow") if fn is not None else ds
 
 
 def take_all_releasing_actors(ds) -> list[dict]:

@@ -207,17 +207,10 @@ class CepStreamRunner(KeyedStateRunner):
         CLI prints — must be the GLOBAL count at the current stream position,
         i.e. counted state plus completed matches pending in final tails
         (= ``read_counts`` total). Literal mode's carry never holds a full
-        occurrence, so there this is a no-op.
-
-        A run that crashed before its FIRST commit has no committed state
-        at all — leave the per-batch ``matches`` untouched rather than let
-        ``read_counts`` raise ``no committed batches``."""
+        occurrence, so there this is a no-op. Before the first commit
+        nothing is counted yet: 0."""
         if "matches" in res:
-            try:
-                s = pc.sum(self.read_counts()["n_matches"]).as_py()
-            except ValueError:  # fresh checkpoint, nothing committed yet
-                return res
-            res["matches"] = int(s or 0)
+            res["matches"] = int(pc.sum(self.read_counts()["n_matches"]).as_py() or 0)
         return res
 
     def plan(self, batch_id: int, bfiles: list[str]):

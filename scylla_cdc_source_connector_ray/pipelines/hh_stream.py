@@ -145,10 +145,7 @@ class HeavyHittersStreamRunner(KeyedStateRunner):
     def read_topk(self, k: int) -> pa.Table:
         """(token, cnt_upper, err, cnt_lower) for the top ``k`` tracked
         tokens of the latest COMMITTED summary."""
-        try:
-            tables = self.read_state()
-        except ValueError:  # nothing committed yet (e.g. empty log dir)
-            tables = []
+        tables = self.read_state()  # [] before the first commit
         ss = _summary_from_table(tables[0], self.m) if tables else SpaceSaving(self.m)
         rows = ss.topk(k)
         return pa.table(

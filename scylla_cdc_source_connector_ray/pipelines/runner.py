@@ -1,17 +1,17 @@
-"""Micro-batch capture runner: the streaming control plane.
+"""Micro-batch CDC capture runner.
 
 ≙ the reference's task lifecycle (``ScyllaConnectorTask.java`` §3.2 of
 SURVEY.md): restore offsets → loop windows → consume → advance offsets, with
-our upgrades — exactly-once idempotent sink and event-time watermarks.
-
-Each micro-batch is one Ray Data pipeline::
+our upgrades — exactly-once idempotent sink and event-time watermarks. The
+lifecycle itself is the shared loop (:func:`._microbatch.run_microbatches`:
+lock, listing, pin checks, manifest commit, metrics); this module is the
+capture data plane it drives, one Ray Data pipeline per micro-batch::
 
     read_parquet(batch files) → map_batches(with_shard)
-    → groupby("shard").map_groups(_ShardTask)       # the one keyed shuffle
-    → tiny per-shard metrics rows → driver commit
+    → groupby("shard").map_groups(_shard_task)      # the one keyed shuffle
+    → tiny per-shard metrics rows → commit by the loop
 
-``_ShardTask`` (a Ray task per shard, scheduled by the streaming executor)
-does, fully vectorized:
+``_shard_task`` (a Ray task per shard) does, fully vectorized:
 
 1. read the shard's checkpointed state (last CDC-log row per key) and inject
    it as *seed rows* (``seq = -1``) — the cross-batch analogue of the
@@ -24,9 +24,9 @@ does, fully vectorized:
    (temp + rename) — replays overwrite byte-identically ⇒ exactly-once;
 4. write the shard's new state file, return a one-row metrics table.
 
-The driver then atomically commits the manifest (offsets + per-shard
-watermarks). Crash anywhere before the commit ⇒ next run replays the batch
-onto the same file names. Empty batches still commit (heartbeat semantics,
+The loop then commits the manifest (offsets + per-shard watermarks). Crash
+anywhere before the commit ⇒ the next run replays the batch onto the same
+file names. Empty batches still commit (heartbeat semantics,
 ``ScyllaConnectorConfig.java:350-363``).
 
 Scale notes: state I/O is per-shard and proportional to live keys per shard —
@@ -38,8 +38,10 @@ the accumulated state.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -48,27 +50,28 @@ import ray.data
 
 from ..config import EngineConfig
 from ..schema import SEQ_COL, with_shard
-from ..sources.windowed import discover, discover_bucketed, is_bucketed, plan_batches
+from ..sources import windowed
 from ..stages.envelope import build_envelope
 from ..stages.op_derive import derive_ops
-from ..state.checkpoint import Checkpoint
+from ..state.checkpoint import Checkpoint, current_hash_impl, write_table_atomic
+from ._microbatch import (
+    BatchResult,
+    follow_microbatches,
+    read_committed_output,
+    read_committed_output_ds,
+    read_committed_state,
+    recorded_pins,
+    run_microbatches,
+)
 
 _STATE_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts", SEQ_COL, "shard"]
 
 
-def _shard_task_from_files(
-    item_batch,
-    *,
-    batch_id: int,
-    cfg: EngineConfig,
-    ckpt_dir: str,
-    out_dir: str,
-    prev_watermarks: dict[str, int],
-    extras: tuple[tuple[str, str], ...] = (),
-) -> pa.Table:
+def _shard_task_from_files(item_batch, **task_kw) -> pa.Table:
     """Bucketed fast path: one work item = one shard's files for this batch.
     The task reads only its own shard's Parquet (column-pruned, no shuffle) —
-    the direct analogue of a reference task SELECTing only its streams."""
+    the direct analogue of a reference task SELECTing only its streams.
+    ``task_kw`` are :func:`_shard_task`'s keyword arguments."""
     from ..state.retry import RetryPolicy
 
     retry = RetryPolicy()
@@ -81,17 +84,7 @@ def _shard_task_from_files(
             group = group.append_column(
                 "shard", pa.array([int(shard_id)] * group.num_rows, pa.int32())
             )
-        outs.append(
-            _shard_task(
-                group,
-                batch_id=batch_id,
-                cfg=cfg,
-                ckpt_dir=ckpt_dir,
-                out_dir=out_dir,
-                prev_watermarks=prev_watermarks,
-                extras=extras,
-            )
-        )
+        outs.append(_shard_task(group, **task_kw))
     return pa.concat_tables(outs)
 
 
@@ -136,8 +129,6 @@ def _append_aligned_features(
     via vectorized searchsorted. Env rows whose seq is absent from
     ``enriched`` (hot rows routed to the salted merge stage) get typed NULLs.
     """
-    import numpy as np
-
     ex_seq = enriched[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
     n_ex, n_env = ex_seq.size, len(env_seq)
     if n_ex == 0:
@@ -189,8 +180,6 @@ def _shard_task(
     wm_prev = prev_watermarks.get(str(shard))
     n_late = 0
     if wm_prev is not None:
-        import pyarrow.compute as pc
-
         n_late = pc.sum(
             pc.less(ts_us, wm_prev - cfg.allowed_lateness_us).cast(pa.int8())
         ).as_py() or 0
@@ -240,7 +229,6 @@ def _shard_task(
             # state written before an evolution lacks the new columns → NULLs
             seed = _with_extras(pq.read_table(seed_path), extras).select(state_cols)
             log = pa.concat_tables([seed, log])
-        import numpy as np
 
         arrival = (log[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False) >= 0).astype(
             "int8"
@@ -269,7 +257,6 @@ def _shard_task(
             flat = flat.append_column(
                 "shard", pa.array([shard] * flat.num_rows, pa.int32())
             )
-            import pyarrow.compute as _pc
 
             if salted_pd and flat.num_rows:
                 # markers were broadcast to every shard (a hot conversation's
@@ -278,15 +265,15 @@ def _shard_task(
                 # by the conversation's BASE shard — exactly-once like unsalted
                 from ..schema import shard_of
 
-                is_marker = _pc.equal(flat["op"], "pd")
-                if _pc.any(is_marker).as_py():
-                    home = _pc.equal(
+                is_marker = pc.equal(flat["op"], "pd")
+                if pc.any(is_marker).as_py():
+                    home = pc.equal(
                         shard_of(flat["conv_id"], cfg.num_shards),
                         pa.scalar(shard, pa.int32()),
                     )
-                    flat = flat.filter(_pc.or_(_pc.invert(is_marker), home))
+                    flat = flat.filter(pc.or_(pc.invert(is_marker), home))
 
-            derived = flat.filter(_pc.not_equal(flat["op"], "pd")).sort_by(
+            derived = flat.filter(pc.not_equal(flat["op"], "pd")).sort_by(
                 [("conv_id", "ascending"), ("turn_idx", "ascending"), ("_foldpos", "ascending")]
             )
             events_src = flat.drop_columns(["_foldpos"])
@@ -299,9 +286,6 @@ def _shard_task(
     # derived is key-contiguous in fold order ⇒ last row per key is where the
     # next row's key differs (vectorized mask). (Image mode keeps its
     # residual as imgstate instead — preimages travel in the log.)
-    import numpy as np
-    import pyarrow.compute as pc
-
     if cfg.image_mode:
         events_src = derived
     n = derived.num_rows if not cfg.image_mode else 0
@@ -393,8 +377,6 @@ def _shard_task(
     if cfg.enrich_conv_state:
         from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
 
-        import numpy as np
-
         genrich = group
         if salted_cstate and hot_convs:
             # hierarchical salted conv-state (north_star skew clause × the
@@ -410,8 +392,6 @@ def _shard_task(
             conv_np = group["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
             hot_np = np.isin(conv_np, list(hot_convs))
             if hot_np.any():
-                from ..state.checkpoint import write_table_atomic
-
                 hot_rows = group.filter(pa.array(hot_np))
                 part = pa.table(
                     {
@@ -450,7 +430,6 @@ def _shard_task(
         # under salting) get typed NULLs for the fixup stage to fill
         env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
         env = _append_aligned_features(env, enriched, env_seq)
-    from ..state.checkpoint import write_table_atomic
 
     write_table_atomic(env, os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={shard}.parquet"))
 
@@ -483,8 +462,6 @@ def _shard_task(
 def _conform_envelope_to(p: pa.Table, target: pa.StructType) -> pa.Table:
     """Widen one envelope table's before/after structs to ``target`` (NULL
     child arrays for evolved fields the table predates)."""
-    import pyarrow.compute as pc
-
     for img in ("before", "after"):
         s = p[img].combine_chunks()
         if s.type == target:
@@ -501,21 +478,35 @@ def _conform_envelope_to(p: pa.Table, target: pa.StructType) -> pa.Table:
     return p
 
 
-def _conform_envelopes(parts: list[pa.Table]) -> list[pa.Table]:
+def _envelope_widener(schemas: list[pa.Schema]):
     """Unify envelope tables written before/after a schema evolution: the
     widest before/after row struct wins; older parts get NULL child arrays for
     the evolved fields (the reference re-reads old records under the new
-    schema the same way, ScyllaSchema.java:467-472)."""
-    target = None
-    for p in parts:
-        if "before" not in p.column_names:
-            return parts
-        t = p.schema.field("before").type
-        if target is None or t.num_fields > target.num_fields:
-            target = t
-    if all(p.schema.field("before").type == target for p in parts):
-        return parts
-    return [_conform_envelope_to(p, target) for p in parts]
+    schema the same way, ScyllaSchema.java:467-472). Returns the per-table
+    widening function, or None when the schemas already agree."""
+    if not schemas or any("before" not in s.names for s in schemas):
+        return None
+    types = [s.field("before").type for s in schemas]
+    target = max(types, key=lambda t: t.num_fields)
+    if all(t == target for t in types):
+        return None
+    return lambda p: _conform_envelope_to(p, target)
+
+
+def _conform_envelopes(parts: list[pa.Table]) -> list[pa.Table]:
+    widen = _envelope_widener([p.schema for p in parts])
+    return [widen(p) for p in parts] if widen else parts
+
+
+def _read_tree(root: str, empty: pa.Table) -> pa.Table:
+    """Concat every parquet file under ``root`` (a side output), or ``empty``."""
+    parts = [
+        pq.read_table(os.path.join(d, f))
+        for d, _sub, names in os.walk(root)
+        for f in sorted(names)
+        if f.endswith(".parquet")
+    ]
+    return pa.concat_tables(parts) if parts else empty
 
 
 def _pane_cols(cfg) -> list[str]:
@@ -540,9 +531,6 @@ def _window_panes(
     drop + error log, ``ScyllaChangesConsumer.java:147-174``; ours routes
     them to a ``late/`` side output instead of losing them).
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     W = cfg.window_size_us
     ts_us = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     win = ts_us - (ts_us % W)
@@ -618,8 +606,6 @@ def _fold_pane_state(
     )
     remaining = partial.filter(pa.array(~final_mask))
     if finalized.num_rows:
-        from ..state.checkpoint import write_table_atomic
-
         finalized = finalized.append_column(
             "shard", pa.array([shard] * finalized.num_rows, pa.int32())
         )
@@ -631,7 +617,13 @@ def _fold_pane_state(
 
 
 class CaptureRunner:
-    """Checkpointed micro-batch CDC capture over an append-only log dir."""
+    """Checkpointed micro-batch CDC capture over an append-only log dir.
+
+    One runner of the shared loop (:func:`._microbatch.run_microbatches`):
+    it declares its pins, resolves the hot set and processes one batch
+    (:meth:`_batch`); the loop owns the lock, the listing, the pin checks,
+    the commit and the metrics file. Watermarks and the evolved-column set
+    ride the manifest as runner state."""
 
     def __init__(
         self,
@@ -644,7 +636,22 @@ class CaptureRunner:
         self.cfg = cfg
         self.out_dir = out_dir or cfg.sink_dir
         self.ckpt = Checkpoint(ckpt_dir or cfg.checkpoint_dir)
-        self.metrics: list[dict] = []
+        self._hot: frozenset[str] = frozenset()
+        self._frontier_us: int | None = None
+        self._last_batch_t0: float | None = None
+
+    def pins(self) -> dict:
+        """Replay identity, checked on resume. A different shard count,
+        shard-hash backend (stable per polars version) or hot set would
+        place keys on other shards and orphan their state — ≙ the
+        reference's generation change: bump ``cfg.epoch`` and use a fresh
+        sink/checkpoint dir."""
+        return {
+            "epoch": self.cfg.epoch,
+            "num_shards": self.cfg.num_shards,
+            "hash_impl": current_hash_impl(),
+            "hot_convs": sorted(self._hot),
+        }
 
     def run(
         self,
@@ -661,55 +668,55 @@ class CaptureRunner:
         processed batch's data+state writes but BEFORE its manifest commit
         (the worst-case crash point for exactly-once).
 
+        ``log_complete=False`` (live tail): stop at a concurrent writer's
+        in-flight file and hold back the confidence window.
+
         ``auto_detect_hot``: on a FRESH start over an unpartitioned log,
         pre-scan the first batch's ``conv_id`` column (single-column read)
         and salt conversations exceeding ``cfg.hot_key_threshold`` rows.
 
         ``hot_convs``: conversations to salt across sub-shards (north_star
-        skew clause). Recorded in the manifest at the first commit and FIXED
-        for the epoch (keyed state lives per shard — reassigning a key's
-        shard mid-epoch would orphan its state; changing the hot set is a
-        generation change, like ``num_shards``). Only meaningful for the
+        skew clause). A pin (see :meth:`pins`): FIXED for the epoch, and
+        adopted from the checkpoint when not given. Only meaningful for the
         unpartitioned (shuffle) log layout — a pre-bucketed log fixed its
         placement at write time.
         """
-        import fcntl
+        self._prepare(hot_convs, auto_detect_hot, files_per_batch)
+        totals = run_microbatches(
+            self.ckpt,
+            self.log_dir,
+            files_per_batch=files_per_batch,
+            max_batches=max_batches,
+            crash_before_commit_at=crash_before_commit_at,
+            tail=not log_complete,
+            **self._loop_kw(),
+        )
+        return self._totals(totals)
 
-        # single-writer guard: two runners on one checkpoint would interleave
-        # state files nondeterministically (≙ Kafka Connect's single task
-        # ownership per partition). Advisory flock held for the run.
-        os.makedirs(self.ckpt.dir, exist_ok=True)  # dir may vanish between
-        # Checkpoint construction and run() (tests, operator cleanup)
-        self._lock_f = open(os.path.join(self.ckpt.dir, "runner.lock"), "w")
-        try:
-            fcntl.flock(self._lock_f, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._lock_f.close()
-            raise RuntimeError(
-                f"another runner holds the checkpoint lock at {self.ckpt.dir}"
-            ) from None
-        try:
-            return self._run_locked(
-                max_batches,
-                files_per_batch,
-                crash_before_commit_at,
-                log_complete,
-                hot_convs,
-                auto_detect_hot,
-            )
-        finally:
-            self._release_lock()
-
-    def _run_locked(
+    def follow(
         self,
-        max_batches,
-        files_per_batch,
-        crash_before_commit_at,
-        log_complete,
-        hot_convs,
-        auto_detect_hot,
+        poll_interval_s: float = 0.5,
+        idle_polls: int = 10,
+        files_per_batch: int = 1,
     ) -> dict:
-        # 2/7) config combinations the data plane cannot compute correctly
+        """Live tailing (≙ the reference's continuous worker loop with
+        ``poll.interval.ms``): repeatedly consume new log files, holding
+        back the confidence window, until ``idle_polls`` consecutive polls
+        find nothing new. Resumable like any run."""
+        self._prepare(None, False, files_per_batch)
+        totals = follow_microbatches(
+            self.ckpt,
+            self.log_dir,
+            poll_interval_s=poll_interval_s,
+            idle_polls=idle_polls,
+            files_per_batch=files_per_batch,
+            **self._loop_kw(),
+        )
+        return self._totals(totals)
+
+    def _prepare(self, hot_convs, auto_detect_hot: bool, files_per_batch: int) -> None:
+        """Config checks and hot-set resolution, before the loop."""
+        # config combinations the data plane cannot compute correctly
         if self.cfg.image_mode and self.cfg.enrich_conv_state:
             raise ValueError(
                 "image_mode treats each PRE/delta/POST row as a physical row; "
@@ -725,350 +732,171 @@ class CaptureRunner:
                 "partition_deletes synthesizes expansion deletes that share the "
                 "marker's seq; conv-state enrichment aligns by seq — disable one"
             )
-
-        from ..state.checkpoint import current_hash_impl
-
-        hash_impl = current_hash_impl()
-        last = self.ckpt.last_committed()
-        if last is not None and last.get("hash_impl", hash_impl) != hash_impl:
-            # the stable shard hash is stable per polars version; a different
-            # version could remap keys to other shards and orphan their state
-            raise ValueError(
-                f"checkpoint used shard hash {last.get('hash_impl')} but this "
-                f"session has {hash_impl}; bump cfg.epoch and re-shard"
-            )
-        self._hash_impl = hash_impl
-        if last is not None and (
-            last.get("num_shards") != self.cfg.num_shards
-            or last.get("epoch") != self.cfg.epoch
-        ):
-            # ≙ the reference's generation change: a different stream/topology
-            # layout must start a new epoch, never silently mix shard layouts
-            # (stale shard=K state/output files would survive a re-shard)
-            raise ValueError(
-                f"checkpoint was written with num_shards={last.get('num_shards')} "
-                f"epoch={last.get('epoch')} but config has num_shards="
-                f"{self.cfg.num_shards} epoch={self.cfg.epoch}; bump cfg.epoch "
-                "and use a fresh sink/checkpoint dir to re-shard"
-            )
-        consumed = last["consumed_files"] if last else 0
-        next_batch = (last["batch_id"] + 1) if last else 0
-        # sticky evolved-column set survives resume via the manifest (a replay
-        # must re-derive byte-identical schemas)
-        self._extras: dict[str, str] = dict(last.get("value_cols_extra", {})) if last else {}
-        watermarks: dict[str, int] = dict(last["watermarks"]) if last else {}
-        if last is not None:
-            committed_hot = last.get("hot_convs", [])
-            if hot_convs is not None and sorted(hot_convs) != committed_hot:
-                raise ValueError(
-                    "hot_convs differs from the checkpointed set; changing the "
-                    "hot set is an epoch bump (fresh checkpoint dir)"
-                )
-            hot_convs = committed_hot
-        elif hot_convs is None and auto_detect_hot and not is_bucketed(self.log_dir):
+        recorded = recorded_pins(self.ckpt)
+        if hot_convs is None and recorded is not None:
+            hot_convs = recorded.get("hot_convs", [])
+        elif hot_convs is None and auto_detect_hot and not windowed.is_bucketed(self.log_dir):
             # fresh start: cheap pre-scan of the FIRST batch's conv_id column
             # (footer-pruned read, one column) to pick the hot set BEFORE any
             # state is placed — detection after batch 0 would orphan keys
             hot_convs = self._detect_hot_first_batch(files_per_batch)
         self._hot = frozenset(hot_convs or [])
-        # Every conversation-level stateful stage now COMPOSES with salting:
-        # session windows and conv-keyed panes via the hierarchical
-        # partial→merge paths (session_partials / window_partials + the
-        # per-base-shard merge stages); partition deletes via marker
-        # broadcast + base-shard-only 'pd' emission; conv-state enrichment
-        # via the slim-row merge + in-place envelope fixup
-        # (_merge_cstate_partials / _fixup_cstate_env).
 
-        def _lookback_skip(maxes: list[int | None]) -> int:
-            """Cold-start lookback (≙ scylla.initial.lookback.ms,
-            ScyllaConnectorTask.java:153-213): count of LEADING files/windows
-            whose footer max-ts predates (log frontier − lookback). Only the
-            prefix is skipped — positional offsets can't hole-punch, and the
-            windowed log is time-ordered by construction."""
-            known = [x for x in maxes if x is not None]
-            if not known:
-                return 0
-            cutoff = max(known) - self.cfg.initial_lookback_us
-            skip = 0
-            for mx in maxes:
-                if mx is not None and mx < cutoff:
-                    skip += 1
-                else:
-                    break
-            return skip
+    def _loop_kw(self) -> dict:
+        return {
+            "pins": self.pins(),
+            "process_batch": self._batch,
+            "confidence_window_us": self.cfg.confidence_window_us,
+            "initial_lookback_us": self.cfg.initial_lookback_us,
+            "on_listing": self._on_listing,
+        }
 
-        fresh_lookback = last is None and self.cfg.initial_lookback_us is not None
-        bucketed = is_bucketed(self.log_dir)
-        frontier_us = None
-        if bucketed:
-            windows = discover_bucketed(self.log_dir)
+    def _on_listing(self, units: list) -> None:
+        # newest event in the log, for the catch-up lag metric
+        known = [u.max_ts_us for u in units if u.max_ts_us is not None]
+        self._frontier_us = max(known) if known else None
 
-            # tail mode must survive a concurrent writer's in-flight shard
-            # file (footer written last): treat it as "window not yet
-            # arrived" (max_ts None stalls eligibility from that window on)
-            # rather than crashing the poll. Complete logs keep raising.
-            def _wmax(by_shard: dict) -> int | None:
-                from ..sources.windowed import _ts_stats, ts_stats_or_none
+    @staticmethod
+    def _totals(loop: dict) -> dict:
+        """Run totals: batches, events, late; late_dropped once a batch
+        ran; polls for a tail; crashed for a simulated crash."""
+        out = {k: loop.get(k, 0) for k in ("batches", "events", "late")}
+        out.update({k: loop[k] for k in ("late_dropped", "polls") if k in loop})
+        if loop["crashed"]:
+            out["crashed"] = True
+        return out
 
-                stats = _ts_stats if log_complete else ts_stats_or_none
-                mx = None
-                for p in by_shard.values():
-                    lf = stats(p)
-                    if lf is None:
-                        return None
-                    if lf.max_ts_us is not None:
-                        mx = lf.max_ts_us if mx is None else max(mx, lf.max_ts_us)
-                return mx
+    def _throttle(self) -> None:
+        """Reader throttle (≙ scylla.minimal.wait.for.window.size.ms): pace
+        consecutive batches to at least the configured interval. The
+        timestamp lives on the runner so pacing spans run() calls —
+        follow() consumes one batch per poll, the exact continuous-reader
+        scenario the throttle targets."""
+        if self.cfg.min_batch_interval_s <= 0:
+            return
+        if self._last_batch_t0 is not None:
+            elapsed = time.perf_counter() - self._last_batch_t0
+            if elapsed < self.cfg.min_batch_interval_s:
+                time.sleep(self.cfg.min_batch_interval_s - elapsed)
+        self._last_batch_t0 = time.perf_counter()
 
-            if fresh_lookback and windows:
-                consumed = max(
-                    consumed,
-                    _lookback_skip([_wmax(by_shard) for _name, by_shard in windows]),
-                )
-            if not log_complete and windows:
-                # confidence-window holdback at window granularity: a window's
-                # max ts = max over its per-shard files' footer stats (cached)
-                wmax = [_wmax(by_shard) for _name, by_shard in windows]
-                known = [x for x in wmax if x is not None]
-                frontier = max(known) if known else None
-                eligible = consumed
-                for i in range(consumed, len(windows)):
-                    mx = wmax[i]
-                    if (
-                        frontier is not None
-                        and mx is not None
-                        and mx <= frontier - self.cfg.confidence_window_us
-                    ):
-                        eligible = i + 1
-                    else:
-                        break
-                tail = windows[consumed:eligible]
-            else:
-                tail = windows[consumed:]
-            batches = [
-                tail[i : i + files_per_batch] for i in range(0, len(tail), files_per_batch)
-            ]
-        else:
-            files = discover(self.log_dir, tail=not log_complete)
-            stats = [f.max_ts_us for f in files if f.max_ts_us is not None]
-            frontier_us = max(stats) if stats else None
-            if fresh_lookback and files:
-                consumed = max(consumed, _lookback_skip([f.max_ts_us for f in files]))
-            batches = plan_batches(
-                files,
-                consumed,
-                files_per_batch,
-                self.cfg.confidence_window_us,
-                log_complete,
-            )
-        if max_batches is not None:
-            batches = batches[:max_batches]
-
-        totals = {"batches": 0, "events": 0, "late": 0}
-        return self._run_batches(
-            batches, next_batch, consumed, watermarks, frontier_us, totals,
-            crash_before_commit_at, bucketed,
-        )
-
-    def _run_batches(
-        self, batches, next_batch, consumed, watermarks, frontier_us, totals,
-        crash_before_commit_at, bucketed,
-    ) -> dict:
+    def _evolve(self, extras: dict[str, str], probe: list[str]) -> dict[str, str]:
+        """Schema evolution (ST4): union the batch's file footers into the
+        sticky evolved-column set — once a column appears it stays (its
+        values live in checkpointed state), and every shard of a batch sees
+        the SAME schema, like the reference's per-generation schema
+        recompute (ScyllaSchema.java:467-472)."""
         from ..schema import detect_evolved_cols
 
-        for i, bwork in enumerate(batches):
-            batch_id = next_batch + i
-            if self.cfg.min_batch_interval_s > 0:
-                # reader throttle (≙ scylla.minimal.wait.for.window.size.ms):
-                # pace consecutive windows to at least the configured
-                # interval. The timestamp lives on self so pacing spans
-                # run() calls — follow() consumes one batch per poll, the
-                # exact continuous-reader scenario the throttle targets.
-                prev = getattr(self, "_last_batch_t0", None)
-                if prev is not None:
-                    elapsed = time.perf_counter() - prev
-                    if elapsed < self.cfg.min_batch_interval_s:
-                        time.sleep(self.cfg.min_batch_interval_s - elapsed)
-                self._last_batch_t0 = time.perf_counter()
-            t0 = time.perf_counter()
-            # schema evolution (ST4): union the batch's file footers into the
-            # sticky evolved-column set — once a column appears it stays (its
-            # values live in checkpointed state), and every shard of a batch
-            # sees the SAME schema, like the reference's per-generation
-            # schema recompute (ScyllaSchema.java:467-472). Bucketed windows
-            # share one schema; probe one footer per window.
-            if bucketed:
-                probe = [next(iter(by_shard.values())) for _name, by_shard in bwork]
-            else:
-                probe = [f.path for f in bwork]
-            allow = self.cfg.evolved_col_allowlist
-            for p in probe:
-                for name, type_str in detect_evolved_cols(pq.read_schema(p)).items():
-                    if allow is not None and name not in allow:
-                        continue  # stray/metadata column: never adopt silently
-                    if name not in self._extras and len(self._extras) >= self.cfg.max_evolved_cols:
-                        raise ValueError(
-                            f"log file {p} would adopt evolved column {name!r} "
-                            f"beyond max_evolved_cols={self.cfg.max_evolved_cols}; "
-                            "adoption is sticky (manifest) — set "
-                            "evolved_col_allowlist to the intended columns or "
-                            "raise max_evolved_cols"
-                        )
-                    self._extras.setdefault(name, type_str)
-            extras = tuple(sorted(self._extras.items()))
-            if bucketed:
-                shard_paths: dict[int, list[str]] = {}
-                for _name, by_shard in bwork:
-                    for k, p in by_shard.items():
-                        shard_paths.setdefault(k, []).append(p)
-                stats = self._process_batch_bucketed(batch_id, shard_paths, watermarks, extras)
-            else:
-                stats = self._process_batch(
-                    batch_id, [f.path for f in bwork], watermarks, extras
-                )
-            for row in stats:
-                if row["max_ts_us"] is not None:
-                    k = str(row["shard"])
-                    watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
-                totals["events"] += row["n_events"]
-                totals["late"] += row["n_late"]
-                totals["late_dropped"] = totals.get("late_dropped", 0) + row.get(
-                    "n_late_dropped", 0
-                )
-            if self._hot and self.cfg.session_gap_us is not None:
-                # hierarchical salted sessions: merge stage runs before the
-                # commit so its state/emissions replay with the batch
-                for row in self._merge_session_partials(batch_id, watermarks):
-                    k = f"sess:{row['base_shard']}"
-                    watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
-            if self._hot and self.cfg.window_agg and "conv_id" in self.cfg.window_agg_keys:
-                # hierarchical salted conv-keyed panes: same replay contract
-                for row in self._merge_window_partials(batch_id, watermarks):
-                    k = f"win:{row['base_shard']}"
-                    watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
-            if self._hot and self.cfg.enrich_conv_state:
-                # hierarchical salted conv-state: slim-row merge per base
-                # shard, then in-place envelope fixup — both before the
-                # commit so a replayed batch regenerates them byte-stable
-                self._merge_cstate_partials(batch_id)
-                self._fixup_cstate_env(batch_id)
-            if crash_before_commit_at is not None and i >= crash_before_commit_at:
-                totals["crashed"] = True
-                return totals
-            consumed += len(bwork)
-            self.ckpt.commit(
-                batch_id,
-                {
-                    "consumed_files": consumed,
-                    "watermarks": watermarks,
-                    "epoch": self.cfg.epoch,
-                    "num_shards": self.cfg.num_shards,
-                    "hot_convs": sorted(self._hot),
-                    "hash_impl": self._hash_impl,
-                    "events": totals["events"],
-                    "value_cols_extra": dict(sorted(self._extras.items())),
-                },
-            )
-            self.ckpt.gc_state(keep_batches=2)
-            if self._hot:
-                # partials are scratch: a replay regenerates them before the
-                # merge re-runs, so they are safe to drop once committed
-                import shutil
-
-                for scratch in ("_session_partials", "_window_partials", "_cstate_partials", "_cstate_features"):
-                    shutil.rmtree(
-                        os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}"),
-                        ignore_errors=True,
+        allow = self.cfg.evolved_col_allowlist
+        for p in probe:
+            for name, type_str in detect_evolved_cols(pq.read_schema(p)).items():
+                if allow is not None and name not in allow:
+                    continue  # stray/metadata column: never adopt silently
+                if name not in extras and len(extras) >= self.cfg.max_evolved_cols:
+                    raise ValueError(
+                        f"log file {p} would adopt evolved column {name!r} "
+                        f"beyond max_evolved_cols={self.cfg.max_evolved_cols}; "
+                        "adoption is sticky (manifest) — set "
+                        "evolved_col_allowlist to the intended columns or "
+                        "raise max_evolved_cols"
                     )
-            totals["batches"] += 1
-            sec = time.perf_counter() - t0
-            m = {
-                "batch_id": batch_id,
-                "events": sum(r["n_events"] for r in stats),
+                extras.setdefault(name, type_str)
+        return extras
+
+    def _batch(self, batch_id: int, units: list) -> BatchResult:
+        """One micro-batch for the loop: the shard stage over the batch's
+        files (flat paths) or windows (bucketed), then the salted merge
+        stages. Watermarks and evolved columns continue from the last
+        committed manifest, so a replayed batch sees exactly the state its
+        crashed attempt saw."""
+        self._throttle()
+        t0 = time.perf_counter()
+        last = self.ckpt.last_committed()
+        watermarks: dict[str, int] = dict(last["watermarks"]) if last else {}
+        bucketed = isinstance(units[0], windowed.LogWindow)
+        # bucketed windows share one schema; probe one footer per window
+        probe = [next(iter(u.paths.values())) for u in units] if bucketed else units
+        extras = self._evolve(dict(last.get("value_cols_extra", {})) if last else {}, probe)
+        ext = tuple(sorted(extras.items()))
+        if bucketed:
+            shard_paths: dict[int, list[str]] = {}
+            for u in units:
+                for k, p in u.paths.items():
+                    shard_paths.setdefault(k, []).append(p)
+            stats = self._process_batch_bucketed(batch_id, shard_paths, watermarks, ext)
+        else:
+            stats = self._process_batch(batch_id, units, watermarks, ext)
+        for row in stats:
+            if row["max_ts_us"] is not None:
+                k = str(row["shard"])
+                watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
+        if self._hot and self.cfg.session_gap_us is not None:
+            # hierarchical salted sessions: the merge stage runs inside the
+            # batch so its state/emissions replay with it
+            for row in self._merge_session_partials(batch_id, watermarks):
+                k = f"sess:{row['base_shard']}"
+                watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
+        if self._hot and self.cfg.window_agg and "conv_id" in self.cfg.window_agg_keys:
+            # hierarchical salted conv-keyed panes: same replay contract
+            for row in self._merge_window_partials(batch_id, watermarks):
+                k = f"win:{row['base_shard']}"
+                watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
+        if self._hot and self.cfg.enrich_conv_state:
+            # hierarchical salted conv-state: slim-row merge per base shard,
+            # then in-place envelope fixup — a replayed batch regenerates
+            # both byte-stable
+            self._merge_cstate_partials(batch_id)
+            self._fixup_cstate_env(batch_id)
+        if self._hot:
+            # the merge stages consumed their scratch; a replay regenerates it
+
+            for scratch in ("_session_partials", "_window_partials", "_cstate_partials", "_cstate_features"):
+                shutil.rmtree(
+                    os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}"),
+                    ignore_errors=True,
+                )
+        events = sum(r["n_events"] for r in stats)
+        sec = time.perf_counter() - t0
+        wm_max = max(watermarks.values()) if watermarks else None
+        return BatchResult(
+            stats={
+                "events": events,
                 "late": sum(r["n_late"] for r in stats),
-                "late_dropped": sum(r.get("n_late_dropped", 0) for r in stats),
-                "stragglers": sum(r.get("n_stragglers", 0) for r in stats),
+                "late_dropped": sum(r["n_late_dropped"] for r in stats),
+                "stragglers": sum(r["n_stragglers"] for r in stats),
+            },
+            manifest={"watermarks": watermarks, "value_cols_extra": dict(sorted(extras.items()))},
+            metrics={
                 "shards_active": len(stats),
-                "sec": round(sec, 3),
-                "events_per_sec": round(sum(r["n_events"] for r in stats) / max(sec, 1e-9), 1),
+                "events_per_sec": round(events / max(sec, 1e-9), 1),
                 "watermark_min_us": min(watermarks.values()) if watermarks else None,
-                "watermark_max_us": max(watermarks.values()) if watermarks else None,
+                "watermark_max_us": wm_max,
                 # worst-shard capture-latency distribution (event time)
                 "capture_lag_p50_us": max(
-                    (r["lag_p50_us"] for r in stats if r.get("lag_p50_us") is not None),
+                    (r["lag_p50_us"] for r in stats if r["lag_p50_us"] is not None),
                     default=None,
                 ),
                 "capture_lag_p95_us": max(
-                    (r["lag_p95_us"] for r in stats if r.get("lag_p95_us") is not None),
+                    (r["lag_p95_us"] for r in stats if r["lag_p95_us"] is not None),
                     default=None,
                 ),
                 # catch-up lag: newest event available in the log vs newest
                 # event consumed (event-time capture latency proxy)
                 "frontier_lag_us": (
-                    frontier_us - max(watermarks.values())
-                    if frontier_us is not None and watermarks
+                    self._frontier_us - wm_max
+                    if self._frontier_us is not None and wm_max is not None
                     else None
                 ),
-            }
-            self.metrics.append(m)
-            # per-batch metrics file (north_rule: lineage + metrics); atomic
-            import json as _json
-
-            from ..state.checkpoint import _atomic_write
-
-            _atomic_write(
-                os.path.join(self.ckpt.dir, "metrics", f"batch-{batch_id:06d}.json"),
-                _json.dumps(m, sort_keys=True).encode(),
-            )
-        return totals
-
-    def _release_lock(self) -> None:
-        import fcntl
-
-        f = getattr(self, "_lock_f", None)
-        if f is not None and not f.closed:
-            fcntl.flock(f, fcntl.LOCK_UN)
-            f.close()
-
-    def follow(
-        self,
-        poll_interval_s: float = 0.5,
-        idle_polls: int = 10,
-        files_per_batch: int = 1,
-        max_wall_s: float | None = None,
-    ) -> dict:
-        """Live tailing (≙ the reference's continuous worker loop with
-        ``poll.interval.ms``): repeatedly discover + consume new log files,
-        holding back the confidence window (``log_complete=False``). Stops
-        after ``idle_polls`` consecutive polls with no new data, or after
-        ``max_wall_s``. Resumable like any run — offsets advance per batch."""
-        totals = {"batches": 0, "events": 0, "late": 0, "polls": 0}
-        idle = 0
-        t0 = time.monotonic()
-        while idle < idle_polls:
-            if max_wall_s is not None and time.monotonic() - t0 > max_wall_s:
-                break
-            tot = self.run(files_per_batch=files_per_batch, log_complete=False)
-            totals["polls"] += 1
-            if tot["batches"] == 0:
-                idle += 1
-                time.sleep(poll_interval_s)
-            else:
-                idle = 0
-                totals["batches"] += tot["batches"]
-                totals["events"] += tot["events"]
-                totals["late"] += tot["late"]
-        return totals
+            },
+        )
 
     def _detect_hot_first_batch(self, files_per_batch: int) -> list[str]:
         from collections import Counter
 
-        files = discover(self.log_dir)[:files_per_batch]
         counts: Counter = Counter()
-        for f in files:
+        for f in windowed.discover(self.log_dir)[:files_per_batch]:
             t = pq.read_table(f.path, columns=["conv_id"])
-            import pyarrow.compute as pc
-
             vc = pc.value_counts(t["conv_id"].combine_chunks())
             for rec in vc.to_pylist():
                 counts[rec["values"]] += rec["counts"]
@@ -1145,9 +973,6 @@ class CaptureRunner:
             salt_chunk = max(1, cfg.hot_key_threshold // cfg.salt_factor)
 
             def assign(b: pa.Table) -> pa.Table:
-                import numpy as np
-                import pyarrow.compute as pc
-
                 if salted_pd and b["turn_idx"].null_count:
                     # conversation tombstones are CONTROL messages: a hot
                     # conversation's turn-buckets span an unknown shard set
@@ -1206,14 +1031,10 @@ class CaptureRunner:
         The exchange moves the slim projection only (~40 B/row vs the full
         text-bearing envelope) — the streaming analogue of
         :func:`..stages.join.conv_state_features`'s pre-shuffle slimming."""
-        pdir = os.path.join(self.out_dir, "_cstate_partials", f"batch-{batch_id:06d}")
-        if not os.path.isdir(pdir) or not os.listdir(pdir):
-            return []
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
 
         def merge_task(g: pa.Table) -> pa.Table:
             from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
-            from ..state.checkpoint import write_table_atomic
 
             b = int(g["base_shard"][0].as_py())
             ckpt = Checkpoint(ckpt_dir)
@@ -1234,8 +1055,7 @@ class CaptureRunner:
             )
             return pa.table({"base_shard": pa.array([b], pa.int32())})
 
-        ds = ray.data.read_parquet(pdir)
-        return ds.groupby("base_shard").map_groups(merge_task, batch_format="pyarrow").take_all()
+        return self._scratch_stage("_cstate_partials", batch_id, "base_shard", merge_task)
 
     def _fixup_cstate_env(self, batch_id: int) -> None:
         """Stage 3 of the hierarchical salted conv-state path: patch each
@@ -1244,16 +1064,9 @@ class CaptureRunner:
         the merge stage's feature table. Only files that contain hot rows are
         rewritten; replay regenerates partials → merge → fixup
         deterministically, so resumed batches stay byte-stable."""
-        fdir = os.path.join(self.out_dir, "_cstate_features", f"batch-{batch_id:06d}")
-        if not os.path.isdir(fdir) or not os.listdir(fdir):
-            return
         out_dir = self.out_dir
 
         def fix_task(g: pa.Table) -> pa.Table:
-            import numpy as np
-
-            from ..state.checkpoint import write_table_atomic
-
             s = int(g["sub_shard"][0].as_py())
             path = os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={s}.parquet")
             env = pq.read_table(path)
@@ -1271,8 +1084,7 @@ class CaptureRunner:
             write_table_atomic(env, path)
             return pa.table({"sub_shard": pa.array([s], pa.int32())})
 
-        ds = ray.data.read_parquet(fdir)
-        ds.groupby("sub_shard").map_groups(fix_task, batch_format="pyarrow").take_all()
+        self._scratch_stage("_cstate_features", batch_id, "sub_shard", fix_task)
 
     def _merge_session_partials(self, batch_id: int, watermarks: dict) -> list[dict]:
         """Stage 2 of the hierarchical salted-session path: gap-merge the
@@ -1281,9 +1093,6 @@ class CaptureRunner:
         rows, not O(rows) — the streaming analogue of
         :func:`..stages.windows.session_salted`'s second stage. Watermarks
         live in the ``sess:<base>`` namespace of the manifest dict."""
-        pdir = os.path.join(self.out_dir, "_session_partials", f"batch-{batch_id:06d}")
-        if not os.path.isdir(pdir) or not os.listdir(pdir):
-            return []
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
         wm = dict(watermarks)
         gap_us = cfg.session_gap_us
@@ -1301,8 +1110,7 @@ class CaptureRunner:
                 {"base_shard": pa.array([b], pa.int32()), "max_ts_us": pa.array([new_wm], pa.int64())}
             )
 
-        ds = ray.data.read_parquet(pdir)
-        return ds.groupby("base_shard").map_groups(merge_task, batch_format="pyarrow").take_all()
+        return self._scratch_stage("_session_partials", batch_id, "base_shard", merge_task)
 
     def _merge_window_partials(self, batch_id: int, watermarks: dict) -> list[dict]:
         """Stage 2 of the hierarchical salted conv-keyed tumbling path:
@@ -1311,15 +1119,10 @@ class CaptureRunner:
         emit fold there. The exchange moves O(panes) rows, not O(rows) — the
         tumbling analogue of :meth:`_merge_session_partials`. Watermarks live
         in the ``win:<base>`` namespace of the manifest dict."""
-        pdir = os.path.join(self.out_dir, "_window_partials", f"batch-{batch_id:06d}")
-        if not os.path.isdir(pdir) or not os.listdir(pdir):
-            return []
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
         wm = dict(watermarks)
 
         def merge_task(g: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             b = int(g["base_shard"][0].as_py())
             new_wm = max(wm.get(f"win:{b}") or 0, pc.max(g["max_ts_us"]).as_py())
             _fold_pane_state(
@@ -1338,8 +1141,17 @@ class CaptureRunner:
                 }
             )
 
-        ds = ray.data.read_parquet(pdir)
-        return ds.groupby("base_shard").map_groups(merge_task, batch_format="pyarrow").take_all()
+        return self._scratch_stage("_window_partials", batch_id, "base_shard", merge_task)
+
+    def _scratch_stage(self, scratch: str, batch_id: int, key: str, task) -> list[dict]:
+        """Run one salted merge/fixup stage: ``task`` per ``key`` group of
+        the batch's ``scratch`` files (the stage's exchange); ``[]`` when the
+        batch wrote none."""
+        d = os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}")
+        if not os.path.isdir(d) or not os.listdir(d):
+            return []
+        ds = ray.data.read_parquet(d)
+        return ds.groupby(key).map_groups(task, batch_format="pyarrow").take_all()
 
     def flush_windows(self) -> None:
         """End-of-log flush: once the (complete) log is fully consumed, emit
@@ -1357,8 +1169,6 @@ class CaptureRunner:
         tree and is swapped in with ``os.rename`` at the end — a crash
         mid-flush leaves the previous ``final/`` intact, never a partial one
         (and readers walking the kind dir never see the temp)."""
-        import shutil
-
         last = self.ckpt.last_committed()
         if last is None:
             return
@@ -1379,7 +1189,6 @@ class CaptureRunner:
         def emit(table: pa.Table, kind_dir: str, shard: int):
             if table.num_rows == 0:
                 return
-            from ..state.checkpoint import write_table_atomic
 
             table = table.append_column("shard", pa.array([shard] * table.num_rows, pa.int32()))
             write_table_atomic(table, os.path.join(tmp_root, kind_dir, f"shard={shard}.parquet"))
@@ -1439,108 +1248,35 @@ class CaptureRunner:
         checkpoint: the per-shard key-state files ARE the materialized view
         of the changelog (live keys only; tombstoned keys drop out). The
         streaming twin of ``pipelines.capture.compaction``."""
-        last = self.ckpt.last_committed()
-        if last is None:
-            return pa.table({})
-        nb = last["batch_id"] + 1
-        sdir = os.path.join(self.ckpt.dir, "state")
-        parts = []
-        if os.path.isdir(sdir):
-            for sd in sorted(os.listdir(sdir)):
-                shard = int(sd.split("=", 1)[1])
-                path = self.ckpt.latest_state_path(shard, nb)
-                if path:
-                    t = pq.read_table(path)
-                    import pyarrow.compute as pc
-
-                    live = t.filter(pc.is_valid(t["text"]))  # drop tombstones
-                    parts.append(live.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"]))
+        parts = [
+            t.filter(pc.is_valid(t["text"]))  # drop tombstones
+            .select(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
+            for t in read_committed_state(self.ckpt, "state")
+        ]
         return pa.concat_tables(parts) if parts else pa.table({})
 
     # --- output inspection (tests / small results only) --------------------
 
     def read_windows(self, kind: str = "windows") -> pa.Table:
         """kind: "windows" (tumbling) | "windows_sliding" | "windows_session"."""
-        parts = []
-        wroot = os.path.join(self.out_dir, kind)
-        for root, _d, fnames in os.walk(wroot):
-            for f in sorted(fnames):
-                if f.endswith(".parquet"):
-                    parts.append(pq.read_table(os.path.join(root, f)))
-        return (
-            pa.concat_tables(parts)
-            if parts
-            else pa.table(
-                {
-                    "window_start_us": pa.nulls(0, pa.int64()),
-                    "n_events": pa.nulls(0, pa.int64()),
-                    "n_chars": pa.nulls(0, pa.int64()),
-                    "shard": pa.nulls(0, pa.int32()),
-                }
-            )
-        )
+        cols = [("window_start_us", pa.int64()), ("n_events", pa.int64()), ("n_chars", pa.int64())]
+        empty = pa.schema([*cols, ("shard", pa.int32())]).empty_table()
+        return _read_tree(os.path.join(self.out_dir, kind), empty)
 
     def read_late(self) -> pa.Table:
-        parts = []
-        lroot = os.path.join(self.out_dir, "late")
-        for root, _d, fnames in os.walk(lroot):
-            for f in sorted(fnames):
-                if f.endswith(".parquet"):
-                    parts.append(pq.read_table(os.path.join(root, f)))
-        return pa.concat_tables(parts) if parts else pa.table({})
+        return _read_tree(os.path.join(self.out_dir, "late"), pa.table({}))
 
     def read_output_ds(self) -> "ray.data.Dataset":
         """Dataset-returning twin of :meth:`read_output` for large outputs:
-        streams the ``batch-*/`` parquet instead of concatenating on the
-        driver. Schema evolution is handled by probing footers once (cheap)
-        and widening each block to the widest envelope struct inside
-        ``map_batches``."""
-        paths = []
-        if os.path.isdir(self.out_dir):
-            for d in sorted(os.listdir(self.out_dir)):
-                if not d.startswith("batch-"):
-                    continue
-                bd = os.path.join(self.out_dir, d)
-                paths.extend(
-                    os.path.join(bd, f) for f in sorted(os.listdir(bd)) if f.endswith(".parquet")
-                )
-        if not paths:
-            return ray.data.from_arrow(pa.table({}))
-        target = None
-        mixed = False
-        for p in paths:
-            sch = pq.read_schema(p)
-            if "before" not in sch.names:
-                target = None
-                break
-            t = sch.field("before").type
-            if target is None:
-                target = t
-            elif t != target:
-                mixed = True
-                if t.num_fields > target.num_fields:
-                    target = t
-        ds = ray.data.read_parquet(paths)
-        if target is None or not mixed:
-            return ds
-        tgt = target
-        return ds.map_batches(
-            lambda b: _conform_envelope_to(b, tgt), batch_format="pyarrow"
-        )
+        streams the committed ``batch-*/`` parquet instead of concatenating
+        on the driver. Schema evolution is handled by probing footers once
+        (cheap) and widening each block to the widest envelope struct
+        inside ``map_batches``."""
+        return read_committed_output_ds(self.ckpt, self.out_dir, _envelope_widener)
 
     def read_output(self) -> pa.Table:
-        """Change-event output only (batch-*/ dirs; windows/ and late/ side
-        outputs have their own readers). Driver-side concat — tests and small
+        """Change-event output of COMMITTED batches only (``batch-*/`` dirs;
+        windows/ and late/ side outputs have their own readers); empty
+        before the first commit. Driver-side concat — tests and small
         results; large outputs should use :meth:`read_output_ds`."""
-        parts = []
-        if os.path.isdir(self.out_dir):
-            for d in sorted(os.listdir(self.out_dir)):
-                if not d.startswith("batch-"):
-                    continue
-                bd = os.path.join(self.out_dir, d)
-                for f in sorted(os.listdir(bd)):
-                    if f.endswith(".parquet"):
-                        parts.append(pq.read_table(os.path.join(bd, f)))
-        if not parts:
-            return pa.table({})
-        return pa.concat_tables(_conform_envelopes(parts))
+        return read_committed_output(self.ckpt, self.out_dir, _conform_envelopes)

@@ -35,6 +35,21 @@ class LogFile:
     max_ts_us: int | None
     num_rows: int
 
+    @property
+    def name(self) -> str:
+        return os.path.basename(self.path)
+
+
+@dataclasses.dataclass(frozen=True)
+class LogWindow:
+    """One window of a bucketed log: its per-shard files, which count as ONE
+    file in offset accounting. ``max_ts_us`` is the max over the shard
+    files' footers, None when they were not read."""
+
+    name: str
+    paths: dict[int, str]
+    max_ts_us: int | None
+
 
 def _ts_stats(path: str, ts_col: str = "ts") -> LogFile:
     md = pq.read_metadata(path)
@@ -51,21 +66,19 @@ def _ts_stats(path: str, ts_col: str = "ts") -> LogFile:
             # writer disabled stats: read just the ts column once rather than
             # permanently stalling the tail holdback on an unknowable file
             return _ts_stats_by_read(path, ts_col, md.num_rows)
-        lo = st.min.value if hasattr(st.min, "value") else st.min
-        hi = st.max.value if hasattr(st.max, "value") else st.max
-        # naive datetimes from parquet stats are UTC; naive .timestamp() would
-        # interpret them in LOCAL time (verified +5h drift under TZ=US/Eastern)
-        if hasattr(lo, "timestamp"):
-            lo = int(lo.replace(tzinfo=timezone.utc).timestamp() * 1e6)
-        else:
-            lo = int(lo)
-        if hasattr(hi, "timestamp"):
-            hi = int(hi.replace(tzinfo=timezone.utc).timestamp() * 1e6)
-        else:
-            hi = int(hi)
+        lo, hi = _stat_us(st.min), _stat_us(st.max)
         mn = lo if mn is None else min(mn, lo)
         mx = hi if mx is None else max(mx, hi)
     return LogFile(path, mn, mx, md.num_rows)
+
+
+def _stat_us(v) -> int:
+    v = v.value if hasattr(v, "value") else v
+    if hasattr(v, "timestamp"):
+        # naive datetimes from parquet stats are UTC; naive .timestamp() would
+        # interpret them in LOCAL time (verified +5h drift under TZ=US/Eastern)
+        return int(v.replace(tzinfo=timezone.utc).timestamp() * 1e6)
+    return int(v)
 
 
 def _ts_stats_by_read(path: str, ts_col: str, num_rows: int) -> LogFile:
@@ -91,6 +104,27 @@ def ts_stats_or_none(path: str, ts_col: str = "ts") -> LogFile | None:
         return None
 
 
+def _cached_stats(path: str, tail: bool, live: set) -> LogFile | None:
+    """Footer stats of ``path``, cached by (path, mtime, size); ``None`` for
+    an unreadable file in tail mode (see :func:`discover`)."""
+    st = os.stat(path)
+    key = (path, st.st_mtime_ns, st.st_size)
+    live.add(key)
+    lf = _STATS_CACHE.get(key)
+    if lf is None:
+        lf = ts_stats_or_none(path) if tail else _ts_stats(path)
+        if lf is not None:
+            _STATS_CACHE[key] = lf
+    return lf
+
+
+def _evict(log_dir: str, live: set) -> None:
+    """Drop cached stats of this dir's superseded files (rewrites/compaction)."""
+    prefix = os.path.join(log_dir, "")
+    for k in [k for k in _STATS_CACHE if k[0].startswith(prefix) and k not in live]:
+        del _STATS_CACHE[k]
+
+
 def discover(log_dir: str, tail: bool = False) -> list[LogFile]:
     """All log files in deterministic arrival order (lexicographic name).
     Footer stats are cached by (path, mtime, size).
@@ -104,26 +138,13 @@ def discover(log_dir: str, tail: bool = False) -> list[LogFile]:
         f for f in os.listdir(log_dir) if f.endswith(".parquet") and not f.startswith("_")
     )
     out = []
-    live_keys = set()
+    live: set = set()
     for f in names:
-        path = os.path.join(log_dir, f)
-        st = os.stat(path)
-        key = (path, st.st_mtime_ns, st.st_size)
-        live_keys.add(key)
-        lf = _STATS_CACHE.get(key)
+        lf = _cached_stats(os.path.join(log_dir, f), tail, live)
         if lf is None:
-            if tail:
-                lf = ts_stats_or_none(path)
-                if lf is None:
-                    break  # in-flight file: stop at the complete prefix
-            else:
-                lf = _ts_stats(path)
-            _STATS_CACHE[key] = lf
+            break  # in-flight file: stop at the complete prefix
         out.append(lf)
-    # evict superseded versions of this dir's files (rewrites/compaction)
-    prefix = os.path.join(log_dir, "")
-    for k in [k for k in _STATS_CACHE if k[0].startswith(prefix) and k not in live_keys]:
-        del _STATS_CACHE[k]
+    _evict(log_dir, live)
     return out
 
 
@@ -148,15 +169,16 @@ def discover_bucketed(log_dir: str) -> list[tuple[str, dict[int, str]]]:
 
 
 def plan_batches(
-    files: list[LogFile],
+    files: list,
     consumed: int,
     files_per_batch: int = 1,
     confidence_window_us: int = 0,
     log_complete: bool = True,
-) -> list[list[LogFile]]:
-    """Split the unconsumed tail of the log into micro-batches.
+) -> list[list]:
+    """Split the unconsumed tail of the log (the units of :func:`list_log`)
+    into micro-batches.
 
-    ``consumed`` = number of files already committed (from the checkpoint
+    ``consumed`` = number of units already committed (from the checkpoint
     manifest). With ``log_complete=False`` (live tailing), files whose
     ``max_ts`` is newer than ``frontier − confidence_window`` are held back —
     the reference's "never read into the confidence window".
@@ -175,3 +197,46 @@ def plan_batches(
                 break
         tail = tail[:eligible]
     return [tail[i : i + files_per_batch] for i in range(0, len(tail), files_per_batch)]
+
+
+def list_log(log_dir: str, tail: bool = False, with_ts: bool = False) -> list:
+    """The log's offset units in arrival order, for either layout: a
+    :class:`LogFile` per file of a flat log (:func:`discover`), a
+    :class:`LogWindow` per window of a bucketed one (:func:`discover_bucketed`).
+    ``tail=True`` truncates at the first unit with an unreadable file (a
+    concurrent writer's in-flight file; footers are written last).
+    Bucketed footers are read (cached) only for ``tail`` or ``with_ts``;
+    flat listings always carry their footer stats."""
+    if not is_bucketed(log_dir):
+        return discover(log_dir, tail=tail)
+    out = []
+    live: set = set()
+    for name, paths in discover_bucketed(log_dir):
+        mx = None
+        if tail or with_ts:
+            stats = [_cached_stats(p, tail, live) for p in paths.values()]
+            if None in stats:
+                break  # in-flight shard file: stop at the complete prefix
+            known = [lf.max_ts_us for lf in stats if lf.max_ts_us is not None]
+            mx = max(known) if known else None
+        out.append(LogWindow(name, paths, mx))
+    _evict(log_dir, live)
+    return out
+
+
+def lookback_skip(units: list, lookback_us: int) -> int:
+    """Cold-start lookback (≙ scylla.initial.lookback.ms,
+    ScyllaConnectorTask.java:153-213): count of LEADING units whose footer
+    max-ts predates (log frontier − lookback). Only the prefix is skipped —
+    positional offsets can't hole-punch, and the windowed log is
+    time-ordered by construction."""
+    known = [u.max_ts_us for u in units if u.max_ts_us is not None]
+    if not known:
+        return 0
+    cutoff = max(known) - lookback_us
+    skip = 0
+    for u in units:
+        if u.max_ts_us is None or u.max_ts_us >= cutoff:
+            break
+        skip += 1
+    return skip

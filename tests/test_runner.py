@@ -7,6 +7,7 @@ import os
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from scylla_cdc_source_connector_ray.config import EngineConfig
 from scylla_cdc_source_connector_ray.pipelines.runner import CaptureRunner
@@ -345,20 +346,30 @@ def test_bucketed_with_windows_and_enrich_kill_resume(tmp_path):
     pd2.testing.assert_frame_equal(a, b)
 
 
-def test_single_writer_checkpoint_lock(tmp_path):
-    """Two concurrent runners on one checkpoint: the second is refused
-    (single-writer ownership; the Kafka Connect task-ownership analogue)."""
-    import fcntl
-    import os
+def _capture_runner(tmp_path):
+    return CaptureRunner(str(tmp_path / "log"), _cfg(tmp_path))
 
-    import pytest
+
+def _dedup_runner(tmp_path):
+    from scylla_cdc_source_connector_ray.pipelines.dedup_stream import DedupStreamRunner
+
+    return DedupStreamRunner(
+        str(tmp_path / "log"), 2, str(tmp_path / "out"), str(tmp_path / "ckpt"), order_col="seq"
+    )
+
+
+@pytest.mark.parametrize("make", [_capture_runner, _dedup_runner], ids=["capture", "dedup_stream"])
+def test_single_writer_checkpoint_lock(tmp_path, make):
+    """Two concurrent runners on one checkpoint: the second is refused
+    (single-writer ownership; the Kafka Connect task-ownership analogue).
+    The lock lives in the shared batch loop, so every runner has it."""
+    import fcntl
 
     t = generate(num_convs=4, turns_per_conv=4)
     write_windowed(t, str(tmp_path / "log"), num_files=1)
-    cfg = _cfg(tmp_path)
-    r1 = CaptureRunner(str(tmp_path / "log"), cfg)
+    r1 = make(tmp_path)
     # simulate a concurrently-running runner holding the lock
-    holder = open(os.path.join(cfg.checkpoint_dir, "runner.lock"), "w")
+    holder = open(os.path.join(r1.ckpt.dir, "runner.lock"), "w")
     fcntl.flock(holder, fcntl.LOCK_EX)
     with pytest.raises(RuntimeError, match="checkpoint lock"):
         r1.run()
@@ -366,7 +377,7 @@ def test_single_writer_checkpoint_lock(tmp_path):
     holder.close()
     # lock released → run proceeds, and a SECOND sequential run also works
     assert r1.run()["batches"] == 1
-    assert CaptureRunner(str(tmp_path / "log"), cfg).run()["batches"] == 0
+    assert make(tmp_path).run()["batches"] == 0
 
 
 def test_follow_live_tailing(tmp_path):
@@ -774,3 +785,74 @@ def test_bucketed_tail_holds_back_mid_write_window(tmp_path):
     tot = runner.run(log_complete=False)
     assert tot["batches"] == 1
     _assert_matches_golden(_flat_output(runner), _golden(t))
+
+
+def _two_shard_log(tmp_path) -> str:
+    """Two 3-row log files whose conversations hash to different shards of 2."""
+    from scylla_cdc_source_connector_ray.schema import shard_of
+
+    names = [f"conv{i}" for i in range(16)]
+    shards = shard_of(pa.array(names), 2).to_pylist()
+    convs = [names[0], next(n for n, k in zip(names, shards) if k != shards[0])]
+    log = tmp_path / "log"
+    log.mkdir()
+    base = pd.Timestamp("2026-01-01").value // 1000
+    for i, conv in enumerate(convs):
+        seqs = [3 * i + j for j in range(3)]
+        tbl = pa.table(
+            {
+                "conv_id": pa.array([conv] * 3, pa.string()),
+                "turn_idx": pa.array([0, 1, 2], pa.int32()),
+                "role": pa.array(["user"] * 3, pa.string()),
+                "text": pa.array([f"{conv} turn {j}" for j in range(3)], pa.string()),
+                "tool": pa.array([None] * 3, pa.string()),
+                "ts": pa.array([base + s for s in seqs], pa.timestamp("us")),
+                "seq": pa.array(seqs, pa.int64()),
+            }
+        )
+        pq.write_table(tbl, str(log / f"f{i}.parquet"))
+    return str(log)
+
+
+def _seq_ops(runner) -> list[tuple[int, str]]:
+    df = flatten_envelope(runner.read_output()).to_pandas()
+    return sorted(zip(df["seq"].tolist(), df["op"].tolist()))
+
+
+def test_resume_after_batch0_crash_refuses_recut(tmp_path):
+    """Crash before batch 0 commits, then resume. With a smaller
+    files_per_batch the new batch 0 would miss one shard, whose sink and
+    state files from the crashed attempt would survive — its rows would be
+    committed twice — so the resume is refused. With the same
+    files_per_batch the replay equals a clean run, exactly once."""
+    log = _two_shard_log(tmp_path)
+    cfg = _cfg(tmp_path, num_shards=2)
+    assert CaptureRunner(log, cfg).run(files_per_batch=2, crash_before_commit_at=0)["crashed"]
+    with pytest.raises(ValueError, match="files_per_batch"):
+        CaptureRunner(log, cfg).run(files_per_batch=1)
+    resumed = CaptureRunner(log, cfg)
+    assert resumed.run(files_per_batch=2)["batches"] == 1
+
+    clean = CaptureRunner(log, _cfg(tmp_path / "clean", num_shards=2))
+    clean.run(files_per_batch=2)
+    assert _seq_ops(resumed) == _seq_ops(clean)
+    assert [s for s, _ in _seq_ops(resumed)] == list(range(6))
+
+
+def test_read_output_is_committed_only(tmp_path):
+    """After a crash before batch 1's commit, the readers show batch 0 only
+    — exactly what a clean one-batch run shows — and a checkpoint with no
+    commit reads as empty."""
+    t = generate(num_convs=10, turns_per_conv=6, update_pct=30, delete_pct=10)
+    log = str(tmp_path / "log")
+    write_windowed(t, log, num_files=3)
+    crashed = CaptureRunner(log, _cfg(tmp_path))
+    assert crashed.run(crash_before_commit_at=1)["crashed"]
+    clean = CaptureRunner(log, _cfg(tmp_path / "clean"))
+    clean.run(max_batches=1)
+    assert crashed.read_output().equals(clean.read_output())
+    assert crashed.read_output_ds().count() == clean.read_output().num_rows
+
+    fresh = CaptureRunner(log, _cfg(tmp_path / "fresh"))
+    assert fresh.read_output().num_rows == 0
+    assert fresh.read_output_ds().count() == 0

@@ -1,11 +1,16 @@
-"""Byte-identity fingerprint of the 16 lean streaming runners.
+"""Byte-identity fingerprint of the streaming runners: the 16 lean runners
+and ``CaptureRunner`` in seven configurations (flat and bucketed logs; the
+perfbench scoring + panes + conv-state config; salted hot conversations with
+sessions; image mode; partition deletes; an evolved column).
 
-Runs every runner on a tiny 4-window log, crashing once before the commit of
-batch 1 and then resuming, and prints one ``<case> <path> <md5>`` line per
-sink parquet, state parquet, ``pins.json`` and manifest JSON it leaves
-(``metrics/*.json`` records wall seconds and is skipped). Run it on two
-checkouts and diff the outputs: a refactor of the runners must print the same
-lines.
+Runs every case on a tiny 4-window log, crashing once before the commit of
+batch 1 and then resuming (capture cases then flush their windows), and
+prints one ``<case> <path> <md5>`` line per sink and state parquet it leaves,
+and one ``<case> <path> <key>=<json>`` line per top-level key of
+``pins.json`` and the manifests, so that an added manifest key shows up as an
+added line (``metrics/*.json`` records wall seconds and ``runner.lock`` is an
+empty lock file; both are skipped). Run it on two checkouts and diff the
+outputs: a refactor of the runners must print the same lines.
 
 Usage: python tools/stream_byte_identity.py REPO_ROOT WORK_DIR [case ...]
 """
@@ -13,6 +18,7 @@ Usage: python tools/stream_byte_identity.py REPO_ROOT WORK_DIR [case ...]
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import sys
@@ -117,7 +123,7 @@ def _cases():
 
     docs, kv, events, keys_ts, vectors, elements, turns = _tables()
     s = 3
-    return {
+    lean = {
         "dedup": (docs, lambda lg, o, c: dd.DedupStreamRunner(lg, s, o, c)),
         "element_list": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "list")),
         "element_set": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "set")),
@@ -150,6 +156,94 @@ def _cases():
         ),
         "topk": (kv, lambda lg, o, c: topk.TopKStreamRunner(lg, s, c, ["k"], "v", 2, ["o"])),
     }
+    cases = {name: (_windows(t), make, {}) for name, (t, make) in lean.items()}
+    cases.update(_capture_cases())
+    return cases
+
+
+def _windows(table):
+    """Log writer: ``table`` cut into 4 window files."""
+    import pyarrow.parquet as pq
+
+    def write(log: str) -> None:
+        n = table.num_rows
+        for i in range(4):
+            lo, hi = i * n // 4, (i + 1) * n // 4
+            pq.write_table(table.slice(lo, hi - lo), os.path.join(log, f"window-{i:05d}.parquet"))
+
+    return write
+
+
+def _capture_cases():
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from scylla_cdc_source_connector_ray.config import EngineConfig
+    from scylla_cdc_source_connector_ray.pipelines.runner import CaptureRunner
+    from scylla_cdc_source_connector_ray.sources.synthetic import (
+        generate,
+        to_image_log,
+        write_bucketed,
+    )
+
+    t = generate(num_convs=12, turns_per_conv=8, update_pct=30, delete_pct=10, step_us=20_000_000)
+    hot = generate(num_convs=6, turns_per_conv=6, hot_convs=1, hot_turns=40)
+    # conversation tombstones (turn_idx NULL) in the last window, then a re-created turn
+    n, ts = t.num_rows, pc.max(t["ts"]).value
+    marks = pa.table(
+        {
+            "conv_id": ["conv1", "conv2", "conv1"],
+            "turn_idx": pa.array([None, None, 0], pa.int32()),
+            "role": [None, None, "user"],
+            "text": [None, None, "again"],
+            "tool": pa.array([None] * 3, pa.string()),
+            "ts": pa.array([ts + 1, ts + 2, ts + 3], pa.timestamp("us")),
+            "seq": pa.array([n, n + 1, n + 2], pa.int64()),
+        }
+    ).select(t.column_names)
+    pd_log = pa.concat_tables([t, marks.cast(t.schema)])
+
+    def bucketed(log: str) -> None:
+        write_bucketed(t, log, num_shards=3, num_files=4)
+
+    def evolved(log: str) -> None:
+        _windows(t)(log)
+        for name in sorted(os.listdir(log))[2:]:
+            path = os.path.join(log, name)
+            w = pq.read_table(path)
+            lang = pc.binary_join_element_wise("l", pc.cast(pc.bit_wise_and(w["seq"], 3), pa.string()), "")
+            pq.write_table(w.append_column("lang", lang), path)
+
+    def capture(**kw):
+        return lambda lg, o, c: CaptureRunner(
+            lg, EngineConfig(num_shards=3, sink_dir=o, checkpoint_dir=c, **kw)
+        )
+
+    minute = 60_000_000
+    return {
+        "capture_flat": (_windows(t), capture(), {}),
+        "capture_bucketed": (bucketed, capture(), {}),
+        "capture_perfbench": (
+            bucketed,
+            capture(score_text=True, window_agg=True, enrich_conv_state=True, window_size_us=minute),
+            {},
+        ),
+        "capture_salted_sessions": (
+            _windows(hot),
+            capture(session_gap_us=3_000_000, enrich_conv_state=True, hot_key_threshold=8, salt_factor=4),
+            {"hot_convs": ["conv0"]},
+        ),
+        "capture_image": (
+            _windows(to_image_log(t)),
+            capture(image_mode=True, straggler_timeout_us=10**15),
+            {},
+        ),
+        "capture_pd": (_windows(pd_log), capture(partition_deletes=True), {}),
+        "capture_evolved": (evolved, capture(), {}),
+    }
+
+
 
 
 def main() -> int:
@@ -158,32 +252,36 @@ def main() -> int:
     # Ray workers import the runners from the same checkout
     sys.path.insert(0, root)
     os.environ["PYTHONPATH"] = os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])
-    import pyarrow.parquet as pq
     import ray
     from ray.data import DataContext
 
     ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
     DataContext.get_current().use_polars_sort = True
-    for name, (table, make) in _cases().items():
+    for name, (write_log, make, crash_kw) in _cases().items():
         if only and name not in only:
             continue
         d = os.path.join(work, name)
         shutil.rmtree(d, ignore_errors=True)
         log, out, ck = (os.path.join(d, x) for x in ("log", "sink", "ckpt"))
         os.makedirs(log)
-        n = table.num_rows
-        for i in range(4):
-            lo, hi = i * n // 4, (i + 1) * n // 4
-            pq.write_table(table.slice(lo, hi - lo), os.path.join(log, f"window-{i:05d}.parquet"))
-        make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1)
-        totals = make(log, out, ck).run(files_per_batch=1)
+        write_log(log)
+        make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1, **crash_kw)
+        runner = make(log, out, ck)
+        totals = runner.run(files_per_batch=1)
+        if hasattr(runner, "flush_windows"):
+            runner.flush_windows()
         print(name, "totals", sorted(totals.items()), flush=True)
         for top in (out, ck):
             for dp, _, files in sorted(os.walk(top)):
                 for f in sorted(files):
                     rel = os.path.relpath(os.path.join(dp, f), d)
-                    if rel.startswith(os.path.join("ckpt", "metrics")):
+                    if rel.startswith(os.path.join("ckpt", "metrics")) or f == "runner.lock":
+                        continue
+                    if f.endswith(".json"):
+                        with open(os.path.join(d, rel)) as fh:
+                            for k, v in sorted(json.load(fh).items()):
+                                print(name, rel, f"{k}={json.dumps(v, sort_keys=True)}", flush=True)
                         continue
                     with open(os.path.join(d, rel), "rb") as fh:
                         print(name, rel, hashlib.md5(fh.read()).hexdigest(), flush=True)
