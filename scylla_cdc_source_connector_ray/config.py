@@ -54,8 +54,6 @@ class EngineConfig:
 
     # --- sharding / parallelism -------------------------------------------
     num_shards: int = 64
-    #: actor-pool size for stateful stages; None → let Ray size it
-    state_concurrency: int | None = None
     #: rows per map_batches batch in the hot path
     batch_size: int = 65536
 

@@ -22,7 +22,16 @@ capture data plane it drives, one Ray Data pipeline per micro-batch::
    mode — seeds make the per-key state machine continue seamlessly;
 3. write the change events to a deterministic ``batch-K/shard=S.parquet``
    (temp + rename) — replays overwrite byte-identically ⇒ exactly-once;
-4. write the shard's new state file, return a one-row metrics table.
+4. write the shard's new state file, return a one-row metrics table;
+5. per configured window kind (:func:`_window_kinds`: tumbling, sliding,
+   session), one stage (:func:`_window_stage`): route rows whose latest
+   window already closed to ``late/<kind>``, partial-aggregate the rest and
+   fold them into the kind's state with the pure core of
+   :mod:`..stages.windows` (one pane fold, one session fold). Under
+   hot-conversation salting the partials go to a per-base-shard merge stage
+   (:meth:`CaptureRunner._merge_partials`) that runs the same fold;
+   :meth:`CaptureRunner.flush_windows` folds the residual state with the
+   threshold at +∞.
 
 The loop then commits the manifest (offsets + per-shard watermarks). Crash
 anywhere before the commit ⇒ the next run replays the batch onto the same
@@ -40,6 +49,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -53,9 +63,11 @@ from ..schema import SEQ_COL, with_shard
 from ..sources import windowed
 from ..stages.envelope import build_envelope
 from ..stages.op_derive import derive_ops
+from ..stages.windows import AFTER_ALL, BEFORE_ALL, Panes, Sessions
 from ..state.checkpoint import Checkpoint, current_hash_impl, write_table_atomic
 from ._microbatch import (
     BatchResult,
+    committed_sink_files,
     follow_microbatches,
     read_committed_output,
     read_committed_output_ds,
@@ -158,8 +170,6 @@ def _shard_task(
     out_dir: str,
     prev_watermarks: dict[str, int],
     extras: tuple[tuple[str, str], ...] = (),
-    salted_sessions: bool = False,
-    salted_panes: bool = False,
     salted_pd: bool = False,
     salted_cstate: bool = False,
     hot_convs: frozenset[str] = frozenset(),
@@ -337,40 +347,10 @@ def _shard_task(
 
     # --- watermark-gated window aggregation (north_star windows) -----------
     n_late_dropped = 0
-    if cfg.window_agg and real.num_rows:
-        if salted_panes:
-            # hierarchical path: this salted sub-shard only computes partial
-            # panes; the per-base-shard merge stage owns state/emission
-            from .stream_agg import window_partials
-
-            n_late_dropped += window_partials(
-                real, shard, batch_id, cfg, out_dir, prev_watermarks
-            )
-        else:
-            n_late_dropped += _window_panes(
-                real, shard, batch_id, cfg, ckpt, out_dir, wm_prev
-            )
-    if cfg.sliding_window_us is not None and real.num_rows:
-        from .stream_agg import sliding_panes
-
-        size, slide = cfg.sliding_window_us
-        n_late_dropped += sliding_panes(
-            real, shard, batch_id, cfg, ckpt, out_dir, wm_prev, size, slide
-        )
-    if cfg.session_gap_us is not None and real.num_rows:
-        if salted_sessions:
-            # hierarchical path: this salted sub-shard only computes partial
-            # intervals; the per-conversation merge stage owns state/emission
-            from .stream_agg import session_partials
-
-            n_late_dropped += session_partials(
-                real, shard, batch_id, cfg, out_dir, prev_watermarks, cfg.session_gap_us
-            )
-        else:
-            from .stream_agg import session_state
-
-            n_late_dropped += session_state(
-                real, shard, batch_id, cfg, ckpt, out_dir, wm_prev, cfg.session_gap_us
+    if real.num_rows:
+        for kind in _window_kinds(cfg, salted=bool(hot_convs)):
+            n_late_dropped += _window_stage(
+                kind, real, shard, batch_id, cfg, ckpt, out_dir, prev_watermarks
             )
 
     # --- persistent per-conversation state join (north_star join) ----------
@@ -498,122 +478,152 @@ def _conform_envelopes(parts: list[pa.Table]) -> list[pa.Table]:
     return [widen(p) for p in parts] if widen else parts
 
 
-def _read_tree(root: str, empty: pa.Table) -> pa.Table:
-    """Concat every parquet file under ``root`` (a side output), or ``empty``."""
-    parts = [
-        pq.read_table(os.path.join(d, f))
-        for d, _sub, names in os.walk(root)
-        for f in sorted(names)
-        if f.endswith(".parquet")
-    ]
-    return pa.concat_tables(parts) if parts else empty
+class _WindowKind(NamedTuple):
+    """One watermark-gated window family of the capture runner."""
+
+    name: str  # late/<name> side output
+    out: str  # emitted windows dir
+    state: str  # checkpoint state kind
+    scratch: str  # partials dir of its salted merge stage
+    ns: str  # watermark namespace of its salted merge stage
+    core: Panes | Sessions
+    #: hot conversations' rows fold on their base shard (merge stage)
+    salted: bool
 
 
-def _pane_cols(cfg) -> list[str]:
-    return [*cfg.window_agg_keys, "window_start_us", "n_events", "n_chars"]
+def _window_kinds(cfg: EngineConfig, salted: bool) -> list[_WindowKind]:
+    """The configured window kinds. Salting needs a conversation-keyed
+    state: sessions always, tumbling panes keyed by ``conv_id``."""
+    kinds = []
+    if cfg.window_agg:
+        size, keys = cfg.window_size_us, tuple(cfg.window_agg_keys)
+        kinds.append(
+            _WindowKind(
+                "tumbling", "windows", "wstate", "_window_partials", "win:",
+                Panes(size, size, keys), salted and "conv_id" in keys,
+            )
+        )
+    if cfg.sliding_window_us is not None:
+        kinds.append(
+            _WindowKind(
+                "sliding", "windows_sliding", "sstate", "", "",
+                Panes(*cfg.sliding_window_us), False,
+            )
+        )
+    if cfg.session_gap_us is not None:
+        kinds.append(
+            _WindowKind(
+                "session", "windows_session", "sessstate", "_session_partials", "sess:",
+                Sessions(cfg.session_gap_us), salted,
+            )
+        )
+    return kinds
 
 
-def _window_panes(
+def _threshold(watermarks: dict, key: str, cfg: EngineConfig) -> int:
+    """Finalization threshold ``watermark − allowed lateness`` of one
+    watermark key; nothing is final before its first commit."""
+    wm = watermarks.get(key)
+    return wm - cfg.allowed_lateness_us if wm is not None else BEFORE_ALL
+
+
+def _route_late(
+    real: pa.Table,
+    kind: _WindowKind,
+    shard: int,
+    batch_id: int,
+    cfg: EngineConfig,
+    out_dir: str,
+    watermarks: dict,
+) -> tuple[pa.Table, int]:
+    """Split off the rows of ``real`` that ``kind`` finalized before this
+    batch (``closes_us ≤ thr_prev``) into ``late/<kind>``; return the
+    on-time rows and the late count. ``thr_prev`` is the shard's own or —
+    salted — each row's base shard's (``<ns><base>``): the merge stage
+    emits, so its watermark defines lateness. (Reference analogue: the
+    straggler drop + error log, ``ScyllaChangesConsumer.java:147-174``;
+    late rows are kept, not lost.)"""
+    ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    if kind.salted:
+        from ..schema import shard_of
+
+        base = shard_of(real["conv_id"], cfg.num_shards).to_numpy(zero_copy_only=False)
+        thr_of = np.array(
+            [_threshold(watermarks, f"{kind.ns}{b}", cfg) for b in range(cfg.num_shards)],
+            dtype=np.int64,
+        )
+        thr_prev = thr_of[base]
+    else:
+        thr_prev = _threshold(watermarks, str(shard), cfg)
+    late = kind.core.closes_us(ts) <= thr_prev
+    n_late = int(late.sum())
+    if not n_late:
+        return real, 0
+    write_table_atomic(
+        real.filter(pa.array(late)),
+        os.path.join(out_dir, "late", kind.name, f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
+    )
+    return real.filter(pa.array(~late)), n_late
+
+
+def _write_windows(emitted: pa.Table, kind_dir: str, shard: int) -> None:
+    if emitted.num_rows:
+        emitted = emitted.append_column("shard", pa.array([shard] * emitted.num_rows, pa.int32()))
+        write_table_atomic(emitted, os.path.join(kind_dir, f"shard={shard}.parquet"))
+
+
+def _fold_window_state(
+    kind: _WindowKind,
+    partials: pa.Table,
+    shard: int,
+    batch_id: int,
+    ckpt: Checkpoint,
+    out_dir: str,
+    thr_prev: int,
+    thr: int,
+) -> None:
+    """The per-kind step: read the shard's prior ``kind`` state, fold the
+    partials into it, write the emitted windows and the new state.
+    Deterministic on replay: the inputs are the batch's partials, the state
+    of the previous COMMITTED batch and the manifest watermarks."""
+    path = ckpt.latest_state_path(shard, batch_id, kind=kind.state)
+    prior = pq.read_table(path) if path is not None else None
+    emitted, state = kind.core.fold(partials, prior, thr_prev, thr)
+    _write_windows(emitted, os.path.join(out_dir, kind.out, f"batch-{batch_id:06d}"), shard)
+    ckpt.write_state(shard, batch_id, state, kind=kind.state)
+
+
+def _window_stage(
+    kind: _WindowKind,
     real: pa.Table,
     shard: int,
     batch_id: int,
     cfg: EngineConfig,
     ckpt: Checkpoint,
     out_dir: str,
-    wm_prev: int | None,
+    watermarks: dict,
 ) -> int:
-    """Merge this batch's rows into the shard's tumbling-window pane state,
-    emit panes finalized by the new watermark, route too-late rows aside.
+    """One window kind over one shard's change events: route late rows
+    aside, partial-aggregate the rest, then fold them into the shard's
+    state — or, salted, hand the partials (O(panes | sessions), not O(rows))
+    to the base shard's merge stage. Returns the late row count."""
+    ontime, n_late = _route_late(real, kind, shard, batch_id, cfg, out_dir, watermarks)
+    partials = kind.core.partials(ontime)
+    if kind.salted:
+        from ..schema import shard_of
 
-    Deterministic on replay: inputs are (batch rows, pane state from the
-    previous COMMITTED batch, manifest watermark) — all stable under replay.
-    Returns the number of late-dropped rows (reference analogue: straggler
-    drop + error log, ``ScyllaChangesConsumer.java:147-174``; ours routes
-    them to a ``late/`` side output instead of losing them).
-    """
-    W = cfg.window_size_us
-    ts_us = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    win = ts_us - (ts_us % W)
-
-    # rows whose window was finalized before this batch → late side-output
-    prev_thr = (wm_prev - cfg.allowed_lateness_us) if wm_prev is not None else None
-    late_mask = (win + W <= prev_thr) if prev_thr is not None else np.zeros(len(win), dtype=bool)
-    n_late_dropped = int(late_mask.sum())
-    from .stream_agg import _chars, _write_late
-
-    if n_late_dropped:
-        _write_late(real.filter(pa.array(late_mask)), out_dir, "tumbling", batch_id, shard)
-
-    ontime = real.filter(pa.array(~late_mask)) if n_late_dropped else real
-    win_ok = win[~late_mask]
-    chars = _chars(ontime)
-    pane_cols = _pane_cols(cfg)
-    group_keys = [*cfg.window_agg_keys, "window_start_us"]
-    raw = {k: ontime[k] for k in cfg.window_agg_keys}
-    raw["window_start_us"] = pa.array(win_ok, pa.int64())
-    raw["n_events"] = pa.array(np.ones(len(win_ok), dtype=np.int64))
-    raw["n_chars"] = pa.array(chars, pa.int64())
-    from ..schema import select_agg
-
-    pane_renames = [("n_events_sum", "n_events"), ("n_chars_sum", "n_chars")]
-    partial = select_agg(
-        pa.table(raw).group_by(group_keys).aggregate([("n_events", "sum"), ("n_chars", "sum")]),
-        group_keys,
-        pane_renames,
+        if partials.num_rows:
+            write_table_atomic(
+                partials.append_column("base_shard", shard_of(partials["conv_id"], cfg.num_shards)),
+                os.path.join(out_dir, kind.scratch, f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
+            )
+        return n_late
+    new_wm = max(watermarks.get(str(shard)) or 0, pc.max(real["ts"].cast(pa.int64())).as_py())
+    _fold_window_state(
+        kind, partials, shard, batch_id, ckpt, out_dir,
+        _threshold(watermarks, str(shard), cfg), new_wm - cfg.allowed_lateness_us,
     )
-    new_wm = max(wm_prev or 0, int(ts_us.max()))
-    _fold_pane_state(partial, new_wm, shard, batch_id, cfg, ckpt, out_dir)
-    return n_late_dropped
-
-
-def _fold_pane_state(
-    partial: pa.Table,
-    new_wm: int,
-    shard: int,
-    batch_id: int,
-    cfg: EngineConfig,
-    ckpt: Checkpoint,
-    out_dir: str,
-) -> None:
-    """Seed-merge + watermark-finalize + emit + state roll-forward for one
-    shard's tumbling panes. Shared by the in-shard path (:func:`_window_panes`)
-    and the salted per-base-shard merge stage
-    (:meth:`CaptureRunner._merge_window_partials`) — the merge stage hands in
-    UN-merged partials from several sub-shards, so the fold always
-    re-aggregates (sum is idempotent over already-merged panes)."""
-    from ..schema import select_agg
-
-    W = cfg.window_size_us
-    pane_cols = _pane_cols(cfg)
-    group_keys = [*cfg.window_agg_keys, "window_start_us"]
-    pane_renames = [("n_events_sum", "n_events"), ("n_chars_sum", "n_chars")]
-    parts = [partial.select(pane_cols)]
-    seed_path = ckpt.latest_state_path(shard, batch_id, kind="wstate")
-    if seed_path is not None:
-        parts.insert(0, pq.read_table(seed_path).select(pane_cols))
-    partial = select_agg(
-        pa.concat_tables(parts)
-        .group_by(group_keys)
-        .aggregate([("n_events", "sum"), ("n_chars", "sum")]),
-        group_keys,
-        pane_renames,
-    )
-    thr = new_wm - cfg.allowed_lateness_us
-    ws = partial["window_start_us"].to_numpy(zero_copy_only=False)
-    final_mask = ws + W <= thr
-    finalized = partial.filter(pa.array(final_mask)).sort_by(
-        [(k, "ascending") for k in group_keys]
-    )
-    remaining = partial.filter(pa.array(~final_mask))
-    if finalized.num_rows:
-        finalized = finalized.append_column(
-            "shard", pa.array([shard] * finalized.num_rows, pa.int32())
-        )
-        write_table_atomic(
-            finalized,
-            os.path.join(out_dir, "windows", f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
-        )
-    ckpt.write_state(shard, batch_id, remaining, kind="wstate")
+    return n_late
 
 
 class CaptureRunner:
@@ -831,17 +841,13 @@ class CaptureRunner:
             if row["max_ts_us"] is not None:
                 k = str(row["shard"])
                 watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
-        if self._hot and self.cfg.session_gap_us is not None:
-            # hierarchical salted sessions: the merge stage runs inside the
-            # batch so its state/emissions replay with it
-            for row in self._merge_session_partials(batch_id, watermarks):
-                k = f"sess:{row['base_shard']}"
-                watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
-        if self._hot and self.cfg.window_agg and "conv_id" in self.cfg.window_agg_keys:
-            # hierarchical salted conv-keyed panes: same replay contract
-            for row in self._merge_window_partials(batch_id, watermarks):
-                k = f"win:{row['base_shard']}"
-                watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
+        for kind in _window_kinds(self.cfg, salted=bool(self._hot)):
+            if kind.salted:
+                # hierarchical salted windows: the merge stage runs inside
+                # the batch so its state/emissions replay with it
+                for row in self._merge_partials(kind, batch_id, watermarks):
+                    k = f"{kind.ns}{row['base_shard']}"
+                    watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
         if self._hot and self.cfg.enrich_conv_state:
             # hierarchical salted conv-state: slim-row merge per base shard,
             # then in-place envelope fixup — a replayed batch regenerates
@@ -1000,8 +1006,6 @@ class CaptureRunner:
         else:
             ds = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
         wm = dict(watermarks)  # tiny; captured by closure (ray.put for huge shard counts)
-        salted_sessions = bool(hot) and cfg.session_gap_us is not None
-        salted_panes = bool(hot) and cfg.window_agg and "conv_id" in cfg.window_agg_keys
         salted_cstate = bool(hot) and cfg.enrich_conv_state
         stats_ds = ds.groupby("shard").map_groups(
             lambda g: _shard_task(
@@ -1012,8 +1016,6 @@ class CaptureRunner:
                 out_dir=out_dir,
                 prev_watermarks=wm,
                 extras=extras,
-                salted_sessions=salted_sessions,
-                salted_panes=salted_panes,
                 salted_pd=salted_pd,
                 salted_cstate=salted_cstate,
                 hot_convs=hot,
@@ -1086,53 +1088,26 @@ class CaptureRunner:
 
         self._scratch_stage("_cstate_features", batch_id, "sub_shard", fix_task)
 
-    def _merge_session_partials(self, batch_id: int, watermarks: dict) -> list[dict]:
-        """Stage 2 of the hierarchical salted-session path: gap-merge the
-        sub-shard partial intervals per conversation, keyed by the BASE shard
-        ``hash(conv_id) % num_shards``. The exchange moves O(sessions) interval
-        rows, not O(rows) — the streaming analogue of
+    def _merge_partials(
+        self, kind: _WindowKind, batch_id: int, watermarks: dict
+    ) -> list[dict]:
+        """Stage 2 of a hierarchical salted window kind: fold the sub-shard
+        partials of each BASE shard (``hash(conv_id) % num_shards``) into its
+        state with the normal per-kind step. The exchange moves O(panes |
+        sessions) rows, not O(rows) — the streaming analogue of
         :func:`..stages.windows.session_salted`'s second stage. Watermarks
-        live in the ``sess:<base>`` namespace of the manifest dict."""
-        cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
-        wm = dict(watermarks)
-        gap_us = cfg.session_gap_us
-
-        def merge_task(g: pa.Table) -> pa.Table:
-            from .stream_agg import merge_and_emit_sessions
-
-            b = int(g["base_shard"][0].as_py())
-            sessions = g.drop_columns(["base_shard"]).to_pandas()
-            new_wm = max(wm.get(f"sess:{b}") or 0, int(sessions["session_end_us"].max()))
-            merge_and_emit_sessions(
-                sessions, b, batch_id, cfg, Checkpoint(ckpt_dir), out_dir, new_wm, gap_us
-            )
-            return pa.table(
-                {"base_shard": pa.array([b], pa.int32()), "max_ts_us": pa.array([new_wm], pa.int64())}
-            )
-
-        return self._scratch_stage("_session_partials", batch_id, "base_shard", merge_task)
-
-    def _merge_window_partials(self, batch_id: int, watermarks: dict) -> list[dict]:
-        """Stage 2 of the hierarchical salted conv-keyed tumbling path:
-        sum-merge the sub-shard pane partials per BASE shard
-        (``hash(conv_id) % num_shards``) and run the normal seed/watermark/
-        emit fold there. The exchange moves O(panes) rows, not O(rows) — the
-        tumbling analogue of :meth:`_merge_session_partials`. Watermarks live
-        in the ``win:<base>`` namespace of the manifest dict."""
+        live in the kind's ``<ns><base>`` namespace of the manifest dict;
+        each advances to the newest event of its partials."""
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
         wm = dict(watermarks)
 
         def merge_task(g: pa.Table) -> pa.Table:
             b = int(g["base_shard"][0].as_py())
-            new_wm = max(wm.get(f"win:{b}") or 0, pc.max(g["max_ts_us"]).as_py())
-            _fold_pane_state(
-                g.drop_columns(["base_shard", "max_ts_us"]),
-                new_wm,
-                b,
-                batch_id,
-                cfg,
-                Checkpoint(ckpt_dir),
-                out_dir,
+            key = f"{kind.ns}{b}"
+            new_wm = max(wm.get(key) or 0, pc.max(g[kind.core.last_ts]).as_py())
+            _fold_window_state(
+                kind, g, b, batch_id, Checkpoint(ckpt_dir), out_dir,
+                _threshold(wm, key, cfg), new_wm - cfg.allowed_lateness_us,
             )
             return pa.table(
                 {
@@ -1141,7 +1116,7 @@ class CaptureRunner:
                 }
             )
 
-        return self._scratch_stage("_window_partials", batch_id, "base_shard", merge_task)
+        return self._scratch_stage(kind.scratch, batch_id, "base_shard", merge_task)
 
     def _scratch_stage(self, scratch: str, batch_id: int, key: str, task) -> list[dict]:
         """Run one salted merge/fixup stage: ``task`` per ``key`` group of
@@ -1156,7 +1131,8 @@ class CaptureRunner:
     def flush_windows(self) -> None:
         """End-of-log flush: once the (complete) log is fully consumed, emit
         every residual tumbling pane / sliding window / open session — the
-        batch-mode equivalent of the watermark advancing to +∞.
+        batch-mode equivalent of the watermark advancing to +∞: each window
+        kind's fold runs over each shard's committed state at ``thr`` = +∞.
 
         Idempotent under resumed consumption: every ``final/`` directory is
         rebuilt from the CURRENT residual state on each flush, so a pane that
@@ -1168,75 +1144,41 @@ class CaptureRunner:
         Crash-atomic: the rebuild writes into a temp sibling OUTSIDE the kind
         tree and is swapped in with ``os.rename`` at the end — a crash
         mid-flush leaves the previous ``final/`` intact, never a partial one
-        (and readers walking the kind dir never see the temp)."""
+        (and readers never see the temp)."""
         last = self.ckpt.last_committed()
         if last is None:
             return
-        kinds = ("windows", "windows_sliding", "windows_session")
+        kinds = _window_kinds(self.cfg, salted=bool(last.get("hot_convs")))
         tmp_root = os.path.join(self.out_dir, ".final_tmp")
         old_root = os.path.join(self.out_dir, ".final_old")
         shutil.rmtree(tmp_root, ignore_errors=True)  # leftovers from a crash
         shutil.rmtree(old_root, ignore_errors=True)
         nb = last["batch_id"] + 1
         wms = last.get("watermarks", {})
-
-        def shards_of(kind):
-            d = os.path.join(self.ckpt.dir, kind)
-            if not os.path.isdir(d):
-                return []
-            return sorted(int(s.split("=", 1)[1]) for s in os.listdir(d) if s.startswith("shard="))
-
-        def emit(table: pa.Table, kind_dir: str, shard: int):
-            if table.num_rows == 0:
-                return
-
-            table = table.append_column("shard", pa.array([shard] * table.num_rows, pa.int32()))
-            write_table_atomic(table, os.path.join(tmp_root, kind_dir, f"shard={shard}.parquet"))
-
-        for shard in shards_of("wstate"):
-            path = self.ckpt.latest_state_path(shard, nb, kind="wstate")
-            if path:
-                emit(pq.read_table(path).sort_by([("window_start_us", "ascending")]), "windows", shard)
-
-        if self.cfg.sliding_window_us is not None:
-            from .stream_agg import _emit_sliding
-
-            size, slide = self.cfg.sliding_window_us
-            for shard in shards_of("sstate"):
-                path = self.ckpt.latest_state_path(shard, nb, kind="sstate")
+        for kind in kinds:
+            d = os.path.join(self.ckpt.dir, kind.state)
+            shards = os.listdir(d) if os.path.isdir(d) else []
+            for shard in sorted(int(x.split("=", 1)[1]) for x in shards if x.startswith("shard=")):
+                path = self.ckpt.latest_state_path(shard, nb, kind=kind.state)
                 if path is None:
                     continue
-                wm = wms.get(str(shard))
-                thr_last = (wm - self.cfg.allowed_lateness_us) if wm is not None else None
-                emit(
-                    _emit_sliding(pq.read_table(path), size, slide, thr_last, 2**62),
-                    "windows_sliding",
-                    shard,
+                # the state holds what the last fold kept: fold it as the
+                # partials of an empty state with the threshold at +∞
+                key = f"{kind.ns}{shard}" if kind.salted else str(shard)
+                emitted, _ = kind.core.fold(
+                    pq.read_table(path), None, _threshold(wms, key, self.cfg), AFTER_ALL
                 )
-
-        if self.cfg.session_gap_us is not None:
-            from .stream_agg import SESSION_COLS
-
-            for shard in shards_of("sessstate"):
-                path = self.ckpt.latest_state_path(shard, nb, kind="sessstate")
-                if path:
-                    emit(
-                        pq.read_table(path)
-                        .select(SESSION_COLS)
-                        .sort_by([("conv_id", "ascending"), ("session_start_us", "ascending")]),
-                        "windows_session",
-                        shard,
-                    )
+                _write_windows(emitted, os.path.join(tmp_root, kind.out), shard)
 
         # swap the rebuilt final/ dirs in: previous finals survive any crash
         # up to here; the rename pair is the only non-atomic window and it
         # leaves recoverable dirs, never a partial final/
-        for kind_dir in kinds:
-            tmp = os.path.join(tmp_root, kind_dir)
-            final = os.path.join(self.out_dir, kind_dir, "final")
+        for kind in kinds:
+            tmp = os.path.join(tmp_root, kind.out)
+            final = os.path.join(self.out_dir, kind.out, "final")
             if os.path.isdir(final):
                 os.makedirs(old_root, exist_ok=True)
-                os.rename(final, os.path.join(old_root, kind_dir))
+                os.rename(final, os.path.join(old_root, kind.out))
             if os.path.isdir(tmp):
                 os.makedirs(os.path.dirname(final), exist_ok=True)
                 os.rename(tmp, final)
@@ -1258,13 +1200,29 @@ class CaptureRunner:
     # --- output inspection (tests / small results only) --------------------
 
     def read_windows(self, kind: str = "windows") -> pa.Table:
-        """kind: "windows" (tumbling) | "windows_sliding" | "windows_session"."""
-        cols = [("window_start_us", pa.int64()), ("n_events", pa.int64()), ("n_chars", pa.int64())]
-        empty = pa.schema([*cols, ("shard", pa.int32())]).empty_table()
-        return _read_tree(os.path.join(self.out_dir, kind), empty)
+        """Windows emitted by COMMITTED batches, then the last flush's
+        ``final/``. kind: "windows" (tumbling) | "windows_sliding" |
+        "windows_session"."""
+        root = os.path.join(self.out_dir, kind)
+        final = os.path.join(root, "final")
+        paths = committed_sink_files(self.ckpt, root)
+        if os.path.isdir(final):
+            paths += [os.path.join(final, f) for f in sorted(os.listdir(final)) if f.endswith(".parquet")]
+        if not paths:
+            cols = [("window_start_us", pa.int64()), ("n_events", pa.int64()), ("n_chars", pa.int64())]
+            return pa.schema([*cols, ("shard", pa.int32())]).empty_table()
+        return pa.concat_tables([pq.read_table(p) for p in paths])
 
     def read_late(self) -> pa.Table:
-        return _read_tree(os.path.join(self.out_dir, "late"), pa.table({}))
+        """Late rows of COMMITTED batches, every window kind."""
+        root = os.path.join(self.out_dir, "late")
+        kinds = sorted(os.listdir(root)) if os.path.isdir(root) else []
+        parts = [
+            pq.read_table(p)
+            for k in kinds
+            for p in committed_sink_files(self.ckpt, os.path.join(root, k))
+        ]
+        return pa.concat_tables(parts) if parts else pa.table({})
 
     def read_output_ds(self) -> "ray.data.Dataset":
         """Dataset-returning twin of :meth:`read_output` for large outputs:

@@ -1,27 +1,58 @@
-"""Event-time windowed aggregation: tumbling, sliding, session (north_star;
-the reference's only windows are its query windows — SURVEY.md §2.9 — so the
-semantics here follow the standard dataflow/stream-slicing model, PAPERS.md).
+"""Event-time windowed aggregation: tumbling, sliding and session windows,
+batch and streaming (north_star; the reference's only windows are its query
+windows — SURVEY.md §2.9 — so the semantics here follow the standard
+dataflow/stream-slicing model, PAPERS.md: Scotty, general stream slicing).
 
-Design for scale:
+One slicing core serves every window kind. Tumbling is sliding with
+slide = size: rows pre-aggregate into slide-grained *panes*, and the window
+``[ws, ws+size)`` is the sum of the size/slide panes covering it
+(:func:`explode_panes`). Sessions are gaps-and-islands per conversation
+(:func:`session_islands`); the partial sessions of any split of the rows
+gap-merge into the sessions of the whole (:func:`merge_session_intervals`).
 
-* **Tumbling/sliding** pre-aggregate per Arrow batch (``Table.group_by`` inside
-  ``map_batches`` — one partial row per (key, window) per batch) and only then
-  run the global ``groupby().aggregate`` — the shuffle moves partials, not
-  rows (ray_guide: "Aggregation at scale"). Caveat: pyarrow's multi-key
-  group_by emits one row per NULL-key *run*, so NULL grouping keys degrade the
-  pre-aggregation (results stay correct via the global merge) — fill NULL
-  keys with a sentinel upstream if they are common.
-* **Sliding** explodes each partial into ``size/slide`` window copies
-  *after* partial aggregation (cheap: copies of partials, not of rows).
-* **Session** windows need per-key gap detection: hash-shard by ``conv_id``,
-  one vectorized pass per shard block (sorted, numpy islands) — the same
-  single-shuffle contract as op-derive.
+Batch stages (Ray Data):
+
+* **Tumbling/sliding** pre-aggregate per Arrow batch (``Table.group_by``
+  inside ``map_batches`` — one partial row per (key, window) per batch) and
+  only then run the global ``groupby().aggregate`` — the shuffle moves
+  partials, not rows (ray_guide: "Aggregation at scale"). Caveat: pyarrow's
+  multi-key group_by emits one row per NULL-key *run*, so NULL grouping keys
+  degrade the pre-aggregation (results stay correct via the global merge) —
+  fill NULL keys with a sentinel upstream if they are common. Sliding
+  explodes each partial *after* partial aggregation (copies of partials, not
+  of rows).
+* **Session** windows hash-shard by ``conv_id`` and run one vectorized
+  islands pass per shard block — the same single-shuffle contract as
+  op-derive.
+
+Streaming folds (pure and I/O-free; the capture runner reads a shard's
+prior state, calls a fold and writes its two outputs). A fold's inputs are
+the batch's on-time partials, the prior COMMITTED state and the finalization
+thresholds ``thr = watermark − allowed lateness`` of the previous and the new
+commit, so a replayed batch folds to the same bytes:
+
+* :meth:`Panes.fold` sums partials into the prior panes, emits the windows
+  with ``thr_prev < end ≤ thr`` and keeps the panes with
+  ``pane + size > thr`` (a pane goes once its last window is emitted).
+* :meth:`Sessions.fold` gap-merges the prior open sessions with the partial
+  sessions by a full per-conversation sweep (an out-of-order row, or a
+  salted sub-shard's partial, can BRIDGE two sessions), emits the sessions
+  with ``end + gap ≤ thr`` (an on-time row of a later batch has
+  ``ts > thr`` and cannot extend them) and keeps the rest.
+
+``thr = AFTER_ALL`` is the end-of-log flush; ``thr_prev = BEFORE_ALL`` means
+nothing was final yet. The late rule is ``closes_us(ts) ≤ thr_prev``: a
+row is late when its latest pane window has already been emitted, or — for
+sessions — when its ts is at or below the previous threshold. The caller
+routes late rows aside before computing partials.
 
 Window identity is ``window_start_us`` (int64 µs since epoch) — integer
 arithmetic, identical in SQL (``epoch_us(ts) - epoch_us(ts) % size``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -30,11 +61,30 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
-from ..schema import with_shard
+from ..schema import select_agg, with_shard
+
+#: finalization thresholds: nothing final yet / the end-of-log flush
+BEFORE_ALL = int(np.iinfo(np.int64).min)
+AFTER_ALL = int(np.iinfo(np.int64).max)
+
+SESSION_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("session_start_us", pa.int64()),
+        ("session_end_us", pa.int64()),
+        ("n_turns", pa.int64()),
+        ("n_chars", pa.int64()),
+    ]
+)
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> pa.Array:
     return batch[ts_col].combine_chunks().cast(pa.int64())
+
+
+def _n_chars(text) -> pa.Array:
+    """Per-row text length; NULL text counts 0."""
+    return pc.fill_null(pc.utf8_length(text), 0).cast(pa.int64())
 
 
 def _partial_tumbling(batch: pa.Table, size_us: int, keys: list[str], ts_col: str) -> pa.Table:
@@ -47,15 +97,13 @@ def _partial_tumbling(batch: pa.Table, size_us: int, keys: list[str], ts_col: st
     cols["n"] = pa.array(np.ones(n, dtype=np.int64))
     txt = batch["text"] if "text" in batch.column_names else batch["after_text"] if "after_text" in batch.column_names else None
     cols["chars"] = (
-        pc.fill_null(pc.utf8_length(txt.combine_chunks()), 0).cast(pa.int64())
+        _n_chars(txt.combine_chunks())
         if txt is not None
         else pa.array(np.zeros(n, dtype=np.int64))
     )
     cols["min_ts_us"] = ts
     cols["max_ts_us"] = ts
     t = pa.table(cols)
-    from ..schema import select_agg
-
     return select_agg(
         t.group_by([*keys, "window_start_us"]).aggregate(
             [("n", "sum"), ("chars", "sum"), ("min_ts_us", "min"), ("max_ts_us", "max")]
@@ -91,15 +139,16 @@ def tumbling(
     return out
 
 
-def _explode_sliding(partial: pa.Table, size_us: int, slide_us: int) -> pa.Table:
-    """Each tumbling(slide)-grained partial joins every sliding window that
-    covers its slide: window starts  base − i·slide  for i in 0..size/slide−1."""
+def explode_panes(panes: pa.Table, size_us: int, slide_us: int) -> pa.Table:
+    """Each slide-grained pane joins every window that covers it: window
+    starts ``pane − i·slide`` for i in 0..size/slide−1 (one copy when
+    tumbling)."""
     n_copies = size_us // slide_us
     parts = []
-    base = partial["window_start_us"].combine_chunks().to_numpy(zero_copy_only=False)
+    base = panes["window_start_us"].combine_chunks().to_numpy(zero_copy_only=False)
     for i in range(n_copies):
-        t = partial.set_column(
-            partial.column_names.index("window_start_us"),
+        t = panes.set_column(
+            panes.column_names.index("window_start_us"),
             "window_start_us",
             pa.array(base - i * slide_us, type=pa.int64()),
         )
@@ -122,7 +171,7 @@ def sliding(
         raise ValueError("size_us must be a multiple of slide_us")
     keys = list(keys or [])
     partial = ds.map_batches(
-        lambda b: _explode_sliding(
+        lambda b: explode_panes(
             _partial_tumbling(b, slide_us, keys, ts_col), size_us, slide_us
         ),
         batch_format="pyarrow",
@@ -135,39 +184,34 @@ def sliding(
     )
 
 
-def _sessions_in_shard(t: pa.Table, gap_us: int, ts_col: str) -> pa.Table:
-    """Vectorized gaps-and-islands per (conv_id) within one shard block."""
+def session_islands(
+    t: pa.Table, gap_us: int, ts_col: str = "ts", sums: tuple[str, ...] = ()
+) -> pa.Table:
+    """Vectorized gaps-and-islands per ``conv_id``: one row per session
+    (conv_id, session_start_us, session_end_us, n_turns, then the per-session
+    total of each column in ``sums``) from one pass over the
+    (conv_id, ts)-sorted block."""
     t = t.sort_by([("conv_id", "ascending"), (ts_col, "ascending")])
     n = t.num_rows
-    if n == 0:
-        return pa.table(
-            {
-                "conv_id": pa.nulls(0, pa.string()),
-                "session_start_us": pa.nulls(0, pa.int64()),
-                "session_end_us": pa.nulls(0, pa.int64()),
-                "n_turns": pa.nulls(0, pa.int64()),
-            }
-        )
     conv = t["conv_id"].combine_chunks()
     ts = _ts_us(t, ts_col).to_numpy(zero_copy_only=False)
     conv_np = conv.to_numpy(zero_copy_only=False)
-    new_conv = np.ones(n, dtype=bool)
-    new_conv[1:] = conv_np[1:] != conv_np[:-1]
-    gap_break = np.ones(n, dtype=bool)
-    gap_break[1:] = (ts[1:] - ts[:-1]) > gap_us
-    start = new_conv | gap_break
-    sess_id = np.cumsum(start) - 1
-    # per-session reduce via np.add.reduceat on session boundaries
+    start = np.ones(n, dtype=bool)
+    start[1:] = (conv_np[1:] != conv_np[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
     idx = np.flatnonzero(start)
-    counts = np.diff(np.append(idx, n))
-    return pa.table(
-        {
-            "conv_id": pc.take(conv, pa.array(idx, pa.int64())),
-            "session_start_us": pa.array(ts[idx], pa.int64()),
-            "session_end_us": pa.array(ts[np.append(idx[1:] - 1, n - 1)], pa.int64()),
-            "n_turns": pa.array(counts, pa.int64()),
-        }
-    )
+    # last row of each session: the row before the next start (an empty
+    # block has no sessions, so the trailing n − 1 is cut off again)
+    ends = np.append(idx[1:], n)[: idx.size] - 1
+    out = {
+        "conv_id": pc.take(conv, pa.array(idx, pa.int64())),
+        "session_start_us": pa.array(ts[idx], pa.int64()),
+        "session_end_us": pa.array(ts[ends], pa.int64()),
+        "n_turns": pa.array(ends - idx + 1, pa.int64()),
+    }
+    for c in sums:
+        csum = np.concatenate([[0], np.cumsum(t[c].to_numpy())])
+        out[c] = pa.array(csum[ends + 1] - csum[idx], pa.int64())
+    return pa.table(out)
 
 
 def session(
@@ -185,7 +229,7 @@ def session(
         batch_format="pyarrow",
     )
     return slim.groupby("shard").map_groups(
-        lambda g: _sessions_in_shard(g, gap_us, ts_col), batch_format="pyarrow"
+        lambda g: session_islands(g, gap_us, ts_col), batch_format="pyarrow"
     )
 
 
@@ -195,10 +239,8 @@ def merge_session_intervals(df, gap_us: int):
     sessionization of a point set equals gap-merging the partial sessions of
     ANY partition of that set — within a partial session consecutive points
     have gap ≤ g (still ≤ g in the union), and the sweep joins intervals whose
-    gap ≤ g, including bridges across partials. Same full-sweep-with-cummax
-    the streaming merge uses (an out-of-order partial can bridge two others)."""
-    import pandas as pd
-
+    gap ≤ g, including bridges across partials. Full sweep with cummax: an
+    out-of-order partial can bridge two others."""
     if not len(df):
         return df
     df = df.sort_values(["conv_id", "session_start_us", "session_end_us"]).reset_index(drop=True)
@@ -251,7 +293,7 @@ def session_salted(
         batch_format="pyarrow",
     )
     partials = slim.groupby("shard").map_groups(
-        lambda g: _sessions_in_shard(g, gap_us, ts_col), batch_format="pyarrow"
+        lambda g: session_islands(g, gap_us, ts_col), batch_format="pyarrow"
     )
 
     def _merge(g: pa.Table) -> pa.Table:
@@ -272,3 +314,112 @@ def session_salted(
         lambda b: with_shard(b, num_shards), batch_format="pyarrow"
     )
     return resharded.groupby("shard").map_groups(_merge, batch_format="pyarrow")
+
+
+# --- streaming folds ---------------------------------------------------------
+
+
+def _sum_panes(t: pa.Table, group: list[str]) -> pa.Table:
+    return select_agg(
+        t.group_by(group).aggregate([("n_events", "sum"), ("n_chars", "sum")]),
+        group,
+        [("n_events_sum", "n_events"), ("n_chars_sum", "n_chars")],
+    )
+
+
+@dataclass(frozen=True)
+class Panes:
+    """Windows of ``size_us`` every ``slide_us`` per ``keys``, kept as
+    slide-grained panes (n_events, n_chars); tumbling when slide = size."""
+
+    size_us: int
+    slide_us: int
+    keys: tuple[str, ...] = ()
+    #: partials column with each partial's newest event time
+    last_ts = "max_ts_us"
+
+    def closes_us(self, ts: np.ndarray) -> np.ndarray:
+        """End of each row's latest window: the row is late at ``≤ thr_prev``."""
+        return ts - ts % self.slide_us + self.size_us
+
+    def partials(self, rows: pa.Table) -> pa.Table:
+        """Change events → (keys..., window_start_us, n_events, n_chars,
+        max_ts_us) pane partials."""
+        ts = _ts_us(rows, "ts").to_numpy(zero_copy_only=False)
+        cols = {k: rows[k] for k in self.keys}
+        cols["window_start_us"] = pa.array(ts - ts % self.slide_us, pa.int64())
+        cols["n_events"] = pa.array(np.ones(len(ts), dtype=np.int64))
+        cols["n_chars"] = _n_chars(rows["after_text"].combine_chunks())
+        cols["max_ts_us"] = pa.array(ts, pa.int64())
+        group = [*self.keys, "window_start_us"]
+        return select_agg(
+            pa.table(cols)
+            .group_by(group)
+            .aggregate([("n_events", "sum"), ("n_chars", "sum"), ("max_ts_us", "max")]),
+            group,
+            [("n_events_sum", "n_events"), ("n_chars_sum", "n_chars"), ("max_ts_us_max", "max_ts_us")],
+        )
+
+    def fold(
+        self, partials: pa.Table, prior: pa.Table | None, thr_prev: int, thr: int
+    ) -> tuple[pa.Table, pa.Table]:
+        """The pane fold: sum ``partials`` (possibly several rows per pane)
+        into the ``prior`` panes; return the windows with
+        ``thr_prev < end ≤ thr`` sorted by (keys, start), and the panes
+        with ``pane + size > thr``."""
+        group = [*self.keys, "window_start_us"]
+        cols = [*group, "n_events", "n_chars"]
+        parts = [partials.select(cols)]
+        if prior is not None:
+            parts.insert(0, prior.select(cols))
+        panes = _sum_panes(pa.concat_tables(parts), group)
+        copies = explode_panes(panes, self.size_us, self.slide_us)
+        end = copies["window_start_us"].to_numpy(zero_copy_only=False) + self.size_us
+        ready = copies.filter(pa.array((end > thr_prev) & (end <= thr)))
+        emitted = _sum_panes(ready, group).sort_by([(k, "ascending") for k in group])
+        pane = panes["window_start_us"].to_numpy(zero_copy_only=False)
+        return emitted, panes.filter(pa.array(pane + self.size_us > thr))
+
+
+def _session_table(df) -> pa.Table:
+    return pa.Table.from_pandas(df, schema=SESSION_SCHEMA, preserve_index=False)
+
+
+@dataclass(frozen=True)
+class Sessions:
+    """Session windows per conversation with inactivity gap ``gap_us``."""
+
+    gap_us: int
+    #: partials column with each partial's newest event time
+    last_ts = "session_end_us"
+
+    def closes_us(self, ts: np.ndarray) -> np.ndarray:
+        """A row at or below the previous threshold is late."""
+        return ts
+
+    def partials(self, rows: pa.Table) -> pa.Table:
+        """Change events → this batch's SESSION_SCHEMA partial sessions."""
+        slim = pa.table(
+            {
+                "conv_id": rows["conv_id"],
+                "ts": rows["ts"],
+                "n_chars": _n_chars(rows["after_text"].combine_chunks()),
+            }
+        )
+        return session_islands(slim, self.gap_us, sums=("n_chars",))
+
+    def fold(
+        self, partials: pa.Table, prior: pa.Table | None, thr_prev: int, thr: int
+    ) -> tuple[pa.Table, pa.Table]:
+        """The session fold: gap-merge ``partials`` with the ``prior`` open
+        sessions; return the sessions with ``end + gap ≤ thr`` sorted by
+        (conv_id, start), and the still-open rest. ``thr_prev`` is unused:
+        the state holds open sessions only."""
+        names = SESSION_SCHEMA.names
+        parts = [partials.select(names).cast(SESSION_SCHEMA)]
+        if prior is not None:
+            parts.insert(0, prior.select(names).cast(SESSION_SCHEMA))
+        merged = merge_session_intervals(pa.concat_tables(parts).to_pandas(), self.gap_us)[names]
+        closed = (merged["session_end_us"] + self.gap_us <= thr).to_numpy()
+        emitted = merged[closed].sort_values(["conv_id", "session_start_us"])
+        return _session_table(emitted), _session_table(merged[~closed])

@@ -515,3 +515,42 @@ def test_salted_streaming_conv_panes_kill_resume(tmp_path):
     a = a.sort_values(keys).reset_index(drop=True)
     b = b.sort_values(keys).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_window_and_late_readers_are_committed_only(tmp_path):
+    """A crashed batch's emitted panes and late rows stay invisible: after a
+    crash before the commit of batch 1, read_windows() and read_late() equal
+    a clean run of batch 0 alone."""
+    import os
+
+    log = tmp_path / "log"
+    os.makedirs(log)
+    base = pd.Timestamp("2026-01-01").value // 1000
+
+    def tbl(rows, seq0):
+        return pa.table(
+            {
+                "conv_id": pa.array(["a"] * len(rows), pa.string()),
+                "turn_idx": pa.array(range(seq0, seq0 + len(rows)), pa.int32()),
+                "role": pa.array(["user"] * len(rows), pa.string()),
+                "text": pa.array(["x"] * len(rows), pa.string()),
+                "tool": pa.array([None] * len(rows), pa.string()),
+                "ts": pa.array([base + ts for ts in rows], pa.timestamp("us")),
+                "seq": pa.array(range(seq0, seq0 + len(rows)), pa.int64()),
+            }
+        )
+
+    # batch 0 emits the first minute's pane; batch 1 emits the 5th minute's
+    # pane and routes its 30 s row late
+    pq.write_table(tbl([0, 5 * MIN], 0), str(log / "f0.parquet"))
+    pq.write_table(tbl([MIN // 2, 8 * MIN], 2), str(log / "f1.parquet"))
+    kw = dict(num_shards=1, window_agg=True, window_size_us=MIN, allowed_lateness_us=MIN)
+    crashed = CaptureRunner(str(log), _cfg(tmp_path, **kw))
+    assert crashed.run(crash_before_commit_at=1).get("crashed")
+    assert os.listdir(tmp_path / "out" / "windows" / "batch-000001")
+    assert os.listdir(tmp_path / "out" / "late" / "tumbling" / "batch-000001")
+    clean = CaptureRunner(str(log), _cfg(tmp_path / "clean", **kw))
+    clean.run(max_batches=1)
+    assert clean.read_windows().num_rows == 1
+    assert crashed.read_windows().equals(clean.read_windows())
+    assert crashed.read_late().equals(clean.read_late())

@@ -1,16 +1,20 @@
 """Byte-identity fingerprint of the streaming runners: the 16 lean runners
-and ``CaptureRunner`` in seven configurations (flat and bucketed logs; the
+and ``CaptureRunner`` in ten configurations (flat and bucketed logs; the
 perfbench scoring + panes + conv-state config; salted hot conversations with
-sessions; image mode; partition deletes; an evolved column).
+sessions; image mode; partition deletes; an evolved column; sliding windows,
+unsalted sessions and salted conversation-keyed panes, each with a late row).
 
 Runs every case on a tiny 4-window log, crashing once before the commit of
 batch 1 and then resuming (capture cases then flush their windows), and
-prints one ``<case> <path> <md5>`` line per sink and state parquet it leaves,
-and one ``<case> <path> <key>=<json>`` line per top-level key of
-``pins.json`` and the manifests, so that an added manifest key shows up as an
-added line (``metrics/*.json`` records wall seconds and ``runner.lock`` is an
-empty lock file; both are skipped). Run it on two checkouts and diff the
-outputs: a refactor of the runners must print the same lines.
+prints one ``<case> <path> <md5> <content-md5>`` line per sink and state
+parquet it leaves (the content md5 hashes the table's Arrow IPC stream with
+the schema metadata dropped, so files that differ only by the pandas
+metadata block compare equal on it), and one ``<case> <path> <key>=<json>``
+line per top-level key of ``pins.json`` and the manifests, so that an added
+manifest key shows up as an added line (``metrics/*.json`` records wall
+seconds and ``runner.lock`` is an empty lock file; both are skipped). Run it
+on two checkouts and diff the outputs: a refactor of the runners must print
+the same lines.
 
 Usage: python tools/stream_byte_identity.py REPO_ROOT WORK_DIR [case ...]
 """
@@ -215,6 +219,22 @@ def _capture_cases():
             lang = pc.binary_join_element_wise("l", pc.cast(pc.bit_wise_and(w["seq"], 3), pa.string()), "")
             pq.write_table(w.append_column("lang", lang), path)
 
+    # a new turn whose ts is the log's first instant, in the last window: late
+    # for every window kind once the watermark has moved past the first panes
+    def with_late(log: pa.Table, conv_id: str) -> pa.Table:
+        late = pa.table(
+            {
+                "conv_id": [conv_id],
+                "turn_idx": pa.array([99], pa.int32()),
+                "role": ["user"],
+                "text": ["late"],
+                "tool": pa.array([None], pa.string()),
+                "ts": pa.array([pc.min(log["ts"]).value], pa.timestamp("us")),
+                "seq": pa.array([log.num_rows], pa.int64()),
+            }
+        ).select(log.column_names)
+        return pa.concat_tables([log, late.cast(log.schema)])
+
     def capture(**kw):
         return lambda lg, o, c: CaptureRunner(
             lg, EngineConfig(num_shards=3, sink_dir=o, checkpoint_dir=c, **kw)
@@ -241,9 +261,41 @@ def _capture_cases():
         ),
         "capture_pd": (_windows(pd_log), capture(partition_deletes=True), {}),
         "capture_evolved": (evolved, capture(), {}),
+        "capture_sliding": (
+            _windows(with_late(t, "conv5")),
+            capture(sliding_window_us=(2 * minute, minute)),
+            {},
+        ),
+        "capture_sessions": (
+            _windows(with_late(t, "conv5")),
+            capture(session_gap_us=minute),
+            {},
+        ),
+        "capture_keyed_panes_salted": (
+            _windows(with_late(hot, "conv0")),
+            capture(
+                window_agg=True,
+                window_agg_keys=("conv_id",),
+                window_size_us=minute,
+                hot_key_threshold=8,
+                salt_factor=4,
+            ),
+            {"hot_convs": ["conv0"]},
+        ),
     }
 
 
+def _content_md5(path: str) -> str:
+    """md5 of the table's IPC stream without schema metadata."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path)
+    t = t.replace_schema_metadata(None).combine_chunks()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return hashlib.md5(sink.getvalue().to_pybytes()).hexdigest()
 
 
 def main() -> int:
@@ -283,8 +335,10 @@ def main() -> int:
                             for k, v in sorted(json.load(fh).items()):
                                 print(name, rel, f"{k}={json.dumps(v, sort_keys=True)}", flush=True)
                         continue
-                    with open(os.path.join(d, rel), "rb") as fh:
-                        print(name, rel, hashlib.md5(fh.read()).hexdigest(), flush=True)
+                    path = os.path.join(d, rel)
+                    with open(path, "rb") as fh:
+                        md5 = hashlib.md5(fh.read()).hexdigest()
+                    print(name, rel, md5, _content_md5(path), flush=True)
     ray.shutdown()
     return 0
 
