@@ -990,7 +990,9 @@ def search_bm25(
         for i, h in enumerate(th):
             m = wh == h
             dfs[i] = len(np.unique(doc_of[m]))
-        keys = ["_docs", "_words", *tlist]
+        # term keys are namespaced: a query term "_docs" must not merge
+        # into the document total
+        keys = ["_docs", "_words", *(f"t:{t}" for t in tlist)]
         vals = np.concatenate(
             [[len(lens), int(lens.sum())], dfs]
         ).astype(np.int64)
@@ -1007,7 +1009,7 @@ def search_bm25(
     if N == 0 or W == 0:
         raise ValueError("empty corpus")
     avgdl = W / N
-    dfs = np.array([int(agg.get(t, 0)) for t in tlist], dtype=np.float64)
+    dfs = np.array([int(agg.get(f"t:{t}", 0)) for t in tlist], dtype=np.float64)
     idf = np.log((N - dfs + 0.5) / (dfs + 0.5))
 
     def score(t: pa.Table) -> pa.Table:

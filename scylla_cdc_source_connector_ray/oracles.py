@@ -2559,7 +2559,9 @@ def search_bm25_sql(terms: tuple[str, ...], k1: float = 1.2, b: float = 0.75) ->
     """Twin of textops.search_bm25: same tokenizer CTE, same formula with
     the same operation order; the 6-dp round on both sides absorbs libm
     ulp differences (the ann-gate float precedent)."""
-    values = ", ".join(f"('{t}')" for t in sorted({t.lower() for t in terms}))
+    values = ", ".join(
+        "('{}')".format(t.replace("'", "''")) for t in sorted({t.lower() for t in terms})
+    )
     return f"""
 WITH d AS (SELECT doc_id,
              regexp_replace(lower(coalesce(text, '')), '^\\s+|\\s+$', '', 'g') AS t

@@ -14,8 +14,8 @@ A lean runner declares four things:
 
 * its **pins** (:meth:`KeyedStateRunner.pins`) — replay-identity fields
   committed into every manifest and checked on resume;
-* its **route** — a ``map_batches`` function or callable class that appends
-  the shard column (``_shard``);
+* its **route** — a function or callable class over one slice of rows
+  (``BATCH_FORMAT``) that appends the partition column (``_shard``);
 * its **state kind** (``STATE_KIND``) — the checkpoint directory its
   per-shard state lives under;
 * a pure per-shard **fold** ``fold(rows, prior_state) -> (sink_rows | None,
@@ -24,8 +24,16 @@ A lean runner declares four things:
 The base owns the rest: the constructor fields, ``run``/``follow``, the
 keyed exchange, loading the prior state and writing the new one, the
 ``sink_dir/batch-B/shard-K.parquet`` write, summing per-shard stats, and the
-manifest-gated output and state readers. Runners with extra stages chain
-:meth:`keyed`, which returns the Dataset before ``take_all()``.
+manifest-gated output and state readers.
+
+The keyed exchange (:meth:`KeyedStateRunner.keyed`) is a two-stage graph of
+plain Ray tasks, a hash shuffle with no planner in between (as in
+Exoshuffle, Luan et al., SIGCOMM'23): stage 1 reads one slice of a log file
+(or takes a block ref), routes it and returns one part per partition;
+stage 2 runs one fold task per partition over its parts in arrival order.
+A small batch costs a few tasks, where a Ray Data plan costs tens of
+milliseconds per operator. Runners with extra stages chain :meth:`keyed`,
+which returns the stage-2 refs.
 """
 
 from __future__ import annotations
@@ -33,15 +41,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import fcntl
-import gc
 import json
+import math
 import os
 import time
 from collections.abc import Callable
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from ..sources import windowed
 from ..state.checkpoint import Checkpoint, _atomic_write, write_table_atomic
@@ -305,21 +314,114 @@ def read_committed_output_ds(
     return ds.map_batches(fn, batch_format="pyarrow") if fn is not None else ds
 
 
-def take_all_releasing_actors(ds) -> list[dict]:
-    """``ds.take_all()`` for a plan with an actor-pool stage. Ray Data
-    releases pool actors by dropping their handles, but reference cycles in
-    the finished execution keep them — and the CPUs they reserve — alive
-    until the cyclic GC happens to run; a later job that needs those CPUs
-    for its own actors then waits forever. Collect the cycles right away."""
-    rows = ds.take_all()
-    gc.collect()
-    return rows
-
-
 def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None:
     """Atomic ``sink_dir/batch-B/<name>.parquet`` write — one file per
     (batch, shard or part), so a replayed batch overwrites by name."""
     write_table_atomic(table, os.path.join(sink_dir, f"batch-{batch_id:06d}", f"{name}.parquet"))
+
+
+#: Rows per stage-1 slice of a log file: a file of ``rows`` rows is read as
+#: ``min(2 * num_shards, ceil(rows / SPLIT_ROWS))`` slices, each routed by
+#: its own task, so a large batch keeps its parallelism while a small one
+#: is read and routed in one task.
+SPLIT_ROWS = 16_384
+
+
+def _as_format(block, fmt: str):
+    """``block`` (Arrow or pandas) as ``fmt``, converted the way Ray Data
+    converts blocks for ``map_batches``."""
+    from ray.data.block import BlockAccessor
+
+    acc = BlockAccessor.for_block(block)
+    return acc.to_pandas() if fmt == "pandas" else acc.to_arrow()
+
+
+def _returns(parts: list):
+    """A ``num_returns=len(parts)`` task's return value."""
+    return parts if len(parts) > 1 else parts[0]
+
+
+def _refs(refs, n: int) -> list:
+    """The refs of a ``num_returns=n`` task as a list."""
+    return refs if n > 1 else [refs]
+
+
+def _row_slices(t: pa.Table, n: int) -> list[pa.Table]:
+    """``n`` contiguous slices of ``t`` whose sizes differ by at most a row."""
+    bounds = [t.num_rows * i // n for i in range(n + 1)]
+    return [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _by_partition(t: pa.Table, col: str, n: int) -> list[pa.Table]:
+    """``t``'s rows split by the partition column ``col`` (dropped) into
+    ``n`` parts, arrival order kept inside each part."""
+    part = t[col].to_numpy()
+    if len(part) and (part.min() < 0 or part.max() >= n):
+        raise ValueError(f"route put rows in partition {part.min()}..{part.max()}, not in [0, {n})")
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(n + 1))
+    t = t.drop_columns([col]).take(order)
+    return [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+@ray.remote
+def _read_slices(path: str, n: int, columns: list[str] | None):
+    """Stage 1 of a multi-slice file: read it once, return ``n`` slices."""
+    return _returns(_row_slices(pq.read_table(path, columns=columns), n))
+
+
+@ray.remote
+def _route_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str] | None):
+    """Stage 1: one slice (a log file path or a block) → ``route`` → one
+    Arrow part per partition. A callable-class route is built per task."""
+    t = pq.read_table(src, columns=columns) if isinstance(src, str) else src
+    fn = route() if isinstance(route, type) else route
+    return _returns(_by_partition(_as_format(fn(_as_format(t, fmt)), "pyarrow"), shard_col, n))
+
+
+@ray.remote
+def _fold_shard(
+    shard: int, batch_id: int, fold, fmt: str, kind: str, ckpt_dir: str, sink_dir, emit: bool, *parts
+):
+    """Stage 2: one partition's parts, in source-then-slice order, folded
+    into its state. A partition with no rows runs no fold and writes
+    nothing. ``emit=False`` writes the fold's rows to the shard's sink file
+    and returns ``{"stats", "rows", "fold_s", "slices"}`` (``stats`` None
+    for a skipped partition); ``emit=True`` returns the rows as an Arrow
+    table (a skipped partition's empty parts)."""
+    t = pa.concat_tables(parts, promote_options="permissive")
+    shard_metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": len(parts)}
+    if t.num_rows == 0:
+        return t if emit else shard_metrics
+    ck = Checkpoint(ckpt_dir)  # path math only
+    prev = ck.latest_state_path(shard, before_batch=batch_id, kind=kind)
+    prior = pq.read_table(prev) if prev else None
+    t0 = time.perf_counter()
+    out, state, stats = fold(_as_format(t, fmt), prior)
+    shard_metrics["fold_s"] = time.perf_counter() - t0
+    if state is not None:
+        ck.write_state(shard, batch_id, state, kind=kind)
+    if emit:
+        return _as_format(out, "pyarrow")
+    if out is not None:
+        write_sink(sink_dir, batch_id, f"shard-{shard:05d}", out)
+    return {**shard_metrics, "stats": stats}
+
+
+def exchange_metrics(shards: list[dict]) -> dict:
+    """Per-batch skew metrics from the stage-2 results of one exchange:
+    stage-1 slices, and max / median rows and fold seconds over the
+    partitions (an empty partition counts as 0)."""
+    rows = sorted(s["rows"] for s in shards)
+    fold_s = sorted(s["fold_s"] for s in shards)
+    mid = len(shards) // 2  # upper median
+    return {
+        "slices": shards[0]["slices"],
+        "shard_rows_max": rows[-1],
+        "shard_rows_p50": rows[mid],
+        "fold_s_max": round(fold_s[-1], 4),
+        "fold_s_p50": round(fold_s[mid], 4),
+    }
 
 
 class KeyedStateRunner:
@@ -397,24 +499,37 @@ class KeyedStateRunner:
         """Run-level totals as returned by ``run``/``follow``."""
         return totals
 
-    def process(self, batch_id: int, bfiles: list[str]) -> dict:
-        """One batch: read → route → keyed fold → summed stats."""
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
+        """One batch: the keyed exchange over its files → summed stats,
+        with the exchange's skew metrics."""
         route, fold = self.plan(batch_id, bfiles)
-        return self.sum_stats(self.keyed(self.read(bfiles), route, fold, batch_id).take_all())
+        shards = ray.get(self.keyed(bfiles, route, fold, batch_id))
+        return BatchResult(self.sum_stats(shards), metrics=exchange_metrics(shards))
 
     # -------------------------------------------------------------- stages
-    def read(self, bfiles: list[str], **kw):
-        import ray.data
+    @property
+    def num_partitions(self) -> int:
+        """Partitions of the keyed exchange (values of the route's shard
+        column): one per shard unless a runner routes rows elsewhere too."""
+        return self.num_shards
 
-        ds = ray.data.read_parquet(bfiles, override_num_blocks=2 * self.num_shards, **kw)
-        # a batch of few files (or single-row-group files) cannot split at
-        # read time, which would fuse the route stage onto one core — a
-        # shuffle-FREE repartition slices the blocks before the exchange
-        return ds.repartition(2 * self.num_shards, shuffle=False)
+    def slices(self, path: str) -> int:
+        """Stage-1 slices of a log file, from its footer row count."""
+        rows = pq.read_metadata(path).num_rows
+        return max(1, min(2 * self.num_shards, math.ceil(rows / SPLIT_ROWS)))
+
+    def read_slices(self, bfiles: list[str], columns: list[str] | None = None) -> list:
+        """Block refs of the batch's rows, file by file, for a stage that
+        runs on Ray Data (``ray.data.from_arrow_refs``)."""
+        refs = []
+        for path in bfiles:
+            n = self.slices(path)
+            refs += _refs(_read_slices.options(num_returns=n).remote(path, n, columns), n)
+        return refs
 
     def keyed(
         self,
-        ds,
+        inputs: list,
         route,
         fold: Callable,
         batch_id: int,
@@ -423,47 +538,48 @@ class KeyedStateRunner:
         shard_col: str = "_shard",
         batch_format: str | None = None,
         emit: bool = False,
-        **route_kw,
-    ):
-        """``ds → map_batches(route) → groupby(shard_col).map_groups(fold)``.
-        Per shard: the prior state (newest ``kind`` file before this batch,
-        None if absent) is loaded, ``fold(rows, prior)`` runs on the group
-        (shard column dropped), a non-None new state is written under this
-        batch id. ``emit=False``: sink rows go to the shard's sink file and
-        the stats row flows on; ``emit=True``: the fold's rows flow on to a
-        later stage instead (no sink write)."""
+        columns: list[str] | None = None,
+    ) -> list:
+        """The keyed exchange as a two-stage task graph; returns one stage-2
+        ref per partition. ``inputs`` are log file paths (read with
+        ``columns``; cut into :meth:`slices` before any task runs) or block refs.
+        Stage 1, per slice: ``route`` over the rows (``batch_format``), then
+        one part per partition by ``shard_col``. A one-slice file is read
+        and routed in one task; a larger one is read by one task and routed
+        per slice. Stage 2, per partition: the parts in source-then-slice
+        order (so the fold sees arrival order), skipped when empty;
+        otherwise the prior state (newest ``kind`` file before this batch,
+        None if absent) is loaded, ``fold(rows, prior)`` runs and a
+        non-None new state is written under this batch id. ``emit=False``:
+        sink rows go to the shard's sink file and the stage-2 result is the
+        shard's stats and metrics (see :func:`exchange_metrics`);
+        ``emit=True``: the fold's rows are the result, an Arrow block for a
+        later stage (no sink write)."""
         fmt = batch_format or self.BATCH_FORMAT
-        kind = kind or self.state_kind
-        ckpt_dir, sink_dir = self.ckpt.dir, self.sink_dir
+        n = self.num_partitions
+        route_ref, fold_ref = ray.put(route), ray.put(fold)
+        parts = []  # per slice, one part ref per partition
+        for src in inputs:
+            one = not isinstance(src, str) or self.slices(src) == 1
+            for sl in [src] if one else self.read_slices([src], columns):
+                split = _route_split.options(num_returns=n)
+                parts.append(_refs(split.remote(sl, route_ref, fmt, shard_col, n, columns), n))
+        return [
+            _fold_shard.remote(
+                p, batch_id, fold_ref, fmt, kind or self.state_kind, self.ckpt.dir,
+                self.sink_dir, emit, *(sp[p] for sp in parts),
+            )
+            for p in range(n)
+        ]
 
-        def shard_task(g):
-            if isinstance(g, pd.DataFrame):
-                shard = int(g.pop(shard_col).iloc[0])
-            else:
-                shard = int(g[shard_col][0].as_py())
-                g = g.drop_columns([shard_col])
-            ck = Checkpoint(ckpt_dir)  # path math only; no driver state
-            prev = ck.latest_state_path(shard, before_batch=batch_id, kind=kind)
-            out, state, stats = fold(g, pq.read_table(prev) if prev else None)
-            if state is not None:
-                ck.write_state(shard, batch_id, state, kind=kind)
-            if emit:
-                return out
-            if out is not None:
-                write_sink(sink_dir, batch_id, f"shard-{shard:05d}", out)
-            return pa.table({k: [v] for k, v in stats.items()})
-
-        return (
-            ds.map_batches(route, batch_format=fmt, **route_kw)
-            .groupby(shard_col)
-            .map_groups(shard_task, batch_format=fmt)
-        )
-
-    def sum_stats(self, rows: list[dict]) -> dict:
+    def sum_stats(self, shards: list[dict]) -> dict:
+        """Per-shard fold stats summed over the stage-2 results (skipped
+        partitions have none)."""
         totals = dict.fromkeys(self.STATS, 0)
-        for r in rows:
-            for k in totals:
-                totals[k] += r[k]
+        for s in shards:
+            if s["stats"] is not None:
+                for k in totals:
+                    totals[k] += s["stats"][k]
         return totals
 
     # -------------------------------------------------------------- output

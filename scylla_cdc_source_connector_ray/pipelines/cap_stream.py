@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..state.checkpoint import current_hash_impl
-from ._microbatch import KeyedStateRunner
+from ._microbatch import BatchResult, KeyedStateRunner
 
 
 def saturated_keys(runner, batch_id: int, kind: str, key_col: str, k: int) -> pa.Array | None:
@@ -149,17 +149,19 @@ class SourceCapRunner(KeyedStateRunner):
             "hash_impl": current_hash_impl(),
         }
 
-    def process(self, batch_id: int, bfiles: list[str]) -> dict:
-        m = super().process(batch_id, bfiles)
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
+        r = super().process(batch_id, bfiles)
         # input rows from footers: the saturated-key prefilter drops rows
         # BEFORE the exchange, so per-shard stats never see them
         rows = sum(pq.read_metadata(f).num_rows for f in bfiles)
-        return {
+        m = r.stats
+        r.stats = {
             "rows": rows,
             "admitted": m["admitted"],
             "rejected": rows - m["admitted"],
             "exchanged": m["exchanged"],
         }
+        return r
 
     def plan(self, batch_id: int, bfiles: list[str]):
         key_col, order_col, k = self.key_col, self.order_col, self.k

@@ -35,15 +35,17 @@ and one int per source/shard.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray
+import ray.data
 
 from ..state.checkpoint import current_hash_impl
-from ._microbatch import KeyedStateRunner, take_all_releasing_actors
+from ._microbatch import KeyedStateRunner
 from .cap_stream import admit, drop_saturated, saturated_keys
 from .dedup_stream import _hash128, first_occurrence
 
@@ -172,7 +174,7 @@ class CurationStreamRunner(KeyedStateRunner):
             )
             return out, state, {"cap_in": len(g), "admitted": int(keep.sum())}
 
-        ds = self.read(bfiles).map_batches(
+        filtered = ray.data.from_arrow_refs(self.read_slices(bfiles)).map_batches(
             RepDecontamFilter,
             batch_format="pandas",
             # one actor pool for the whole gram-hashing front-end
@@ -183,13 +185,24 @@ class CurationStreamRunner(KeyedStateRunner):
                 "id_col": id_col,
                 "source_col": source_col,
             },
-        )
-        ds = self.keyed(
-            ds, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND,
+        ).to_arrow_refs()
+        # Ray Data releases pool actors by dropping their handles, but
+        # reference cycles in the finished execution keep them (and the CPUs
+        # they reserve) alive until the cyclic GC runs; collect them now so
+        # the exchange's tasks get those CPUs
+        gc.collect()
+        survivors = self.keyed(
+            filtered, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND,
             batch_format="pandas", emit=True,
         )
-        ds = self.keyed(ds, cap_route, cap_fold, batch_id, kind=self.CAP_KIND, shard_col="_cshard")
-        m = self.sum_stats(take_all_releasing_actors(ds))
+        m = self.sum_stats(
+            ray.get(
+                self.keyed(
+                    survivors, cap_route, cap_fold, batch_id, kind=self.CAP_KIND,
+                    shard_col="_cshard",
+                )
+            )
+        )
         # per-stage splits (filtered vs dup) are the standalone runners'
         # metrics; the composed runner reports the chain's endpoints
         return {"rows": sum(pq.read_metadata(f).num_rows for f in bfiles), **m}

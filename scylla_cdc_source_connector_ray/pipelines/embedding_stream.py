@@ -19,7 +19,7 @@ whole stream — the cheapest state family in the repo). The flip side of a
 small signature space is aggressive suppression; raise ``n_planes`` for a
 finer filter (state grows as 2^n_planes).
 
-Scale shape: the hyperplane matrix is built once per actor (deterministic
+Scale shape: the hyperplane matrix is built once per route task (deterministic
 literals — nothing ships); signature rows (n_tables/vec, two int64s each)
 are exchanged once, partitioned by signature key; the survivor pass reads
 ONLY the id column of the batch files (column-pruned, no exchange) and
@@ -40,7 +40,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ._microbatch import KeyedStateRunner, take_all_releasing_actors, write_sink
+from ._microbatch import KeyedStateRunner, write_sink
 
 
 class EmbeddingLshStreamRunner(KeyedStateRunner):
@@ -85,7 +85,7 @@ class EmbeddingLshStreamRunner(KeyedStateRunner):
         n_tables, n_planes, dim = self.n_tables, self.n_planes, self.dim
 
         class SigRows:
-            """Signatures from the actor-held hyperplane matrix: one
+            """Signatures from a per-task hyperplane matrix: one
             (vec, key) row per table, key = (t << n_planes) | sig."""
 
             def __init__(self):
@@ -142,15 +142,14 @@ class EmbeddingLshStreamRunner(KeyedStateRunner):
             state = pa.table({"key": pa.array(merged, pa.int64())})
             return pd.DataFrame({"vid": np.unique(vid[collided])}), state, {}
 
-        ds = self.read(bfiles, columns=[order_col, vec_col])
-        dropped_tbl = take_all_releasing_actors(
+        dropped_tbls = ray.get(
             self.keyed(
-                ds, SigRows, fold, batch_id, batch_format="pandas", emit=True,
-                concurrency=(1, 8),
+                bfiles, SigRows, fold, batch_id, batch_format="pandas", emit=True,
+                columns=[order_col, vec_col],
             )
         )
         dropped = np.unique(
-            np.fromiter((int(r["vid"]) for r in dropped_tbl), np.int64)
+            np.concatenate([t["vid"].to_numpy().astype(np.int64) for t in dropped_tbls])
         )
 
         # survivor pass: column-pruned id read per file, no exchange; the

@@ -30,6 +30,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray.data
+
 from ._microbatch import KeyedStateRunner, write_sink
 from .dedup_stream import _member128, _seen128, _union128
 
@@ -112,9 +114,8 @@ class SegmentDedupStreamRunner(KeyedStateRunner):
                 {"docs": [len(out)], **{c: [int(out[f"n_{c}"].sum())] for c in stats[1:]}}
             )
 
-        ds = self.read(bfiles)
         decided = (
-            self.keyed(ds, route, fold, batch_id, emit=True)
+            ray.data.from_arrow_refs(self.keyed(bfiles, route, fold, batch_id, emit=True))
             .map_batches(
                 lambda t: _seg_unpack_table(t["_pk"].to_numpy(zero_copy_only=False), num_parts),
                 batch_format="pyarrow",
@@ -123,16 +124,13 @@ class SegmentDedupStreamRunner(KeyedStateRunner):
             # shuffle (many-small-blocks sort pathology; see segment_dedup)
             .repartition(num_parts, shuffle=False)
         )
-        docs = ds.map_batches(
+        docs = ray.data.from_arrow_refs(self.read_slices(bfiles)).map_batches(
             lambda b: _seg_doc_rows_table(b, text_col, id_col, num_parts),
             batch_format="pandas",
         )
-        return self.sum_stats(
-            decided.union(docs)
-            .groupby("_pid")
-            .map_groups(part_task, batch_format="pandas")
-            .take_all()
-        )
+        parts = decided.union(docs).groupby("_pid").map_groups(part_task, batch_format="pandas")
+        rows = parts.take_all()
+        return {k: sum(r[k] for r in rows) for k in stats}
 
     def reassembler(self):
         from ..functions.dedup import _seg_reassemble_part

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ._microbatch import KeyedStateRunner
+from ._microbatch import BatchResult, KeyedStateRunner
 
 
 class SessionStreamRunner(KeyedStateRunner):
@@ -71,7 +71,7 @@ class SessionStreamRunner(KeyedStateRunner):
             f"/{self.id_col}",
         }
 
-    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
         self._check_monotone_ts(batch_id, bfiles)
         return super().process(batch_id, bfiles)
 

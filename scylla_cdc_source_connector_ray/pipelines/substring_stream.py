@@ -87,6 +87,12 @@ class SubstringDedupStreamRunner(SegmentDedupStreamRunner):
             "sink_layout": f"part-v1/{self.num_parts}",
         }
 
+    @property
+    def num_partitions(self) -> int:
+        """Gram shards, then one pass-through partition per reassembly part
+        for the cuts a route task already decided."""
+        return self.num_shards + self.num_parts
+
     def reassembler(self):
         from ..functions.dedup import _substring_reassemble_part
 

@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..state.checkpoint import current_hash_impl
-from ._microbatch import KeyedStateRunner
+from ._microbatch import BatchResult, KeyedStateRunner
 
 
 class TopKStreamRunner(KeyedStateRunner):
@@ -31,7 +31,7 @@ class TopKStreamRunner(KeyedStateRunner):
     nondeterministic across block layouts."""
 
     STATE_KIND = "topk"
-    STATS = ("rows", "state_rows")
+    STATS = ("state_rows",)
 
     def __init__(
         self,
@@ -91,7 +91,6 @@ class TopKStreamRunner(KeyedStateRunner):
             return t.append_column("_shard", shard_of(t[keys[0]], num_shards))
 
         def fold(g: pa.Table, st: pa.Table | None):
-            n_in = g.num_rows  # batch rows only, BEFORE the state concat
             if st is not None:
                 g = pa.concat_tables([st, g], promote_options="permissive")
             merged = prune(g)
@@ -102,9 +101,17 @@ class TopKStreamRunner(KeyedStateRunner):
                     merged = merged.set_column(
                         i, f.name, merged[f.name].cast(pa.string())
                     )
-            return None, merged, {"rows": n_in, "state_rows": merged.num_rows}
+            return None, merged, {"state_rows": merged.num_rows}
 
         return partial, fold
+
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
+        r = super().process(batch_id, bfiles)
+        # input rows from footers: the route prunes each slice to its top k
+        # per key BEFORE the exchange, so a per-shard count would depend on
+        # how the files were sliced
+        r.stats = {"rows": sum(pq.read_metadata(f).num_rows for f in bfiles), **r.stats}
+        return r
 
     # --------------------------------------------------------------- output
     def read_topk(self) -> pa.Table:

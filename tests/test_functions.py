@@ -1696,3 +1696,36 @@ def test_gopher_rules_brute_force():
     assert got.loc[0, "mean_wlen_micro"] == sum(map(len, ws)) * 1_000_000 // len(ws)
     assert got.loc[6, "alpha_frac_micro"] == 6 * 1_000_000 // 7
     assert got.loc[4, "n_words"] == 0 and got.loc[4, "mean_wlen_micro"] == 0
+
+
+def test_search_bm25_reserved_and_quoted_terms_match_sql_twin():
+    # a term named like an internal total, and one with a quote, must score
+    # like the DuckDB twin
+    from scylla_cdc_source_connector_ray.functions.textops import search_bm25
+    from scylla_cdc_source_connector_ray.oracles import search_bm25_sql
+
+    texts = [
+        "_docs it's fine",
+        "it's it's a table",
+        "nothing here",
+        "_docs _docs _words",
+        "",
+        "it is not",
+    ]
+    documents = pd.DataFrame(
+        {"doc_id": np.arange(len(texts), dtype=np.int64),
+         "text": pd.Series(texts, dtype=object)}
+    )
+    terms = ("_docs", "it's")
+    got = (
+        search_bm25(ray.data.from_pandas(documents).repartition(3), terms)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    want = (
+        duckdb.sql(search_bm25_sql(terms)).df().sort_values("doc_id").reset_index(drop=True)
+    )
+    assert list(got["doc_id"]) == list(want["doc_id"]) == [0, 1, 3]
+    assert list(got["n_terms"]) == list(want["n_terms"])
+    np.testing.assert_allclose(got["score"], want["score"], atol=1e-9)

@@ -1,0 +1,192 @@
+"""The keyed exchange's task graph (``KeyedStateRunner.keyed``): splitting a
+log file into several route slices must not change a byte of sink, state or
+manifest output, a crash on that path must resume byte-identically, empty
+partitions write nothing, and every batch records per-shard metrics."""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from scylla_cdc_source_connector_ray.pipelines import _microbatch
+from scylla_cdc_source_connector_ray.pipelines import dedup_stream as dd
+from scylla_cdc_source_connector_ray.pipelines import distinct_stream as ds
+from scylla_cdc_source_connector_ray.pipelines import element_stream as el
+from scylla_cdc_source_connector_ray.pipelines import substring_stream as sub
+from scylla_cdc_source_connector_ray.pipelines import topk_stream as topk
+
+
+def _docs(n=48):
+    rng = np.random.default_rng(3)
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+    texts = [" ".join(rng.choice(words, 8)) for _ in range(n - 6)]
+    texts += texts[:3] + texts[-3:]  # duplicates across and within windows
+    return pa.table(
+        {
+            "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+            "text": pa.array(texts),
+        }
+    )
+
+
+def _kv():
+    rng = np.random.default_rng(9)
+    return pa.table(
+        {
+            "k": pa.array([f"k{i}" if i % 7 else None for i in rng.integers(0, 6, 60)]),
+            "o": pa.array(np.arange(60, dtype=np.int64)),
+            "v": pa.array(rng.integers(0, 100, 60).astype(np.int64)),
+        }
+    )
+
+
+def _keys_ts():
+    return pa.table(
+        {
+            "conv_id": pa.array([f"c{i % 5}" if i % 9 else None for i in range(40)]),
+            "ts_us": pa.array(np.arange(40, dtype=np.int64) * 400),
+        }
+    )
+
+
+def _elements():
+    kinds = ["add", "remove", "wipe", "add"]
+    return pa.table(
+        {
+            "conv_id": pa.array([f"c{i % 3}" for i in range(24)]),
+            "turn_idx": pa.array([i % 3 for i in range(24)], pa.int32()),
+            "ts": pa.array([10 * i for i in range(24)], pa.timestamp("us")),
+            "seq": pa.array(np.arange(24, dtype=np.int64)),
+            "kind": pa.array([kinds[i % 4] for i in range(24)]),
+            "add_elems": pa.array(
+                [[f"e{i % 5}"] if i % 4 != 1 else [] for i in range(24)],
+                pa.list_(pa.string()),
+            ),
+            "rem_elems": pa.array(
+                [[f"e{(i + 1) % 5}"] if i % 4 == 1 else [] for i in range(24)],
+                pa.list_(pa.string()),
+            ),
+        }
+    )
+
+
+CASES = {
+    "dedup": (_docs, lambda lg, o, c: dd.DedupStreamRunner(lg, 3, o, c)),
+    "topk": (_kv, lambda lg, o, c: topk.TopKStreamRunner(lg, 3, c, ["k"], "v", 2, ["o"])),
+    "distinct": (_keys_ts, lambda lg, o, c: ds.DistinctStreamRunner(lg, 3, c, window_us=2000)),
+    "element_list": (_elements, lambda lg, o, c: el.ElementStreamRunner(lg, 3, o, c, "list")),
+    "substring": (
+        _docs,
+        lambda lg, o, c: sub.SubstringDedupStreamRunner(lg, 3, o, c, k=3, num_parts=2),
+    ),
+}
+
+
+def _write_windows(log, table, n=4):
+    os.makedirs(log)
+    for i in range(n):
+        lo, hi = i * table.num_rows // n, (i + 1) * table.num_rows // n
+        pq.write_table(table.slice(lo, hi - lo), os.path.join(log, f"window-{i:05d}.parquet"))
+
+
+def _fingerprint(root):
+    """md5 of every sink, state, manifest and pins file under ``root``
+    (per-batch metrics record wall seconds; the lock file is empty)."""
+    out = {}
+    for dp, _, files in os.walk(root):
+        for f in files:
+            rel = os.path.relpath(os.path.join(dp, f), root)
+            if rel.startswith(os.path.join("ckpt", "metrics")) or f == "runner.lock":
+                continue
+            with open(os.path.join(dp, f), "rb") as fh:
+                out[rel] = hashlib.md5(fh.read()).hexdigest()
+    return out
+
+
+def _metrics(root, batch_id=0):
+    with open(os.path.join(root, "ckpt", "metrics", f"batch-{batch_id:06d}.json")) as fh:
+        return json.load(fh)
+
+
+def _run(root, name, crash=False):
+    table, make = CASES[name]
+    root = str(root)
+    log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
+    _write_windows(log, table())
+    if crash:
+        assert make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1)["crashed"]
+    runner = make(log, out, ck)
+    totals = runner.run(files_per_batch=1)
+    slices = runner.slices(os.path.join(log, "window-00000.parquet"))
+    return _fingerprint(root), totals, slices
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_multi_slice_matches_single_slice(tmp_path, monkeypatch, name):
+    one, one_totals, one_slices = _run(tmp_path / "one", name)
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
+    many, many_totals, many_slices = _run(tmp_path / "many", name)
+    assert one_slices == 1 and many_slices > 1
+    assert many == one
+    assert many_totals == one_totals
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_multi_slice_kill_resume_matches_clean_run(tmp_path, monkeypatch, name):
+    clean = _run(tmp_path / "clean", name)[0]
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
+    resumed = _run(tmp_path / "resumed", name, crash=True)[0]
+    assert resumed == clean
+
+
+def test_shard_without_rows_writes_no_state_or_sink(tmp_path):
+    # every row carries the same text, so one of the 4 shards gets the batch
+    log, out, ck = (str(tmp_path / x) for x in ("log", "sink", "ckpt"))
+    os.makedirs(log)
+    pq.write_table(
+        pa.table({"doc_id": pa.array(np.arange(5, dtype=np.int64)), "text": ["same words"] * 5}),
+        os.path.join(log, "window-00000.parquet"),
+    )
+    totals = dd.DedupStreamRunner(log, 4, out, ck).run(files_per_batch=1)
+    assert (totals["rows"], totals["kept"], totals["dups"]) == (5, 1, 4)
+    states = sorted(os.listdir(os.path.join(ck, "seen")))
+    sinks = sorted(os.listdir(os.path.join(out, "batch-000000")))
+    assert len(states) == 1 and len(sinks) == 1
+    shard = int(states[0].split("=")[1])
+    assert sinks == [f"shard-{shard:05d}.parquet"]
+    m = _metrics(tmp_path)
+    assert m["shard_rows_max"] == 1  # the route's combiner folds the 5 copies
+    assert m["shard_rows_p50"] == 0
+
+
+def test_zero_row_window_commits_with_zero_stats(tmp_path):
+    log, out, ck = (str(tmp_path / x) for x in ("log", "sink", "ckpt"))
+    os.makedirs(log)
+    docs = _docs().slice(0, 8)
+    pq.write_table(docs, os.path.join(log, "window-00000.parquet"))
+    pq.write_table(docs.slice(0, 0), os.path.join(log, "window-00001.parquet"))
+    r = dd.DedupStreamRunner(log, 3, out, ck)
+    totals = r.run(files_per_batch=1)
+    assert totals["batches"] == 2
+    last = r.ckpt.last_committed()
+    assert last["batch_id"] == 1 and last["consumed_files"] == 2
+    assert last["cum"] == {"rows": 8, "kept": totals["kept"], "dups": totals["dups"]}
+    m = _metrics(tmp_path, 1)
+    assert (m["rows"], m["kept"], m["dups"]) == (0, 0, 0)
+    assert m["shard_rows_max"] == 0
+    assert not os.path.exists(os.path.join(out, "batch-000001"))
+
+
+def test_batch_metrics_record_exchange_skew(tmp_path, monkeypatch):
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 5)
+    _run(tmp_path, "dedup")
+    m = _metrics(tmp_path)
+    for k in ("slices", "shard_rows_max", "shard_rows_p50", "fold_s_max", "fold_s_p50"):
+        assert k in m
+    assert m["slices"] == 3  # 12 rows a file, 5 rows a slice
+    assert m["shard_rows_max"] >= m["shard_rows_p50"] > 0
+    assert m["fold_s_max"] >= m["fold_s_p50"] >= 0

@@ -87,3 +87,20 @@ def test_stream_topk_k_change_is_rejected(tmp_path):
     _runner(tmp, log).run(files_per_batch=1, max_batches=1)
     with pytest.raises(ValueError, match="topk_impl"):
         _runner(tmp, log, k=3).run(files_per_batch=1)
+
+
+def test_stream_topk_rows_counts_every_input_row(tmp_path):
+    # the rows stat is the batch's input rows, however the route's per-slice
+    # prune cut them before the exchange
+    tmp = str(tmp_path)
+    rng = np.random.default_rng(9)
+    kv = pd.DataFrame(
+        {
+            "g": [f"k{i}" if i % 7 else None for i in rng.integers(0, 6, 60)],
+            "v": rng.integers(0, 100, 60).astype(np.int64),
+            "uid": np.arange(60, dtype=np.int64),
+        }
+    )
+    log = _write_log(tmp, [kv.iloc[i * 15 : (i + 1) * 15] for i in range(4)])
+    totals = _runner(tmp, log).run(files_per_batch=4)
+    assert totals["rows"] == 60
