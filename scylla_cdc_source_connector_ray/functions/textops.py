@@ -848,10 +848,20 @@ class UnigramScorer:
             )
             doc_sum[lens == 0] = 0
         else:
+            ip = np.zeros(0, dtype=np.uint64)
             doc_sum = np.zeros(len(lens), dtype=np.uint64)
         surprise = np.where(
             lens > 0, doc_sum // np.maximum(lens, 1).astype(np.uint64), 0
         ).astype(np.int64)
+        # each ip < 2^63 but a document's uint64 sum can wrap; the HUGEINT
+        # twin does not. A float sum flags the documents that may have
+        # wrapped (it is off by far less than the 2^63 margin), and those
+        # are summed exactly in Python ints.
+        doc_of = np.repeat(np.arange(len(lens)), lens)
+        approx = np.bincount(doc_of, weights=ip.astype(np.float64), minlength=len(lens))
+        for d in np.flatnonzero(approx >= 2.0**63):
+            lo = int(word_off[d])
+            surprise[d] = sum(int(x) for x in ip[lo : lo + int(lens[d])]) // int(lens[d])
         return pa.table(
             {
                 self.id_col: ids,

@@ -26,14 +26,17 @@ keyed exchange, loading the prior state and writing the new one, the
 ``sink_dir/batch-B/shard-K.parquet`` write, summing per-shard stats, and the
 manifest-gated output and state readers.
 
-The keyed exchange (:meth:`KeyedStateRunner.keyed`) is a two-stage graph of
-plain Ray tasks, a hash shuffle with no planner in between (as in
-Exoshuffle, Luan et al., SIGCOMM'23): stage 1 reads one slice of a log file
-(or takes a block ref), routes it and returns one part per partition;
-stage 2 runs one fold task per partition over its parts in arrival order.
-A small batch costs a few tasks, where a Ray Data plan costs tens of
-milliseconds per operator. Runners with extra stages chain :meth:`keyed`,
-which returns the stage-2 refs.
+The keyed exchange (:func:`exchange`) is a two-stage graph of plain Ray
+tasks, a hash shuffle with no planner in between (as in Exoshuffle, Luan et
+al., SIGCOMM'23): stage 1 reads one slice of a log file (or takes a block
+ref), routes it and returns one part per partition; stage 2 runs one task
+per partition that hands its parts, in arrival order, to a stage-2 body. A
+pre-partitioned input (a bucketed log) skips stage 1. A small batch costs a
+few tasks, where a Ray Data plan costs tens of milliseconds per operator.
+The lean runners' body loads, folds and writes one shard's keyed state
+(:meth:`KeyedStateRunner.keyed`; runners with extra stages chain it, as it
+returns the stage-2 refs); ``CaptureRunner`` runs its shard stage and its
+salted merge and fixup stages on the same exchange with bodies of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import fcntl
+import functools
 import json
 import math
 import os
@@ -288,11 +292,13 @@ def read_committed_output(
     conform: Callable[[list[pa.Table]], list[pa.Table]] | None = None,
 ) -> pa.Table:
     """Concat the sink files of committed batches (see
-    :func:`committed_sink_files`); ``conform`` unifies their schemas first."""
+    :func:`committed_sink_files`); ``conform`` unifies their schemas first,
+    and files that differ only in string encoding (string / large_string)
+    concatenate as large_string."""
     parts = [pq.read_table(p) for p in committed_sink_files(ckpt, sink_dir)]
     if conform is not None:
         parts = conform(parts)
-    return pa.concat_tables(parts) if parts else pa.table({})
+    return pa.concat_tables(parts, promote_options="permissive") if parts else pa.table({})
 
 
 def read_committed_output_ds(
@@ -325,6 +331,12 @@ def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None
 #: its own task, so a large batch keeps its parallelism while a small one
 #: is read and routed in one task.
 SPLIT_ROWS = 16_384
+
+
+def slices(path: str, num_shards: int) -> int:
+    """Stage-1 slices of a log file, from its footer row count."""
+    rows = pq.read_metadata(path).num_rows
+    return max(1, min(2 * num_shards, math.ceil(rows / SPLIT_ROWS)))
 
 
 def _as_format(block, fmt: str):
@@ -370,27 +382,90 @@ def _read_slices(path: str, n: int, columns: list[str] | None):
     return _returns(_row_slices(pq.read_table(path, columns=columns), n))
 
 
+def _slice_refs(path: str, k: int, columns: list[str] | None) -> list:
+    """Block refs of a log file read as ``k`` slices by one task."""
+    return _refs(_read_slices.options(num_returns=k).remote(path, k, columns), k)
+
+
 @ray.remote
 def _route_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str] | None):
     """Stage 1: one slice (a log file path or a block) → ``route`` → one
-    Arrow part per partition. A callable-class route is built per task."""
+    Arrow part per partition. A callable-class route is built per task;
+    ``route=None`` keeps rows that already carry ``shard_col``."""
     t = pq.read_table(src, columns=columns) if isinstance(src, str) else src
-    fn = route() if isinstance(route, type) else route
-    return _returns(_by_partition(_as_format(fn(_as_format(t, fmt)), "pyarrow"), shard_col, n))
+    if route is not None:
+        fn = route() if isinstance(route, type) else route
+        t = _as_format(fn(_as_format(t, fmt)), "pyarrow")
+    return _returns(_by_partition(t, shard_col, n))
 
 
 @ray.remote
+def _reduce(partition: int, body, *parts):
+    """Stage 2: one partition's parts in order — stage-1 Arrow parts, or
+    the files of a pre-partitioned input, read here under a
+    :class:`..state.retry.RetryPolicy` — concatenated and handed to
+    ``body(partition, rows, len(parts))``."""
+    if parts and isinstance(parts[0], str):
+        from ..state.retry import RetryPolicy
+
+        retry = RetryPolicy()
+        parts = [retry.call(lambda path=path: pq.read_table(path)) for path in parts]
+    return body(partition, pa.concat_tables(parts, promote_options="permissive"), len(parts))
+
+
+def exchange(
+    inputs: list | dict[int, list[str]],
+    body: Callable,
+    n: int,
+    *,
+    route=None,
+    fmt: str = "pyarrow",
+    shard_col: str = "_shard",
+    columns: list[str] | None = None,
+    num_shards: int | None = None,
+) -> list:
+    """The keyed exchange as a two-stage graph of plain Ray tasks; returns
+    one stage-2 ref per partition, in partition order.
+
+    ``inputs`` is a list of log file paths (read with ``columns``; cut into
+    :func:`slices` of at most ``2 * num_shards``, default ``n``, before any
+    task runs) or block refs. Stage 1, per slice: ``route`` over the rows
+    (``fmt``; None when the rows already carry ``shard_col``), then one part
+    per partition ``[0, n)`` by ``shard_col``. A one-slice file is read and
+    routed in one task; a larger one is read by one task and routed per
+    slice. Stage 2, per partition: the parts in source-then-slice order (so
+    the body sees arrival order) → ``body(partition, rows, n_parts)``; an
+    empty partition gets an empty table.
+
+    A pre-partitioned input (``{partition: [file paths]}``, a bucketed log)
+    skips stage 1: one stage-2 task per listed partition reads its own files.
+
+    ``route`` and ``body`` (with whatever they close over) go to the object
+    store once per call, not once per task."""
+    body_ref = ray.put(body)
+    if isinstance(inputs, dict):
+        return [_reduce.remote(p, body_ref, *paths) for p, paths in sorted(inputs.items())]
+    route_ref = ray.put(route)
+    parts = []  # per slice, one part ref per partition
+    for src in inputs:
+        k = slices(src, num_shards or n) if isinstance(src, str) else 1
+        for sl in [src] if k == 1 else _slice_refs(src, k, columns):
+            split = _route_split.options(num_returns=n)
+            parts.append(_refs(split.remote(sl, route_ref, fmt, shard_col, n, columns), n))
+    return [_reduce.remote(p, body_ref, *(sp[p] for sp in parts)) for p in range(n)]
+
+
 def _fold_shard(
-    shard: int, batch_id: int, fold, fmt: str, kind: str, ckpt_dir: str, sink_dir, emit: bool, *parts
+    shard: int, t: pa.Table, n_parts: int, *,
+    batch_id: int, fold: Callable, fmt: str, kind: str, ckpt_dir: str, sink_dir, emit: bool,
 ):
-    """Stage 2: one partition's parts, in source-then-slice order, folded
-    into its state. A partition with no rows runs no fold and writes
-    nothing. ``emit=False`` writes the fold's rows to the shard's sink file
-    and returns ``{"stats", "rows", "fold_s", "slices"}`` (``stats`` None
-    for a skipped partition); ``emit=True`` returns the rows as an Arrow
-    table (a skipped partition's empty parts)."""
-    t = pa.concat_tables(parts, promote_options="permissive")
-    shard_metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": len(parts)}
+    """The lean runners' stage-2 body: one partition's rows folded into its
+    state. A partition with no rows runs no fold and writes nothing.
+    ``emit=False`` writes the fold's rows to the shard's sink file and
+    returns ``{"stats", "rows", "fold_s", "slices"}`` (``stats`` None for a
+    skipped partition); ``emit=True`` returns the rows as an Arrow table (a
+    skipped partition's empty rows)."""
+    shard_metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": n_parts}
     if t.num_rows == 0:
         return t if emit else shard_metrics
     ck = Checkpoint(ckpt_dir)  # path math only
@@ -410,13 +485,14 @@ def _fold_shard(
 
 def exchange_metrics(shards: list[dict]) -> dict:
     """Per-batch skew metrics from the stage-2 results of one exchange:
-    stage-1 slices, and max / median rows and fold seconds over the
-    partitions (an empty partition counts as 0)."""
-    rows = sorted(s["rows"] for s in shards)
-    fold_s = sorted(s["fold_s"] for s in shards)
+    stage-1 slices (a pre-partitioned input: the most files one partition
+    read), and max / median rows and fold seconds over the partitions (an
+    empty partition counts as 0)."""
+    rows = sorted(s["rows"] for s in shards) or [0]
+    fold_s = sorted(s["fold_s"] for s in shards) or [0.0]
     mid = len(shards) // 2  # upper median
     return {
-        "slices": shards[0]["slices"],
+        "slices": max((s["slices"] for s in shards), default=0),
         "shard_rows_max": rows[-1],
         "shard_rows_p50": rows[mid],
         "fold_s_max": round(fold_s[-1], 4),
@@ -514,18 +590,13 @@ class KeyedStateRunner:
         return self.num_shards
 
     def slices(self, path: str) -> int:
-        """Stage-1 slices of a log file, from its footer row count."""
-        rows = pq.read_metadata(path).num_rows
-        return max(1, min(2 * self.num_shards, math.ceil(rows / SPLIT_ROWS)))
+        """Stage-1 slices of a log file (see :func:`slices`)."""
+        return slices(path, self.num_shards)
 
     def read_slices(self, bfiles: list[str], columns: list[str] | None = None) -> list:
         """Block refs of the batch's rows, file by file, for a stage that
         runs on Ray Data (``ray.data.from_arrow_refs``)."""
-        refs = []
-        for path in bfiles:
-            n = self.slices(path)
-            refs += _refs(_read_slices.options(num_returns=n).remote(path, n, columns), n)
-        return refs
+        return [ref for path in bfiles for ref in _slice_refs(path, self.slices(path), columns)]
 
     def keyed(
         self,
@@ -540,37 +611,26 @@ class KeyedStateRunner:
         emit: bool = False,
         columns: list[str] | None = None,
     ) -> list:
-        """The keyed exchange as a two-stage task graph; returns one stage-2
-        ref per partition. ``inputs`` are log file paths (read with
-        ``columns``; cut into :meth:`slices` before any task runs) or block refs.
-        Stage 1, per slice: ``route`` over the rows (``batch_format``), then
-        one part per partition by ``shard_col``. A one-slice file is read
-        and routed in one task; a larger one is read by one task and routed
-        per slice. Stage 2, per partition: the parts in source-then-slice
-        order (so the fold sees arrival order), skipped when empty;
-        otherwise the prior state (newest ``kind`` file before this batch,
-        None if absent) is loaded, ``fold(rows, prior)`` runs and a
-        non-None new state is written under this batch id. ``emit=False``:
-        sink rows go to the shard's sink file and the stage-2 result is the
-        shard's stats and metrics (see :func:`exchange_metrics`);
-        ``emit=True``: the fold's rows are the result, an Arrow block for a
-        later stage (no sink write)."""
+        """The runner's fold over the keyed exchange (:func:`exchange`):
+        returns one stage-2 ref per partition. ``inputs`` are log file
+        paths or block refs, routed by ``route`` (``batch_format``) into
+        :attr:`num_partitions` partitions by ``shard_col``. Stage 2 per
+        non-empty partition: the prior state (newest ``kind`` file before
+        this batch, None if absent) is loaded, ``fold(rows, prior)`` runs
+        and a non-None new state is written under this batch id.
+        ``emit=False``: sink rows go to the shard's sink file and the
+        stage-2 result is the shard's stats and metrics (see
+        :func:`exchange_metrics`); ``emit=True``: the fold's rows are the
+        result, an Arrow block for a later stage (no sink write)."""
         fmt = batch_format or self.BATCH_FORMAT
-        n = self.num_partitions
-        route_ref, fold_ref = ray.put(route), ray.put(fold)
-        parts = []  # per slice, one part ref per partition
-        for src in inputs:
-            one = not isinstance(src, str) or self.slices(src) == 1
-            for sl in [src] if one else self.read_slices([src], columns):
-                split = _route_split.options(num_returns=n)
-                parts.append(_refs(split.remote(sl, route_ref, fmt, shard_col, n, columns), n))
-        return [
-            _fold_shard.remote(
-                p, batch_id, fold_ref, fmt, kind or self.state_kind, self.ckpt.dir,
-                self.sink_dir, emit, *(sp[p] for sp in parts),
-            )
-            for p in range(n)
-        ]
+        body = functools.partial(
+            _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kind=kind or self.state_kind,
+            ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, emit=emit,
+        )
+        return exchange(
+            inputs, body, self.num_partitions, route=route, fmt=fmt,
+            shard_col=shard_col, columns=columns, num_shards=self.num_shards,
+        )
 
     def sum_stats(self, shards: list[dict]) -> dict:
         """Per-shard fold stats summed over the stage-2 results (skipped

@@ -5,13 +5,19 @@ SURVEY.md): restore offsets → loop windows → consume → advance offsets, wi
 our upgrades — exactly-once idempotent sink and event-time watermarks. The
 lifecycle itself is the shared loop (:func:`._microbatch.run_microbatches`:
 lock, listing, pin checks, manifest commit, metrics); this module is the
-capture data plane it drives, one Ray Data pipeline per micro-batch::
+capture data plane it drives, one keyed exchange per micro-batch
+(:func:`._microbatch.exchange`, plain Ray tasks, the lean runners' too)::
 
-    read_parquet(batch files) → map_batches(with_shard)
-    → groupby("shard").map_groups(_shard_task)      # the one keyed shuffle
-    → tiny per-shard metrics rows → commit by the loop
+    flat log:     per file slice: read → _route (conform, shard column)
+                  → one part per shard
+    bucketed log: nothing — each shard's files are its input
+    per shard:    its parts in file-then-slice order → _shard_task
+    → per-shard stats to the loop, which commits
 
-``_shard_task`` (a Ray task per shard) does, fully vectorized:
+Like the reference's Kafka Connect tasks, each shard task folds only its own
+streams; no planner sits between the two stages.
+
+``_shard_task`` (one Ray task per non-empty shard) does, fully vectorized:
 
 1. read the shard's checkpointed state (last CDC-log row per key) and inject
    it as *seed rows* (``seq = -1``) — the cross-batch analogue of the
@@ -33,19 +39,22 @@ capture data plane it drives, one Ray Data pipeline per micro-batch::
    :meth:`CaptureRunner.flush_windows` folds the residual state with the
    threshold at +∞.
 
-The loop then commits the manifest (offsets + per-shard watermarks). Crash
-anywhere before the commit ⇒ the next run replays the batch onto the same
-file names. Empty batches still commit (heartbeat semantics,
-``ScyllaConnectorConfig.java:350-363``).
+The salted merge and fixup stages (:meth:`CaptureRunner._scratch_stage`)
+run on the same exchange over the scratch files the shard tasks wrote,
+keyed by ``base_shard`` or ``sub_shard``. The loop then commits the manifest
+(offsets + per-shard watermarks). Crash anywhere before the commit ⇒ the
+next run replays the batch onto the same file names. Empty batches still
+commit (heartbeat semantics, ``ScyllaConnectorConfig.java:350-363``).
 
 Scale notes: state I/O is per-shard and proportional to live keys per shard —
 choose ``num_shards ≫ cores`` so state files stay small and the executor can
-pipeline shards; the per-batch shuffle moves only that batch's rows, never
+pipeline shards; the per-batch exchange moves only that batch's rows, never
 the accumulated state.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import time
@@ -56,7 +65,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from ..config import EngineConfig
 from ..schema import SEQ_COL, with_shard
@@ -68,6 +77,8 @@ from ..state.checkpoint import Checkpoint, current_hash_impl, write_table_atomic
 from ._microbatch import (
     BatchResult,
     committed_sink_files,
+    exchange,
+    exchange_metrics,
     follow_microbatches,
     read_committed_output,
     read_committed_output_ds,
@@ -79,30 +90,10 @@ from ._microbatch import (
 _STATE_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts", SEQ_COL, "shard"]
 
 
-def _shard_task_from_files(item_batch, **task_kw) -> pa.Table:
-    """Bucketed fast path: one work item = one shard's files for this batch.
-    The task reads only its own shard's Parquet (column-pruned, no shuffle) —
-    the direct analogue of a reference task SELECTing only its streams.
-    ``task_kw`` are :func:`_shard_task`'s keyword arguments."""
-    from ..state.retry import RetryPolicy
-
-    retry = RetryPolicy()
-    outs = []
-    for shard_id, item_paths in zip(item_batch["shard"], item_batch["paths"]):
-        paths = list(item_paths)
-        tables = [retry.call(lambda p=p: pq.read_table(p)) for p in paths]
-        group = pa.concat_tables(tables, promote_options="default")
-        if "shard" not in group.column_names:
-            group = group.append_column(
-                "shard", pa.array([int(shard_id)] * group.num_rows, pa.int32())
-            )
-        outs.append(_shard_task(group, **task_kw))
-    return pa.concat_tables(outs)
-
-
 def _pin_strings(tbl: pa.Table) -> pa.Table:
-    """Cast large_string→string: polars-backed sort blocks rewrite the string
-    encoding per worker, which breaks concat with parquet-read state seeds."""
+    """Cast large_string→string, the encoding of the row-mode state: a log
+    written with 64-bit string offsets (by another writer, or from one file
+    on) must fold onto state seeds read back as ``string``."""
     for i, f in enumerate(tbl.schema):
         if pa.types.is_large_string(f.type):
             tbl = tbl.set_column(i, f.name, tbl[f.name].cast(pa.string()))
@@ -199,10 +190,11 @@ def _shard_task(
         # would be misread as state seeds — regenerate for the whole block
         group = group.drop_columns([SEQ_COL])
     if SEQ_COL not in group.column_names:
-        # DETERMINISTIC fallback seq: post-shuffle row order is not stable, so
-        # derive it from a full-column sort (ties = identical rows, for which
-        # any order yields the same fold). Replays then regenerate identical
-        # bytes, preserving the exactly-once commit protocol.
+        # DETERMINISTIC fallback seq from a full-column sort (ties = identical
+        # rows, for which any order yields the same fold): the seq then
+        # depends on the rows alone, not on how they reached the shard (flat
+        # or bucketed layout, which files share the batch), and replays and
+        # existing checkpoints see the seqs earlier runs derived.
         sortable = [
             (c, "ascending")
             for c in ("ts", "conv_id", "turn_idx", "role", "text", "tool", "op_kind", "row_ts")
@@ -437,6 +429,73 @@ def _shard_task(
             "lag_p95_us": pa.array([lag_p95], pa.int64()),
         }
     )
+
+
+def _route(
+    b: pa.Table,
+    *,
+    num_shards: int,
+    extras: tuple[tuple[str, str], ...],
+    hot: frozenset[str],
+    salt_chunk: int,
+    salted_pd: bool,
+) -> pa.Table:
+    """Stage-1 route of a flat capture batch: conform one slice to the
+    batch's schema, then append the ``shard`` column — ``hash(conv_id)``,
+    or salted by turn bucket for the hot conversations."""
+    # slices from files with/without seq (or predating an evolved column)
+    # must share one schema; NULL seqs are regenerated per shard
+    if SEQ_COL not in b.column_names:
+        b = b.append_column(SEQ_COL, pa.nulls(b.num_rows, pa.int64()))
+    if extras:
+        # canonical column order: a pre-evolution slice appends the new
+        # columns at the end, a post-evolution file may carry them mid-schema
+        b = _with_extras(b, extras).select(
+            ["conv_id", "turn_idx", "role", "text", "tool", "ts", SEQ_COL]
+            + [n for n, _ in extras]
+        )
+    if not hot:
+        return with_shard(b, num_shards)
+    from ..stages.salt import with_salted_shard
+
+    if salted_pd and b["turn_idx"].null_count:
+        # conversation tombstones are CONTROL messages: a hot conversation's
+        # turn-buckets span an unknown shard set (state from any earlier
+        # batch), so the marker is broadcast to every shard — rare by
+        # definition, O(shards) tiny rows. Each shard folds the wipe over its
+        # own keys; only the base shard emits the 'pd' record (see
+        # _shard_task's home filter).
+        is_m = pc.is_null(b["turn_idx"])
+        markers = b.filter(is_m)
+        rows = with_salted_shard(b.filter(pc.invert(is_m)), num_shards, hot, salt_chunk)
+        k = markers.num_rows
+        rep = markers.take(
+            pa.array(np.repeat(np.arange(k), num_shards), pa.int64())
+        ).append_column("shard", pa.array(np.tile(np.arange(num_shards), k).astype("int32")))
+        return pa.concat_tables([rows, rep.select(rows.column_names)])
+    return with_salted_shard(b, num_shards, hot, salt_chunk)
+
+
+def _shard_stage(shard: int, group: pa.Table, n_parts: int, **task_kw) -> dict:
+    """Stage-2 body of the capture exchange: one shard's rows, in
+    file-then-slice order, with the ``shard`` column (re)appended, →
+    :func:`_shard_task`. A shard with no rows runs nothing and writes
+    nothing (``stats`` None). Returns the exchange's per-shard metrics."""
+    out = {"stats": None, "rows": group.num_rows, "fold_s": 0.0, "slices": n_parts}
+    if not group.num_rows:
+        return out
+    if "shard" not in group.column_names:
+        group = group.append_column("shard", pa.array(np.full(group.num_rows, shard, np.int32)))
+    t0 = time.perf_counter()
+    out["stats"] = _shard_task(group, **task_kw).to_pylist()[0]
+    out["fold_s"] = time.perf_counter() - t0
+    return out
+
+
+def _scratch_body(task, partition: int, rows: pa.Table, n_parts: int):
+    """Stage-2 body of a salted merge/fixup stage: ``task`` over a
+    non-empty partition; None for an empty one."""
+    return task(partition, rows) if rows.num_rows else None
 
 
 def _conform_envelope_to(p: pa.Table, target: pa.StructType) -> pa.Table:
@@ -829,14 +888,14 @@ class CaptureRunner:
         probe = [next(iter(u.paths.values())) for u in units] if bucketed else units
         extras = self._evolve(dict(last.get("value_cols_extra", {})) if last else {}, probe)
         ext = tuple(sorted(extras.items()))
+        inputs: list[str] | dict[int, list[str]] = units
         if bucketed:
-            shard_paths: dict[int, list[str]] = {}
+            inputs = {}
             for u in units:
                 for k, p in u.paths.items():
-                    shard_paths.setdefault(k, []).append(p)
-            stats = self._process_batch_bucketed(batch_id, shard_paths, watermarks, ext)
-        else:
-            stats = self._process_batch(batch_id, units, watermarks, ext)
+                    inputs.setdefault(k, []).append(p)
+        shards = self._process_batch(batch_id, inputs, watermarks, ext)
+        stats = [r["stats"] for r in shards if r["stats"] is not None]
         for row in stats:
             if row["max_ts_us"] is not None:
                 k = str(row["shard"])
@@ -894,6 +953,7 @@ class CaptureRunner:
                     if self._frontier_us is not None and wm_max is not None
                     else None
                 ),
+                **exchange_metrics(shards),
             },
         )
 
@@ -908,123 +968,50 @@ class CaptureRunner:
                 counts[rec["values"]] += rec["counts"]
         return sorted(c for c, n in counts.items() if n >= self.cfg.hot_key_threshold)
 
-    def _process_batch_bucketed(
-        self,
-        batch_id: int,
-        shard_paths: dict[int, list[str]],
-        watermarks: dict,
-        extras: tuple[tuple[str, str], ...] = (),
-    ) -> list[dict]:
-        """Shuffle-free path for pre-partitioned logs: one Ray Data work item
-        per shard, each task reads only its shard's files."""
-        if not shard_paths:
-            return []
-        cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
-        wm = dict(watermarks)
-        # flat item schema (no nested dicts): dict-typed columns defeat the
-        # executor's schema hashing and spam per-batch warnings
-        items = [
-            {"shard": k, "paths": paths} for k, paths in sorted(shard_paths.items())
-        ]
-        ds = ray.data.from_items(items)
-        stats_ds = ds.map_batches(
-            lambda b: _shard_task_from_files(
-                b,
-                batch_id=batch_id,
-                cfg=cfg,
-                ckpt_dir=ckpt_dir,
-                out_dir=out_dir,
-                prev_watermarks=wm,
-                extras=extras,
-            ),
-            batch_size=1,
-            batch_format="pandas",
-        )
-        return stats_ds.take_all()
-
     def _process_batch(
         self,
         batch_id: int,
-        paths: list[str],
+        inputs: list[str] | dict[int, list[str]],
         watermarks: dict,
         extras: tuple[tuple[str, str], ...] = (),
     ) -> list[dict]:
-        if not paths:
+        """The shard stage on the keyed exchange: per-shard metrics of
+        :func:`_shard_stage`, one per partition. A flat batch (file paths)
+        is routed by :func:`_route`; a bucketed one (``{shard: [paths]}``,
+        placement fixed at write time) skips stage 1 and each shard's task
+        reads only its own files — the analogue of a reference task
+        SELECTing only its streams."""
+        if not inputs:
             return []
-        cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
-        ds = ray.data.read_parquet(paths)
-
-        def normalize(b: pa.Table) -> pa.Table:
-            # blocks from files with/without seq (or predating an evolved
-            # column) must share one schema or the sort-shuffle merge fails;
-            # NULL seqs are regenerated per shard
-            if SEQ_COL not in b.column_names:
-                b = b.append_column(SEQ_COL, pa.nulls(b.num_rows, pa.int64()))
-            if extras:
-                # canonical column order: a pre-evolution block appends the
-                # new columns at the end, a post-evolution file may carry them
-                # mid-schema — the shuffle needs one block schema
-                b = _with_extras(b, extras).select(
-                    ["conv_id", "turn_idx", "role", "text", "tool", "ts", SEQ_COL]
-                    + [n for n, _ in extras]
-                )
-            return b
-
-        ds = ds.map_batches(normalize, batch_format="pyarrow")
-        hot = self._hot
+        cfg, route = self.cfg, None
+        # salting re-places rows of the flat layout only: a bucketed log
+        # fixed placement at write time
+        hot = frozenset() if isinstance(inputs, dict) else self._hot
         salted_pd = bool(hot) and cfg.partition_deletes
-        if hot:
-            from ..stages.salt import with_salted_shard
-
-            salt_chunk = max(1, cfg.hot_key_threshold // cfg.salt_factor)
-
-            def assign(b: pa.Table) -> pa.Table:
-                if salted_pd and b["turn_idx"].null_count:
-                    # conversation tombstones are CONTROL messages: a hot
-                    # conversation's turn-buckets span an unknown shard set
-                    # (state from any earlier batch), so the marker is
-                    # broadcast to every shard — rare by definition, O(shards)
-                    # tiny rows. Each shard folds the wipe over its own keys;
-                    # only the base shard emits the 'pd' record (see
-                    # _shard_task's home filter).
-                    is_m = pc.is_null(b["turn_idx"])
-                    markers = b.filter(is_m)
-                    rows = with_salted_shard(
-                        b.filter(pc.invert(is_m)), cfg.num_shards, hot, salt_chunk
-                    )
-                    k = markers.num_rows
-                    rep = markers.take(
-                        pa.array(np.repeat(np.arange(k), cfg.num_shards), pa.int64())
-                    ).append_column(
-                        "shard",
-                        pa.array(np.tile(np.arange(cfg.num_shards), k).astype("int32")),
-                    )
-                    return pa.concat_tables([rows, rep.select(rows.column_names)])
-                return with_salted_shard(b, cfg.num_shards, hot, salt_chunk)
-
-            ds = ds.map_batches(assign, batch_format="pyarrow")
-        else:
-            ds = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-        wm = dict(watermarks)  # tiny; captured by closure (ray.put for huge shard counts)
-        salted_cstate = bool(hot) and cfg.enrich_conv_state
-        stats_ds = ds.groupby("shard").map_groups(
-            lambda g: _shard_task(
-                g,
-                batch_id=batch_id,
-                cfg=cfg,
-                ckpt_dir=ckpt_dir,
-                out_dir=out_dir,
-                prev_watermarks=wm,
+        if not isinstance(inputs, dict):
+            route = functools.partial(
+                _route,
+                num_shards=cfg.num_shards,
                 extras=extras,
+                hot=hot,
+                salt_chunk=max(1, cfg.hot_key_threshold // cfg.salt_factor),
                 salted_pd=salted_pd,
-                salted_cstate=salted_cstate,
-                hot_convs=hot,
-            ),
-            batch_format="pyarrow",
+            )
+        body = functools.partial(
+            _shard_stage,
+            batch_id=batch_id,
+            cfg=cfg,
+            ckpt_dir=self.ckpt.dir,
+            out_dir=self.out_dir,
+            prev_watermarks=dict(watermarks),
+            extras=extras,
+            salted_pd=salted_pd,
+            salted_cstate=bool(hot) and cfg.enrich_conv_state,
+            hot_convs=hot,
         )
-        return stats_ds.take_all()
+        return ray.get(exchange(inputs, body, cfg.num_shards, route=route, shard_col="shard"))
 
-    def _merge_cstate_partials(self, batch_id: int) -> list[dict]:
+    def _merge_cstate_partials(self, batch_id: int) -> None:
         """Stage 2 of the hierarchical salted conv-state path: concatenate
         the sub-shard slim rows per BASE shard (``hash(conv_id) % num_shards``),
         fold the exclusive prefix in global (ts, seq) order against the hot
@@ -1035,14 +1022,13 @@ class CaptureRunner:
         :func:`..stages.join.conv_state_features`'s pre-shuffle slimming."""
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
 
-        def merge_task(g: pa.Table) -> pa.Table:
+        def merge_task(b: int, g: pa.Table) -> None:
             from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
 
-            b = int(g["base_shard"][0].as_py())
             ckpt = Checkpoint(ckpt_dir)
             seed_path = ckpt.latest_state_path(b, batch_id, kind="cstate_hot")
             seed = pq.read_table(seed_path) if seed_path else None
-            enriched, new_state = conv_state_prefix(g.drop_columns(["base_shard"]), seed=seed)
+            enriched, new_state = conv_state_prefix(g, seed=seed)
             ckpt.write_state(
                 b, batch_id, new_state.select(CONV_STATE_SCHEMA.names), kind="cstate_hot"
             )
@@ -1055,9 +1041,8 @@ class CaptureRunner:
                     out_dir, "_cstate_features", f"batch-{batch_id:06d}", f"base={b}.parquet"
                 ),
             )
-            return pa.table({"base_shard": pa.array([b], pa.int32())})
 
-        return self._scratch_stage("_cstate_partials", batch_id, "base_shard", merge_task)
+        self._scratch_stage("_cstate_partials", batch_id, "base_shard", merge_task)
 
     def _fixup_cstate_env(self, batch_id: int) -> None:
         """Stage 3 of the hierarchical salted conv-state path: patch each
@@ -1068,8 +1053,7 @@ class CaptureRunner:
         deterministically, so resumed batches stay byte-stable."""
         out_dir = self.out_dir
 
-        def fix_task(g: pa.Table) -> pa.Table:
-            s = int(g["sub_shard"][0].as_py())
+        def fix_task(s: int, g: pa.Table) -> None:
             path = os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={s}.parquet")
             env = pq.read_table(path)
             env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1084,7 +1068,6 @@ class CaptureRunner:
                 merged = pc.if_else(hmask, vals, env[c].combine_chunks().cast(typ))
                 env = env.set_column(env.column_names.index(c), c, merged)
             write_table_atomic(env, path)
-            return pa.table({"sub_shard": pa.array([s], pa.int32())})
 
         self._scratch_stage("_cstate_features", batch_id, "sub_shard", fix_task)
 
@@ -1101,32 +1084,32 @@ class CaptureRunner:
         cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
         wm = dict(watermarks)
 
-        def merge_task(g: pa.Table) -> pa.Table:
-            b = int(g["base_shard"][0].as_py())
+        def merge_task(b: int, g: pa.Table) -> dict:
             key = f"{kind.ns}{b}"
             new_wm = max(wm.get(key) or 0, pc.max(g[kind.core.last_ts]).as_py())
             _fold_window_state(
                 kind, g, b, batch_id, Checkpoint(ckpt_dir), out_dir,
                 _threshold(wm, key, cfg), new_wm - cfg.allowed_lateness_us,
             )
-            return pa.table(
-                {
-                    "base_shard": pa.array([b], pa.int32()),
-                    "max_ts_us": pa.array([new_wm], pa.int64()),
-                }
-            )
+            return {"base_shard": b, "max_ts_us": new_wm}
 
         return self._scratch_stage(kind.scratch, batch_id, "base_shard", merge_task)
 
-    def _scratch_stage(self, scratch: str, batch_id: int, key: str, task) -> list[dict]:
-        """Run one salted merge/fixup stage: ``task`` per ``key`` group of
-        the batch's ``scratch`` files (the stage's exchange); ``[]`` when the
-        batch wrote none."""
+    def _scratch_stage(self, scratch: str, batch_id: int, key: str, task) -> list:
+        """Run one salted merge/fixup stage on the keyed exchange: the
+        batch's ``scratch`` files, which carry their partition column
+        ``key``, are split by it and ``task(partition, rows)`` runs per
+        non-empty partition (rows in file-then-slice order, ``key``
+        dropped); returns the tasks' results, ``[]`` when the batch wrote
+        no scratch file."""
         d = os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}")
-        if not os.path.isdir(d) or not os.listdir(d):
+        files = sorted(os.listdir(d)) if os.path.isdir(d) else []
+        paths = [os.path.join(d, f) for f in files if f.endswith(".parquet")]
+        if not paths:
             return []
-        ds = ray.data.read_parquet(d)
-        return ds.groupby(key).map_groups(task, batch_format="pyarrow").take_all()
+        body = functools.partial(_scratch_body, task)
+        refs = exchange(paths, body, self.cfg.num_shards, shard_col=key)
+        return [r for r in ray.get(refs) if r is not None]
 
     def flush_windows(self) -> None:
         """End-of-log flush: once the (complete) log is fully consumed, emit
@@ -1211,7 +1194,9 @@ class CaptureRunner:
         if not paths:
             cols = [("window_start_us", pa.int64()), ("n_events", pa.int64()), ("n_chars", pa.int64())]
             return pa.schema([*cols, ("shard", pa.int32())]).empty_table()
-        return pa.concat_tables([pq.read_table(p) for p in paths])
+        # windows written before and after an encoding change (string keys
+        # as large_string) concatenate as large_string
+        return pa.concat_tables([pq.read_table(p) for p in paths], promote_options="permissive")
 
     def read_late(self) -> pa.Table:
         """Late rows of COMMITTED batches, every window kind."""
@@ -1222,7 +1207,7 @@ class CaptureRunner:
             for k in kinds
             for p in committed_sink_files(self.ckpt, os.path.join(root, k))
         ]
-        return pa.concat_tables(parts) if parts else pa.table({})
+        return pa.concat_tables(parts, promote_options="permissive") if parts else pa.table({})
 
     def read_output_ds(self) -> "ray.data.Dataset":
         """Dataset-returning twin of :meth:`read_output` for large outputs:

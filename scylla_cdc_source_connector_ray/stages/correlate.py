@@ -54,7 +54,9 @@ def correlate_images(
     the pre/post images), the new residual, and the straggler-dropped count.
     """
     if carry is not None and carry.num_rows:
-        tbl = pa.concat_tables([carry.select(tbl.column_names), tbl])
+        # conform the carry to the batch's encoding: a carry written from an
+        # exchange block may hold large_string where the batch has string
+        tbl = pa.concat_tables([carry.select(tbl.column_names).cast(tbl.schema), tbl])
     if tbl.num_rows == 0:
         return _empty_events(tbl), tbl, 0
 

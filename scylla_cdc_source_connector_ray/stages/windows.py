@@ -371,7 +371,9 @@ class Panes:
         cols = [*group, "n_events", "n_chars"]
         parts = [partials.select(cols)]
         if prior is not None:
-            parts.insert(0, prior.select(cols))
+            # conform the prior panes to the partials' encoding: state written
+            # from an exchange block may hold large_string keys
+            parts.insert(0, prior.select(cols).cast(parts[0].schema))
         panes = _sum_panes(pa.concat_tables(parts), group)
         copies = explode_panes(panes, self.size_us, self.slide_us)
         end = copies["window_start_us"].to_numpy(zero_copy_only=False) + self.size_us

@@ -1408,6 +1408,34 @@ def test_embedding_quantize_matches_duckdb_twin(tmp_path):
     assert z.loc[5, "q_norm"] == 127 * 127 * 2 + 64 * 64  # -127, 127, 64
 
 
+def test_unigram_scorer_document_sum_past_uint64_matches_exact_twin():
+    """A document's sum of per-token inverse probabilities can pass 2^64
+    while every token stays under the (N+V)*1e6 < 2^63 guard; the HUGEINT
+    SQL twin sums exactly, so the scorer must too (not wrap in uint64)."""
+    from scylla_cdc_source_connector_ray.functions.textops import UnigramScorer
+
+    n_total, v_size = 9_200_000_000_000, 1  # (N+V)*1e6 just under 2^63
+    scale = (n_total + v_size) * 1_000_000
+    assert scale < 1 << 63
+    model = (
+        np.array([D._word_hash("known")], np.uint64),
+        np.array([n_total], np.uint64),
+        n_total,
+        v_size,
+    )
+    scorer = UnigramScorer(ray.put(model), text_col="text", id_col="doc_id")
+    texts = ["alpha bravo charlie", "known known", "known alpha bravo", "", "alpha"]
+    got = scorer(pa.table({"doc_id": list(range(len(texts))), "text": texts}))
+    counts = {"known": n_total}
+    want = []
+    for t in texts:
+        ips = [scale // (counts.get(w, 0) + 1) for w in D._ws_split(t)]
+        want.append(sum(ips) // len(ips) if ips else 0)
+    assert 3 * scale >= 1 << 64  # the first document's sum wraps in uint64
+    assert got["surprise_micro"].to_pylist() == want
+    assert got["n_words"].to_pylist() == [3, 2, 3, 0, 1]
+
+
 def test_unigram_surprise_brute_force_and_max_vocab():
     from scylla_cdc_source_connector_ray.functions.textops import unigram_surprise
 

@@ -1,7 +1,9 @@
-"""The keyed exchange's task graph (``KeyedStateRunner.keyed``): splitting a
-log file into several route slices must not change a byte of sink, state or
-manifest output, a crash on that path must resume byte-identically, empty
-partitions write nothing, and every batch records per-shard metrics."""
+"""The keyed exchange's task graph (``_microbatch.exchange``, under the lean
+runners' ``keyed`` and ``CaptureRunner``'s shard, merge and fixup stages):
+splitting a log file into several route slices must not change a byte of
+sink, state or manifest output, a crash on that path must resume
+byte-identically, empty partitions write nothing, and every batch records
+per-shard metrics."""
 
 import hashlib
 import json
@@ -12,12 +14,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from scylla_cdc_source_connector_ray.config import EngineConfig
 from scylla_cdc_source_connector_ray.pipelines import _microbatch
 from scylla_cdc_source_connector_ray.pipelines import dedup_stream as dd
 from scylla_cdc_source_connector_ray.pipelines import distinct_stream as ds
 from scylla_cdc_source_connector_ray.pipelines import element_stream as el
 from scylla_cdc_source_connector_ray.pipelines import substring_stream as sub
 from scylla_cdc_source_connector_ray.pipelines import topk_stream as topk
+from scylla_cdc_source_connector_ray.pipelines.runner import CaptureRunner
+from scylla_cdc_source_connector_ray.sources.synthetic import generate, write_bucketed
 
 
 def _docs(n=48):
@@ -189,4 +194,171 @@ def test_batch_metrics_record_exchange_skew(tmp_path, monkeypatch):
         assert k in m
     assert m["slices"] == 3  # 12 rows a file, 5 rows a slice
     assert m["shard_rows_max"] >= m["shard_rows_p50"] > 0
+    assert m["fold_s_max"] >= m["fold_s_p50"] >= 0
+
+
+# --- CaptureRunner on the exchange ------------------------------------------
+
+MINUTE = 60_000_000
+
+
+def _transcripts():
+    return generate(
+        num_convs=12, turns_per_conv=8, update_pct=30, delete_pct=10, step_us=20_000_000
+    )
+
+
+def _hot_transcripts():
+    return generate(num_convs=6, turns_per_conv=6, hot_convs=1, hot_turns=40)
+
+
+def _pd_transcripts():
+    """Conversation tombstones (turn_idx NULL) at the end, then a re-created turn."""
+    t = _transcripts()
+    n, ts = t.num_rows, int(t["ts"].cast(pa.int64()).to_numpy().max())
+    marks = pa.table(
+        {
+            "conv_id": ["conv1", "conv2", "conv1"],
+            "turn_idx": pa.array([None, None, 0], pa.int32()),
+            "role": [None, None, "user"],
+            "text": [None, None, "again"],
+            "tool": pa.array([None] * 3, pa.string()),
+            "ts": pa.array([ts + 1, ts + 2, ts + 3], pa.int64()).cast(pa.timestamp("us")),
+            "seq": pa.array([n, n + 1, n + 2], pa.int64()),
+        }
+    ).select(t.column_names)
+    return pa.concat_tables([t, marks.cast(t.schema)])
+
+
+def _write_evolved(log, table):
+    """The last two windows gain a ``lang`` column."""
+    _write_windows(log, table)
+    for name in sorted(os.listdir(log))[2:]:
+        path = os.path.join(log, name)
+        w = pq.read_table(path)
+        lang = pa.array([f"l{s % 4}" for s in w["seq"].to_pylist()])
+        pq.write_table(w.append_column("lang", lang), path)
+
+
+CAPTURE_CASES = {
+    "flat": (_transcripts, {}, None),
+    "perfbench": (
+        _transcripts,
+        {
+            "score_text": True,
+            "window_agg": True,
+            "enrich_conv_state": True,
+            "window_size_us": MINUTE,
+        },
+        None,
+    ),
+    "salted_sessions": (
+        _hot_transcripts,
+        {
+            "session_gap_us": 3_000_000,
+            "enrich_conv_state": True,
+            "hot_key_threshold": 8,
+            "salt_factor": 4,
+        },
+        ["conv0"],
+    ),
+    "salted_panes": (
+        _hot_transcripts,
+        {
+            "window_agg": True,
+            "window_agg_keys": ("conv_id",),
+            "window_size_us": MINUTE,
+            "hot_key_threshold": 8,
+            "salt_factor": 4,
+        },
+        ["conv0"],
+    ),
+    "partition_delete": (_pd_transcripts, {"partition_deletes": True}, None),
+    "evolved": (_transcripts, {}, None),
+}
+
+
+def _capture_run(root, name, crash=False):
+    table, kw, hot = CAPTURE_CASES[name]
+    root = str(root)
+    log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
+    if name == "evolved":
+        _write_evolved(log, table())
+    else:
+        _write_windows(log, table())
+    cfg = EngineConfig(num_shards=3, sink_dir=out, checkpoint_dir=ck, **kw)
+    if crash:
+        totals = CaptureRunner(log, cfg).run(crash_before_commit_at=1, hot_convs=hot)
+        assert totals["crashed"]
+    runner = CaptureRunner(log, cfg)
+    totals = runner.run(hot_convs=hot)
+    runner.flush_windows()
+    slices = _microbatch.slices(os.path.join(log, "window-00000.parquet"), 3)
+    return _fingerprint(root), totals, slices
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE_CASES))
+def test_capture_multi_slice_matches_single_slice(tmp_path, monkeypatch, name):
+    one, one_totals, one_slices = _capture_run(tmp_path / "one", name)
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
+    many, many_totals, many_slices = _capture_run(tmp_path / "many", name)
+    assert one_slices == 1 and many_slices > 1
+    assert many == one
+    assert many_totals == one_totals
+    if name == "salted_sessions":  # the salted merge and fixup stages ran
+        assert any(k.startswith(os.path.join("ckpt", "cstate_hot")) for k in many)
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE_CASES))
+def test_capture_multi_slice_kill_resume_matches_clean_run(tmp_path, monkeypatch, name):
+    clean = _capture_run(tmp_path / "clean", name)[0]
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
+    resumed = _capture_run(tmp_path / "resumed", name, crash=True)[0]
+    assert resumed == clean
+
+
+def test_capture_shard_without_rows_writes_no_state_or_sink(tmp_path):
+    # one conversation: one of the 4 shards gets the whole batch
+    log, out, ck = (str(tmp_path / x) for x in ("log", "sink", "ckpt"))
+    t = generate(num_convs=1, turns_per_conv=8)
+    _write_windows(log, t, n=1)
+    runner = CaptureRunner(log, EngineConfig(num_shards=4, sink_dir=out, checkpoint_dir=ck))
+    assert runner.run()["events"] == t.num_rows
+    states = sorted(os.listdir(os.path.join(ck, "state")))
+    sinks = sorted(os.listdir(os.path.join(out, "batch-000000")))
+    assert len(states) == 1 and len(sinks) == 1
+    assert sinks == [f"{states[0]}.parquet"]
+    m = _metrics(tmp_path)
+    assert m["shards_active"] == 1
+    assert m["shard_rows_max"] == t.num_rows and m["shard_rows_p50"] == 0
+
+
+def test_capture_bucketed_shard_without_file_commits(tmp_path):
+    log, out, ck = (str(tmp_path / x) for x in ("log", "sink", "ckpt"))
+    write_bucketed(_transcripts(), log, num_shards=3, num_files=2)
+    os.remove(os.path.join(log, "shard=2", "window-00001.parquet"))
+    runner = CaptureRunner(log, EngineConfig(num_shards=3, sink_dir=out, checkpoint_dir=ck))
+    assert runner.run()["batches"] == 2
+    assert runner.ckpt.last_committed()["batch_id"] == 1
+    state2 = os.listdir(os.path.join(ck, "state", "shard=2"))
+    assert state2 == ["batch-000000.parquet"]
+    assert sorted(os.listdir(os.path.join(out, "batch-000001"))) == [
+        "shard=0.parquet",
+        "shard=1.parquet",
+    ]
+    m = _metrics(tmp_path, 1)
+    assert m["shards_active"] == 2 and m["slices"] == 1
+
+
+def test_capture_batch_metrics_record_exchange_skew(tmp_path, monkeypatch):
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 10)
+    _capture_run(tmp_path, "perfbench")
+    m = _metrics(tmp_path)
+    for k in ("events", "events_per_sec", "late", "watermark_max_us", "shards_active"):
+        assert k in m  # the capture keys stay
+    for k in ("slices", "shard_rows_max", "shard_rows_p50", "fold_s_max", "fold_s_p50"):
+        assert k in m
+    assert m["slices"] > 1
+    assert m["shard_rows_max"] >= m["shard_rows_p50"]
+    assert m["shard_rows_max"] > 0
     assert m["fold_s_max"] >= m["fold_s_p50"] >= 0

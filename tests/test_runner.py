@@ -856,3 +856,105 @@ def test_read_output_is_committed_only(tmp_path):
     fresh = CaptureRunner(log, _cfg(tmp_path / "fresh"))
     assert fresh.read_output().num_rows == 0
     assert fresh.read_output_ds().count() == 0
+
+
+def _to_large_strings(path: str) -> int:
+    """Rewrite a state file with its string columns as large_string, the
+    encoding earlier releases wrote from their sort-shuffle blocks; returns
+    its row count."""
+    t = pq.read_table(path)
+    schema = pa.schema(
+        [pa.field(f.name, pa.large_string()) if pa.types.is_string(f.type) else f for f in t.schema]
+    )
+    pq.write_table(t.cast(schema), path)
+    return t.num_rows
+
+
+def _upgrade_resume(tmp_path, log, cfg_kw, kind, run_kw=None) -> CaptureRunner:
+    """Commit batch 0, rewrite its ``kind`` state as large_string, resume."""
+    cfg = EngineConfig(
+        sink_dir=str(tmp_path / "up_out"), checkpoint_dir=str(tmp_path / "up_ckpt"), **cfg_kw
+    )
+    CaptureRunner(log, cfg).run(max_batches=1, **(run_kw or {}))
+    root = tmp_path / "up_ckpt" / kind
+    rows = sum(_to_large_strings(str(p)) for p in sorted(root.glob("shard=*/batch-000000.parquet")))
+    assert rows > 0  # a non-empty carry crosses the upgrade
+    runner = CaptureRunner(log, cfg)
+    assert runner.run(**(run_kw or {}))["batches"] == 1
+    return runner
+
+
+def test_image_mode_resumes_large_string_carry(tmp_path):
+    """An image-mode checkpoint whose ``imgstate`` carry holds large_string
+    columns (an incomplete PRE/delta/POST change) resumes onto a batch read
+    as string, and completes the change as a clean run does."""
+    from scylla_cdc_source_connector_ray.sources.synthetic import to_image_log
+
+    t = generate(num_convs=8, turns_per_conv=6, update_pct=40, delete_pct=15)
+    img = to_image_log(t)
+    kinds = img["op_kind"].to_pylist()
+    # cut between a delta and its POST_IMAGE: the change carries over
+    cut = next(
+        i + 1
+        for i in range(img.num_rows // 2, img.num_rows - 1)
+        if kinds[i] in ("INSERT", "UPDATE") and kinds[i + 1] == "POST_IMAGE"
+    )
+    log = tmp_path / "log"
+    log.mkdir()
+    pq.write_table(img.slice(0, cut), str(log / "f0.parquet"))
+    pq.write_table(img.slice(cut), str(log / "f1.parquet"))
+    kw = {"num_shards": 4, "image_mode": True, "straggler_timeout_us": 10**15}
+    clean = CaptureRunner(str(log), _cfg(tmp_path, **kw))
+    clean.run()
+    upgraded = _upgrade_resume(tmp_path, str(log), kw, "imgstate")
+    pd.testing.assert_frame_equal(_flat_output(upgraded), _flat_output(clean))
+
+
+def test_salted_panes_resume_large_string_state(tmp_path):
+    """A salted conversation-keyed pane state (``wstate``, written by the
+    base shard's merge stage) holding large_string keys resumes onto
+    partials read as string, and emits the windows a clean run emits."""
+    t = generate(num_convs=6, turns_per_conv=6, hot_convs=1, hot_turns=40)
+    write_windowed(t, str(tmp_path / "log"), num_files=2)
+    kw = {
+        "num_shards": 3,
+        "window_agg": True,
+        "window_agg_keys": ("conv_id",),
+        "window_size_us": 60_000_000,
+        "hot_key_threshold": 8,
+        "salt_factor": 4,
+    }
+    hot = {"hot_convs": ["conv0"]}
+    clean = CaptureRunner(str(tmp_path / "log"), _cfg(tmp_path, **kw))
+    clean.run(**hot)
+    clean.flush_windows()
+    upgraded = _upgrade_resume(tmp_path, str(tmp_path / "log"), kw, "wstate", hot)
+    upgraded.flush_windows()
+
+    def windows(r):
+        w = r.read_windows().to_pandas()
+        return w.sort_values(list(w.columns)).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(windows(upgraded), windows(clean))
+
+
+def test_large_string_log_file_folds_onto_string_state(tmp_path):
+    """A log file written with large_string columns (another writer, from
+    one file on) folds onto the string-encoded state of earlier batches:
+    the row-mode state keeps one encoding."""
+    t = generate(num_convs=6, turns_per_conv=6, update_pct=40, delete_pct=15)
+    write_windowed(t, str(tmp_path / "log"), num_files=2)
+    clean = CaptureRunner(str(tmp_path / "log"), _cfg(tmp_path, num_shards=3))
+    clean.run()
+    later = sorted((tmp_path / "log").iterdir())[1]
+    _to_large_strings(str(later))
+    cfg = EngineConfig(
+        num_shards=3, sink_dir=str(tmp_path / "ls_out"), checkpoint_dir=str(tmp_path / "ls_ckpt")
+    )
+    runner = CaptureRunner(str(tmp_path / "log"), cfg)
+    assert runner.run()["batches"] == 2
+    pd.testing.assert_frame_equal(_flat_output(runner), _flat_output(clean))
+    from scylla_cdc_source_connector_ray.pipelines._microbatch import read_committed_state
+
+    for state in read_committed_state(runner.ckpt, "state"):
+        assert not any(pa.types.is_large_string(f.type) for f in state.schema)
