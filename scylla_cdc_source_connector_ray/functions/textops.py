@@ -1,14 +1,31 @@
-"""Text analysis operators for large-scale training-data pipelines:
+r"""Text analysis operators for large-scale training-data pipelines:
 token counting, quality scoring, language ID, document fingerprinting.
 
-All hot paths are vectorized: ``pyarrow.compute`` regex/count kernels or
-pandas str ops; compiled state (regexes, wordlists) lives in actor
-``__init__`` when used as a class stage.
+Every fixed-pattern count (words, punctuation, stopwords, BPE tokens, the
+language-ID profiles) runs on one kernel, :func:`count_patterns`: one
+Arrow→polars conversion and one ``select`` of ``str.count_matches``. Each
+fixed pattern is defined once, in :data:`TEXT_PATTERNS`, with two
+spellings: the engine's (Rust regex, behind polars) and the SQL twin's
+(RE2, inside DuckDB). The twins' SQL is generated from that table.
+
+Rust regex is Unicode-aware by default and RE2 is not. Rust's ``\s``
+also matches ``\v``, NBSP, U+2003 and U+0085, and its ``\b`` treats ``é``
+as a word character. RE2's ``\s`` is exactly ``[\t\n\f\r ]`` and its
+``\b`` is an ASCII word boundary. So the engine spellings write the ASCII
+classes out (``[^\t\n\f\r ]+`` for ``\S+``, ``(?-u:\b)`` for ``\b``),
+and the counts equal the twin's by construction.
+
+User-supplied patterns (:func:`redact`, the CEP stages) stay on Arrow's
+RE2 kernels, the engine of their SQL twins. So does the whitespace
+collapse in :func:`md5_normalized`: moving it would load polars into the
+dedup worker for no gain. Compiled state (wordlists, broadcast models)
+lives in actor ``__init__`` when used as a class stage.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -19,38 +36,93 @@ import ray.data
 
 from ..stages.join import JOIN_PARTITIONS, shuffle_hash_join
 
-TOKEN_RE = r"\S+"
-PUNCT_RE = r"[.,;:!?]"
-STOP_RE = r"\b(the|and|of|a|to|in|is)\b"
+
+class CountPattern(NamedTuple):
+    """One fixed count pattern: ``engine`` runs in :func:`count_patterns`
+    (Rust regex), ``sql`` in the DuckDB twin (RE2). Both match the same
+    spans of any text."""
+
+    engine: str
+    sql: str
+
+    def sql_count(self, col: str = "text") -> str:
+        """The twin's count of this pattern over ``col``; NULL counts 0."""
+        pat = self.sql.replace("'", "''")  # SQL string-literal quoting
+        return f"coalesce(length(regexp_extract_all({col}, '{pat}')), 0)"
+
+
+def ascii_words(words) -> CountPattern:
+    r"""Whole-word alternation bounded by RE2's ASCII ``\b``. RE2 rejects
+    the ``(?-u:`` flag group, so the engine and SQL spellings differ."""
+    alt = "(" + "|".join(words) + ")"
+    return CountPattern(rf"(?-u:\b){alt}(?-u:\b)", rf"\b{alt}\b")
+
+
+#: RE2's ``\s`` spelled out: exactly these five characters (not ``\v``).
+_RE2_SPACE = r"\t\n\f\r "
+
 #: GPT-2-style pre-tokenizer, RE2-compatible (no lookahead): contraction
-#: suffixes, letter runs, digit runs, punctuation runs. The SAME pattern
-#: string runs in DuckDB's regexp_extract_all (also RE2) — counts are
-#: identical by construction.
-BPE_TOKEN_RE = r"'(?:s|t|re|ve|m|ll|d)|[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s']+"
+#: suffixes, letter runs, digit runs, punctuation runs. ``\s`` is spelled
+#: out, so this one string means the same in Rust regex and in DuckDB's
+#: ``regexp_extract_all``, for extraction as well as counting.
+BPE_TOKEN_RE = rf"'(?:s|t|re|ve|m|ll|d)|[A-Za-z]+|[0-9]+|[^A-Za-z0-9{_RE2_SPACE}']+"
+
+#: The fixed text-count patterns; ``text_stats`` emits ``stat_<name>``.
+TEXT_PATTERNS = {
+    "words": CountPattern(rf"[^{_RE2_SPACE}]+", r"\S+"),
+    "punct": CountPattern(r"[.,;:!?]", r"[.,;:!?]"),
+    "stop": ascii_words(("the", "and", "of", "a", "to", "in", "is")),
+    "bpe_tokens": CountPattern(BPE_TOKEN_RE, BPE_TOKEN_RE),
+}
+
+#: the counts :func:`quality_score` uses (it skips the BPE pass)
+QUALITY_STATS = ("words", "punct", "stop")
+
+
+def count_patterns(
+    text: pa.Array | pa.ChunkedArray, patterns: Mapping[str, str]
+) -> pa.Table:
+    """Non-overlapping match counts of each named engine pattern over
+    ``text``: one int64 column per name, NULL text counting 0. All
+    patterns share one Arrow→polars conversion and one ``select``."""
+    import polars as pl
+
+    t = pl.col("t")
+    return (
+        pl.from_arrow(text)
+        .to_frame("t")
+        .select(
+            t.str.count_matches(p).fill_null(0).cast(pl.Int64).alias(name)
+            for name, p in patterns.items()
+        )
+        .to_arrow()
+    )
+
+
+def _with_stats(batch: pa.Table, text_col: str, names) -> pa.Table:
+    txt = batch[text_col]
+    counts = count_patterns(txt, {n: TEXT_PATTERNS[n].engine for n in names})
+    out = batch.append_column(
+        "stat_chars", pc.fill_null(pc.utf8_length(txt), 0).cast(pa.int64())
+    )
+    for n in names:
+        out = out.append_column(f"stat_{n}", counts[n])
+    return out
 
 
 def text_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Vectorized per-document counts: chars, whitespace tokens, punctuation,
-    stopwords — the raw ingredients of quality scoring. Arrow kernels only."""
-    txt = batch[text_col].combine_chunks()
-    n_chars = pc.fill_null(pc.utf8_length(txt), 0).cast(pa.int64())
-    n_words = pc.fill_null(pc.count_substring_regex(txt, TOKEN_RE), 0).cast(pa.int64())
-    n_punct = pc.fill_null(pc.count_substring_regex(txt, PUNCT_RE), 0).cast(pa.int64())
-    n_stop = pc.fill_null(pc.count_substring_regex(txt, STOP_RE), 0).cast(pa.int64())
-    n_bpe = pc.fill_null(pc.count_substring_regex(txt, BPE_TOKEN_RE), 0).cast(pa.int64())
-    out = batch.append_column("stat_chars", n_chars)
-    out = out.append_column("stat_words", n_words)
-    out = out.append_column("stat_punct", n_punct)
-    out = out.append_column("stat_stop", n_stop)
-    out = out.append_column("stat_bpe_tokens", n_bpe)
-    return out
+    stopwords and BPE tokens — the raw ingredients of quality scoring."""
+    return _with_stats(batch, text_col, TEXT_PATTERNS)
 
 
 def quality_score(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Deterministic quality score in [0,1]: rewards mid-length docs with
     punctuation and stopwords (C4/Gopher-style heuristics, integer-exact
-    ingredients so the SQL oracle matches bit-for-bit on the components)."""
-    t = text_stats(batch, text_col)
+    ingredients so the SQL oracle matches bit-for-bit on the components).
+    Appends ``stat_chars``, ``stat_words``, ``stat_punct``, ``stat_stop``
+    and ``quality``."""
+    t = _with_stats(batch, text_col, QUALITY_STATS)
     n_chars = t["stat_chars"].to_numpy(zero_copy_only=False).astype("float64")
     n_words = t["stat_words"].to_numpy(zero_copy_only=False).astype("float64")
     n_punct = t["stat_punct"].to_numpy(zero_copy_only=False).astype("float64")
@@ -65,9 +137,9 @@ def quality_score(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class LangId:
-    """Stopword-profile language ID as an actor-pool stage: per-language
-    ``\\b(w1|w2|...)\\b`` regexes compiled once per actor in ``__init__``,
-    counted with the RE2 ``count_substring_regex`` kernel (vectorized).
+    """Stopword-profile language ID as an actor-pool stage: one
+    whole-word pattern per language (:func:`ascii_words`), all counted in
+    one :func:`count_patterns` pass over the lowered text.
 
     Closed-form and SQL-expressible by design: prediction = language with the
     highest stopword-match count over the lowered text, ties broken by
@@ -82,26 +154,28 @@ class LangId:
         "it": {"il", "la", "di", "che", "e", "un", "per", "una", "non", "sono"},
     }
 
+    @classmethod
+    def patterns(cls) -> dict[str, CountPattern]:
+        """Per-language patterns, in alphabetical language order."""
+        return {
+            lang: ascii_words(sorted(cls.PROFILES[lang]))
+            for lang in sorted(cls.PROFILES)
+        }
+
     def __init__(self):
-        self.langs = sorted(self.PROFILES)
-        self.patterns = [
-            r"\b(" + "|".join(sorted(self.PROFILES[lang])) + r")\b" for lang in self.langs
-        ]
+        self.engine = {lang: p.engine for lang, p in self.patterns().items()}
 
     @classmethod
     def oracle_sql(cls) -> str:
         """The DuckDB twin of ``__call__`` — generated from the same profiles
         so engine and oracle can never drift."""
-        langs = sorted(cls.PROFILES)
+        pats = cls.patterns()
         counts = ",\n           ".join(
-            "length(regexp_extract_all(t, '\\b("
-            + "|".join(sorted(cls.PROFILES[lang]))
-            + ")\\b')) AS s_" + lang
-            for lang in langs
+            f"{p.sql_count('t')} AS s_{lang}" for lang, p in pats.items()
         )
-        g = "greatest(" + ", ".join(f"s_{lang}" for lang in langs) + ")"
+        g = "greatest(" + ", ".join(f"s_{lang}" for lang in pats) + ")"
         arms = "\n            ".join(
-            f"WHEN s_{lang} = {g} THEN '{lang}'" for lang in langs
+            f"WHEN s_{lang} = {g} THEN '{lang}'" for lang in pats
         )
         return f"""
 WITH s AS (SELECT doc_id, lower(coalesce(text, '')) AS t FROM documents),
@@ -117,15 +191,12 @@ FROM c
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         txt = pc.utf8_lower(pc.fill_null(batch["text"].combine_chunks(), ""))
-        scores = np.stack(
-            [
-                pc.count_substring_regex(txt, p).cast(pa.int64()).to_numpy(zero_copy_only=False)
-                for p in self.patterns
-            ]
-        )  # (L, N)
+        counts = count_patterns(txt, self.engine)
+        langs = list(self.engine)
+        scores = np.stack([counts[lang].to_numpy() for lang in langs])  # (L, N)
         best = scores.argmax(axis=0)  # first max → alphabetical tie-break (langs sorted)
         hit = scores.max(axis=0) > 0
-        pred = np.where(hit, np.array(self.langs, dtype=object)[best], "unk")
+        pred = np.where(hit, np.array(langs, dtype=object)[best], "unk")
         return batch.append_column("lang_pred", pa.array(pred, pa.string()))
 
 
@@ -264,8 +335,9 @@ def token_topk(
     corpus inspection — SURVEY §2.6 ordering family over text).
 
     Scale shape: each block tokenizes vectorized (polars ``extract_all`` —
-    Rust regex, leftmost-first like RE2, so the token multiset matches the
-    DuckDB ``regexp_extract_all`` twin by construction) and pre-aggregates to
+    Rust regex, leftmost-first like RE2; :data:`BPE_TOKEN_RE` spells its
+    classes in ASCII, so the token multiset matches the DuckDB
+    ``regexp_extract_all`` twin by construction) and pre-aggregates to
     (token, cnt) partials, so the one keyed exchange carries unique-tokens-
     per-block rows, never token instances; the global groupby sums partials
     and the final sort is over the vocabulary, not the corpus. Deterministic
@@ -321,9 +393,10 @@ def doc_term_relevance(
     Scale shape (three bounded exchanges, corpus text never re-shipped):
 
     1. TF is DOC-LOCAL: one document lives in one row, so each block
-       tokenizes vectorized (polars ``extract_all``, Rust regex = RE2
-       leftmost semantics, multiset-identical to the DuckDB
-       ``regexp_extract_all`` twin) and emits (doc, token, tf) rows with a
+       tokenizes vectorized (polars ``extract_all``, leftmost-first like
+       RE2; with the ASCII-spelled :data:`BPE_TOKEN_RE` it is
+       multiset-identical to the DuckDB ``regexp_extract_all`` twin) and
+       emits (doc, token, tf) rows with a
        local group-count — no exchange, and downstream ships only
        unique-terms-per-doc rows (~5–20× smaller than token instances).
     2. DF = rows-per-token over those tf rows (each (doc, token) appears
@@ -453,7 +526,9 @@ def spacesaving_summary(
     text: "pa.ChunkedArray | pa.Array", m: int, pattern: str, fallback_name: str = "text"
 ) -> "SpaceSaving":
     """Exact-truncated m-counter SpaceSaving summary of one text column:
-    vectorized tokenize (polars ``extract_all`` — RE2) + exact in-unit
+    vectorized tokenize (polars ``extract_all``; a pattern that spells its
+    classes in ASCII, like :data:`BPE_TOKEN_RE`, tokenizes as RE2 does) +
+    exact in-unit
     ``value_counts``, so the Python loop runs over UNIQUE tokens only. ONE
     definition shared by the batch path (per block) and the streaming runner
     (per pinned file) — a tokenizer/truncation change must move both."""
@@ -671,9 +746,12 @@ def decontaminate_against(
     (per-block unique partials), collected once (8 B/gram, guarded by
     ``max_bench_grams`` ≈ the ngram-join broadcast budget), and broadcast
     via ``ray.put``; the corpus never shuffles and is probed per batch
-    with one vectorized ``np.isin``. A benchmark past the budget is the
-    signal to use the gram-keyed join path (``ngram_jaccard_dedup``'s
-    ``vocab_mode='join'`` shape) instead of a broadcast."""
+    with one vectorized ``np.isin``. The budget is checked before anything
+    reaches the driver: on the partials' row count, and only when that is
+    over budget (blocks may share grams), on the distinct count taken
+    distributed. A benchmark past the budget is the signal to use the
+    gram-keyed join path (``ngram_jaccard_dedup``'s ``vocab_mode='join'``
+    shape) instead of a broadcast."""
     import ray
 
     from .dedup import _batch_gram_hashes
@@ -684,18 +762,15 @@ def decontaminate_against(
         )
         return pa.table({"gh": pa.array(np.unique(flat).astype(np.int64))})
 
-    gh = (
-        bench.map_batches(bench_partial, batch_format="pyarrow")
-        .to_pandas()["gh"]
-        .to_numpy()
-        .astype(np.uint64)
-    )
-    gset = np.unique(gh)
-    if len(gset) > max_bench_grams:
-        raise ValueError(
-            f"benchmark has {len(gset)} distinct grams > budget "
-            f"{max_bench_grams}; use a gram-keyed join instead of a broadcast"
-        )
+    grams = bench.map_batches(bench_partial, batch_format="pyarrow").materialize()
+    if grams.count() > max_bench_grams:
+        grams = grams.groupby("gh").count().materialize()
+        if grams.count() > max_bench_grams:
+            raise ValueError(
+                f"benchmark has {grams.count()} distinct grams > budget "
+                f"{max_bench_grams}; use a gram-keyed join instead of a broadcast"
+            )
+    gset = np.unique(grams.to_pandas()["gh"].to_numpy().astype(np.uint64))
     gram_ref = ray.put(gset)
     return docs.map_batches(
         GramSetFlagger,
@@ -746,8 +821,9 @@ def inverted_index(
     — the search/retrieval index build every curation stack ends with).
 
     Scale shape: each block tokenizes vectorized (polars ``extract_all``,
-    Rust regex = RE2 leftmost semantics, multiset-identical to the DuckDB
-    ``regexp_extract_all`` twin) and dedups to (doc, token) pairs locally —
+    leftmost-first like RE2; with the ASCII-spelled :data:`BPE_TOKEN_RE`
+    it is multiset-identical to the DuckDB ``regexp_extract_all`` twin) and
+    dedups to (doc, token) pairs locally —
     a document lives in ONE row, so block-unique pairs are globally unique
     and the single token-keyed coarse exchange (``num_partitions`` groups,
     never per-token dispatch) carries unique-terms-per-doc rows, never

@@ -381,29 +381,33 @@ FROM r GROUP BY event_type
 # --- training-data ops -------------------------------------------------------
 
 def _text_stats_sql() -> str:
-    from .functions.textops import BPE_TOKEN_RE
+    """functions/textops.py::text_stats twin, generated from the engine's
+    pattern table (each pattern's SQL spelling)."""
+    from .functions.textops import TEXT_PATTERNS
 
-    pat = BPE_TOKEN_RE.replace("'", "''")  # SQL string-literal quoting
-    return rf"""
+    cols = "".join(
+        f",\n       {p.sql_count()} AS stat_{name}" for name, p in TEXT_PATTERNS.items()
+    )
+    return f"""
 SELECT doc_id,
-       coalesce(length(text), 0) AS stat_chars,
-       coalesce(length(regexp_extract_all(text, '\S+')), 0) AS stat_words,
-       coalesce(length(regexp_extract_all(text, '[.,;:!?]')), 0) AS stat_punct,
-       coalesce(length(regexp_extract_all(text, '\b(the|and|of|a|to|in|is)\b')), 0) AS stat_stop,
-       coalesce(length(regexp_extract_all(text, '{pat}')), 0) AS stat_bpe_tokens
+       coalesce(length(text), 0) AS stat_chars{cols}
 FROM documents
 """
 
 
-TEXT_STATS = _text_stats_sql()
+def _quality_score_sql() -> str:
+    """functions/textops.py::quality_score twin, over the same pattern
+    table entries the engine counts."""
+    from .functions.textops import QUALITY_STATS, TEXT_PATTERNS
 
-QUALITY_SCORE = r"""
+    cols = "".join(
+        f",\n           CAST({TEXT_PATTERNS[n].sql_count()} AS DOUBLE) AS n_{n}"
+        for n in QUALITY_STATS
+    )
+    return f"""
 WITH s AS (
     SELECT doc_id,
-           CAST(coalesce(length(text), 0) AS DOUBLE) AS n_chars,
-           CAST(coalesce(length(regexp_extract_all(text, '\S+')), 0) AS DOUBLE) AS n_words,
-           CAST(coalesce(length(regexp_extract_all(text, '[.,;:!?]')), 0) AS DOUBLE) AS n_punct,
-           CAST(coalesce(length(regexp_extract_all(text, '\b(the|and|of|a|to|in|is)\b')), 0) AS DOUBLE) AS n_stop
+           CAST(coalesce(length(text), 0) AS DOUBLE) AS n_chars{cols}
     FROM documents
 )
 SELECT doc_id,
@@ -413,6 +417,10 @@ SELECT doc_id,
            AS quality_micro
 FROM s
 """
+
+
+TEXT_STATS = _text_stats_sql()
+QUALITY_SCORE = _quality_score_sql()
 
 FINGERPRINT = r"""
 SELECT doc_id,
@@ -1738,13 +1746,12 @@ CEP_SESSION_PATTERN = _cep_session_sql(CEP_PATTERN, GAP30M_US)
 def _token_pack_sql(capacity: int) -> str:
     """stages/scan.py::token_pack_plan twin — the distributed prefix scan is
     one SQL window cumsum; pack_id = exclusive-prefix tokens // capacity."""
-    from .functions.textops import BPE_TOKEN_RE
+    from .functions.textops import TEXT_PATTERNS
 
-    pat = BPE_TOKEN_RE.replace("'", "''")
+    n_tokens = TEXT_PATTERNS["bpe_tokens"].sql_count()
     return f"""
 WITH t AS (
-    SELECT doc_id,
-           CAST(coalesce(length(regexp_extract_all(text, '{pat}')), 0) AS BIGINT) AS n_tokens
+    SELECT doc_id, CAST({n_tokens} AS BIGINT) AS n_tokens
     FROM documents
 )
 SELECT doc_id, n_tokens,
@@ -2460,7 +2467,9 @@ WHERE e.vec_id NOT IN (SELECT vec_id FROM collided)
 #: integer arithmetic (HUGEINT), so the engine matches bit-exactly with no
 #: libm-log divergence; empty docs score 0 with n_words 0.
 UNIGRAM_SURPRISE = f"""
-WITH d AS (SELECT doc_id, trim(lower(coalesce(text, ''))) AS t FROM documents),
+WITH d AS (SELECT doc_id,
+             regexp_replace(lower(coalesce(text, '')), '^\\s+|\\s+$', '', 'g') AS t
+           FROM documents),
 w AS (SELECT doc_id,
         CASE WHEN t = '' THEN [] ELSE regexp_split_to_array(t, '\\s+') END AS ws
       FROM d),

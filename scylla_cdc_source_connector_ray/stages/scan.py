@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
@@ -115,14 +114,15 @@ def token_pack_plan(
     num_ranges: int = 64,
 ) -> ray.data.Dataset:
     """Assign each document to its training-sequence pack: pack_id =
-    (tokens before this doc) // capacity, tokens counted with the BPE-ish
-    regex shared with the ``text_stats`` oracle, docs ordered by ``id_col``.
-    Output: (id_col, n_tokens, pack_id)."""
-    from ..functions.textops import BPE_TOKEN_RE
+    (tokens before this doc) // capacity, tokens counted by the text-count
+    kernel with the BPE pattern of ``text_stats``, docs ordered by
+    ``id_col``. Output: (id_col, n_tokens, pack_id)."""
+    from ..functions.textops import TEXT_PATTERNS, count_patterns
+
+    bpe = TEXT_PATTERNS["bpe_tokens"].engine
 
     def count_tokens(t: pa.Table) -> pa.Table:
-        txt = t[text_col].combine_chunks()
-        n = pc.fill_null(pc.count_substring_regex(txt, BPE_TOKEN_RE), 0).cast(pa.int64())
+        n = count_patterns(t[text_col], {"n_tokens": bpe})["n_tokens"]
         return pa.table({id_col: t[id_col], "n_tokens": n})
 
     counted = docs.map_batches(count_tokens, batch_format="pyarrow")

@@ -1436,6 +1436,33 @@ def test_unigram_scorer_document_sum_past_uint64_matches_exact_twin():
     assert got["n_words"].to_pylist() == [3, 2, 3, 0, 1]
 
 
+def test_unigram_surprise_matches_twin_with_edge_whitespace():
+    """Leading/trailing tabs and newlines are not words on either side."""
+    from scylla_cdc_source_connector_ray import oracles
+    from scylla_cdc_source_connector_ray.functions.textops import unigram_surprise
+
+    df = pd.DataFrame(
+        {
+            "doc_id": np.arange(6, dtype=np.int64),
+            "text": pd.Series(
+                ["\talpha beta", "beta alpha\n", "alpha", "\n\t", None, " gamma\r\n"],
+                dtype=object,
+            ),
+        }
+    )
+    got = (
+        unigram_surprise(ray.data.from_pandas(df))
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.register("documents", df)
+    want = con.sql(oracles.UNIGRAM_SURPRISE).df().sort_values("doc_id").reset_index(drop=True)
+    assert got["n_words"].tolist() == [2, 2, 1, 0, 0, 1]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_unigram_surprise_brute_force_and_max_vocab():
     from scylla_cdc_source_connector_ray.functions.textops import unigram_surprise
 
@@ -1594,6 +1621,45 @@ def test_decontaminate_against_dataset():
 
     with _pytest.raises(ValueError, match="budget"):
         decontaminate_against(docs, bench, max_bench_grams=0)
+
+
+def test_decontaminate_against_budget_checked_before_collect(monkeypatch):
+    """An over-budget benchmark raises before its grams reach the driver."""
+    from scylla_cdc_source_connector_ray.functions.textops import (
+        decontaminate_against,
+    )
+
+    docs = ray.data.from_pandas(pd.DataFrame({"doc_id": [0], "text": ["a b c d"]}))
+    bench = ray.data.from_pandas(
+        pd.DataFrame({"text": ["alpha beta gamma delta"]})  # 2 distinct grams
+    )
+
+    def no_collect(self, *a, **kw):
+        raise AssertionError("benchmark grams collected before the budget check")
+
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", no_collect)
+    with pytest.raises(ValueError, match="2 distinct grams > budget 1"):
+        decontaminate_against(docs, bench, max_bench_grams=1)
+
+
+def test_decontaminate_against_shared_grams_within_budget():
+    """Blocks that share grams pass at a budget equal to the distinct count,
+    though their per-block partials exceed it."""
+    from scylla_cdc_source_connector_ray.functions.textops import (
+        decontaminate_against,
+    )
+
+    block = pd.DataFrame({"text": ["alpha beta gamma"] * 1500})
+    bench = ray.data.from_pandas([block, block.copy(), block.copy()])
+    docs = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": [0, 1], "text": ["x alpha beta gamma", "alpha beta"]})
+    )
+    got = (
+        decontaminate_against(docs, bench, max_bench_grams=1)
+        .to_pandas()
+        .sort_values("doc_id")
+    )
+    assert list(got["contaminated"]) == [1, 0]
 
 
 def test_kmeans_fit_converges_and_is_split_invariant():
