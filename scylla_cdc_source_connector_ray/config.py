@@ -95,7 +95,8 @@ class EngineConfig:
     #: consume conversation tombstones (``turn_idx IS NULL`` ⇒ partition
     #: delete, reference M2) in the streaming runner: emit the 'pd' marker,
     #: expand per-live-key deletes against the state store, wipe the state;
-    #: incompatible with image_mode, conv-state enrichment and hot salting
+    #: incompatible with image_mode and conv-state enrichment; composes with
+    #: hot salting (the marker is broadcast to every shard)
     partition_deletes: bool = False
     #: cold-start lookback (≙ ``scylla.initial.lookback.ms``,
     #: ``ScyllaConnectorConfig.java:199-213`` / ``ScyllaConnectorTask.java:

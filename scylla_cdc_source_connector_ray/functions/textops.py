@@ -522,9 +522,7 @@ class SpaceSaving:
         return [(t, self.counts[t], self.errs[t]) for t in order]
 
 
-def spacesaving_summary(
-    text: "pa.ChunkedArray | pa.Array", m: int, pattern: str, fallback_name: str = "text"
-) -> "SpaceSaving":
+def spacesaving_summary(text: "pa.ChunkedArray | pa.Array", m: int, pattern: str) -> "SpaceSaving":
     """Exact-truncated m-counter SpaceSaving summary of one text column:
     vectorized tokenize (polars ``extract_all``; a pattern that spells its
     classes in ASCII, like :data:`BPE_TOKEN_RE`, tokenizes as RE2 does) +
@@ -536,9 +534,8 @@ def spacesaving_summary(
 
     s = pl.from_arrow(text).fill_null("")
     toks = s.str.extract_all(pattern).explode().drop_nulls()
-    vc = toks.value_counts()
-    name = toks.name or fallback_name
-    return SpaceSaving.from_counts(m, vc[name].to_list(), vc["count"].to_list())
+    vc = toks.value_counts()  # the tokens column keeps the series' own name ('' when unnamed)
+    return SpaceSaving.from_counts(m, vc[toks.name].to_list(), vc["count"].to_list())
 
 
 def token_topk_spacesaving(
@@ -560,7 +557,7 @@ def token_topk_spacesaving(
     Returns (token, cnt_upper, err, cnt_lower) for the top k."""
 
     def summarize(t: pa.Table) -> pa.Table:
-        ss = spacesaving_summary(t[text_col], m, pattern, fallback_name=text_col)
+        ss = spacesaving_summary(t[text_col], m, pattern)
         rows = ss.topk(m)
         return pa.table(
             {

@@ -127,7 +127,7 @@ WINDOW w AS (PARTITION BY conv_id ORDER BY ts, seq),
                    ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
 """
 
-#: pipelines/runner.py::_merge_cstate_partials — the hierarchical salted
+#: pipelines/runner.py::_merge_cstate (the salted merge fold) — the hierarchical salted
 #: conv-state path must produce EXACTLY the unsalted exclusive-prefix
 #: enrichment (the streaming envelope carries prior_turns/prior_chars/
 #: prev_role; prev_ts_us is a batch-path-only feature).
@@ -636,7 +636,9 @@ def _minhash_perm_values() -> str:
 #: shared shingle CTE: per-doc sorted-unique gram hashes (docs with no
 #: shingles have no rows — excluded from LSH/simhash on both sides)
 _SHINGLES_CTE = f"""
-WITH d AS (SELECT doc_id, trim(lower(coalesce(text, ''))) AS t FROM documents),
+WITH d AS (SELECT doc_id,
+             regexp_replace(lower(coalesce(text, '')), '^\\s+|\\s+$', '', 'g') AS t
+           FROM documents),
 w AS (SELECT doc_id,
         CASE WHEN t = '' THEN [] ELSE regexp_split_to_array(t, '\\s+') END AS ws
       FROM d),
@@ -706,7 +708,9 @@ DEDUP_MINHASH_LSH = (
 #: over every WINNOW_W consecutive grams, then DISTINCT (doc, fp)
 _WINNOW_W = 4
 WINNOW_FINGERPRINT = f"""
-WITH d AS (SELECT doc_id, trim(lower(coalesce(text, ''))) AS t FROM documents),
+WITH d AS (SELECT doc_id,
+             regexp_replace(lower(coalesce(text, '')), '^\\s+|\\s+$', '', 'g') AS t
+           FROM documents),
 w AS (SELECT doc_id,
         CASE WHEN t = '' THEN [] ELSE regexp_split_to_array(t, '\\s+') END AS ws
       FROM d),
@@ -732,7 +736,9 @@ ORDER BY doc_id, fp
 #: same word-hash + fold gram definition as the shingles CTE, at n=2, but
 #: WITHOUT the per-doc distinct — total windows vs distinct windows per doc
 QUALITY_REPETITION = f"""
-WITH d AS (SELECT doc_id, trim(lower(coalesce(text, ''))) AS t FROM documents),
+WITH d AS (SELECT doc_id,
+             regexp_replace(lower(coalesce(text, '')), '^\\s+|\\s+$', '', 'g') AS t
+           FROM documents),
 w AS (SELECT doc_id,
         CASE WHEN t = '' THEN [] ELSE regexp_split_to_array(t, '\\s+') END AS ws
       FROM d),

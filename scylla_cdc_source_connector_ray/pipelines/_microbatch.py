@@ -33,10 +33,13 @@ ref), routes it and returns one part per partition; stage 2 runs one task
 per partition that hands its parts, in arrival order, to a stage-2 body. A
 pre-partitioned input (a bucketed log) skips stage 1. A small batch costs a
 few tasks, where a Ray Data plan costs tens of milliseconds per operator.
-The lean runners' body loads, folds and writes one shard's keyed state
-(:meth:`KeyedStateRunner.keyed`; runners with extra stages chain it, as it
+Stage 2 is always the one load-fold-write body (:func:`_fold_shard`): load
+the prior table of each declared state kind, run a pure fold, write the
+new states and the named sinks, and hand any tables the fold marks as
+blocks to a chained exchange. The lean runners reach it through
+:meth:`KeyedStateRunner.keyed` (runners with extra stages chain it, as it
 returns the stage-2 refs); ``CaptureRunner`` runs its shard stage and its
-salted merge and fixup stages on the same exchange with bodies of its own.
+salted merge and fixup stages through it with folds of its own.
 """
 
 from __future__ import annotations
@@ -415,17 +418,27 @@ def _reduce(partition: int, body, *parts):
 
 def exchange(
     inputs: list | dict[int, list[str]],
-    body: Callable,
+    fold: Callable,
     n: int,
     *,
+    batch_id: int,
+    ckpt_dir: str,
+    sink_dir: str | None = None,
+    kinds: tuple[str, ...] = (),
+    blocks: tuple[str, ...] = (),
+    name: str = "shard-{:05d}",
     route=None,
     fmt: str = "pyarrow",
     shard_col: str = "_shard",
     columns: list[str] | None = None,
     num_shards: int | None = None,
 ) -> list:
-    """The keyed exchange as a two-stage graph of plain Ray tasks; returns
-    one stage-2 ref per partition, in partition order.
+    """The keyed exchange as a two-stage graph of plain Ray tasks, with the
+    load-fold-write body (:func:`_fold_shard`: ``fold`` over state
+    ``kinds``, sinks ``sink_dir/<sink>/batch-B/<name>.parquet``) as stage
+    2; returns one stage-2 result per partition, in partition order: a ref
+    to the partition's metrics, or with ``blocks`` a list of refs
+    ``[metrics, *blocks]`` (see :func:`gather`).
 
     ``inputs`` is a list of log file paths (read with ``columns``; cut into
     :func:`slices` of at most ``2 * num_shards``, default ``n``, before any
@@ -434,17 +447,22 @@ def exchange(
     per partition ``[0, n)`` by ``shard_col``. A one-slice file is read and
     routed in one task; a larger one is read by one task and routed per
     slice. Stage 2, per partition: the parts in source-then-slice order (so
-    the body sees arrival order) → ``body(partition, rows, n_parts)``; an
-    empty partition gets an empty table.
+    the fold sees arrival order), an empty table for an empty partition.
 
     A pre-partitioned input (``{partition: [file paths]}``, a bucketed log)
     skips stage 1: one stage-2 task per listed partition reads its own files.
 
-    ``route`` and ``body`` (with whatever they close over) go to the object
-    store once per call, not once per task."""
-    body_ref = ray.put(body)
+    ``route`` and the body (with whatever the fold closes over) go to the
+    object store once per call, not once per task."""
+    body_ref = ray.put(
+        functools.partial(
+            _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
+            ckpt_dir=ckpt_dir, sink_dir=sink_dir, name=name, blocks=blocks,
+        )
+    )
+    reduce = _reduce.options(num_returns=1 + len(blocks))
     if isinstance(inputs, dict):
-        return [_reduce.remote(p, body_ref, *paths) for p, paths in sorted(inputs.items())]
+        return [reduce.remote(p, body_ref, *paths) for p, paths in sorted(inputs.items())]
     route_ref = ray.put(route)
     parts = []  # per slice, one part ref per partition
     for src in inputs:
@@ -452,35 +470,64 @@ def exchange(
         for sl in [src] if k == 1 else _slice_refs(src, k, columns):
             split = _route_split.options(num_returns=n)
             parts.append(_refs(split.remote(sl, route_ref, fmt, shard_col, n, columns), n))
-    return [_reduce.remote(p, body_ref, *(sp[p] for sp in parts)) for p in range(n)]
+    return [reduce.remote(p, body_ref, *(sp[p] for sp in parts)) for p in range(n)]
 
 
 def _fold_shard(
     shard: int, t: pa.Table, n_parts: int, *,
-    batch_id: int, fold: Callable, fmt: str, kind: str, ckpt_dir: str, sink_dir, emit: bool,
+    batch_id: int, fold: Callable, fmt: str, kinds: tuple[str, ...], ckpt_dir: str,
+    sink_dir: str | None, name: str, blocks: tuple[str, ...],
 ):
-    """The lean runners' stage-2 body: one partition's rows folded into its
-    state. A partition with no rows runs no fold and writes nothing.
-    ``emit=False`` writes the fold's rows to the shard's sink file and
-    returns ``{"stats", "rows", "fold_s", "slices"}`` (``stats`` None for a
-    skipped partition); ``emit=True`` returns the rows as an Arrow table (a
-    skipped partition's empty rows)."""
-    shard_metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": n_parts}
+    """The one stage-2 body, load → fold → write, for every runner. It
+    loads the prior table of each state kind in ``kinds`` (the newest file
+    before this batch, None if absent) and calls ``fold(shard, rows,
+    priors) -> (sinks, states, stats)``: each non-None state table is
+    written under this batch id, each non-None sink table to
+    ``sink_dir/<sink>/batch-B/<name>.parquet`` (``name`` formatted with the
+    partition; sink ``""`` is ``sink_dir`` itself), except the sinks named in
+    ``blocks``, which are returned as Arrow blocks for a chained exchange.
+    Returns the partition's metrics ``{"stats", "rows", "fold_s" (the fold
+    alone, not its state I/O), "slices", "blocks" (the block names the fold
+    returned)}``, followed by one entry per block when ``blocks``. A
+    partition with no rows runs no fold and writes nothing (``stats`` None;
+    each block is its empty rows)."""
+    metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": n_parts, "blocks": ()}
     if t.num_rows == 0:
-        return t if emit else shard_metrics
+        return _returns([metrics, *(t for _ in blocks)])
     ck = Checkpoint(ckpt_dir)  # path math only
-    prev = ck.latest_state_path(shard, before_batch=batch_id, kind=kind)
-    prior = pq.read_table(prev) if prev else None
+    paths = {kind: ck.latest_state_path(shard, before_batch=batch_id, kind=kind) for kind in kinds}
+    priors = {kind: pq.read_table(p) if p else None for kind, p in paths.items()}
     t0 = time.perf_counter()
-    out, state, stats = fold(_as_format(t, fmt), prior)
-    shard_metrics["fold_s"] = time.perf_counter() - t0
-    if state is not None:
-        ck.write_state(shard, batch_id, state, kind=kind)
-    if emit:
-        return _as_format(out, "pyarrow")
-    if out is not None:
-        write_sink(sink_dir, batch_id, f"shard-{shard:05d}", out)
-    return {**shard_metrics, "stats": stats}
+    sinks, states, stats = fold(shard, _as_format(t, fmt), priors)
+    metrics["fold_s"] = time.perf_counter() - t0
+    for kind, state in states.items():
+        if state is not None:
+            ck.write_state(shard, batch_id, state, kind=kind)
+    for sink, out in sinks.items():
+        if out is not None and sink not in blocks:
+            write_sink(os.path.join(sink_dir, sink), batch_id, name.format(shard), out)
+    out = [sinks.get(b) for b in blocks]
+    metrics.update(stats=stats, blocks=tuple(b for b, x in zip(blocks, out) if x is not None))
+    return _returns([metrics, *(None if x is None else _as_format(x, "pyarrow") for x in out)])
+
+
+def gather(refs: list, blocks: tuple[str, ...] = ()) -> tuple[list[dict], dict[str, list]]:
+    """The stage-2 results of an :func:`exchange`: the partitions' metrics
+    and, per block name, the refs of the blocks the folds returned (left in
+    the object store for a chained exchange)."""
+    if not blocks:
+        return ray.get(refs), {}
+    shards = ray.get([r[0] for r in refs])
+    return shards, {
+        b: [r[i] for s, r in zip(shards, refs) if b in s["blocks"]] for i, b in enumerate(blocks, 1)
+    }
+
+
+def _lean_fold(fold: Callable, kind: str, shard: int, rows, priors: dict):
+    """A lean runner's ``fold(rows, prior) -> (rows, state, stats)`` as a
+    load-fold-write fold: its rows are sink ``""``, its state ``kind``."""
+    out, state, stats = fold(rows, priors[kind])
+    return {"": out}, {kind: state}, stats
 
 
 def exchange_metrics(shards: list[dict]) -> dict:
@@ -622,15 +669,14 @@ class KeyedStateRunner:
         stage-2 result is the shard's stats and metrics (see
         :func:`exchange_metrics`); ``emit=True``: the fold's rows are the
         result, an Arrow block for a later stage (no sink write)."""
-        fmt = batch_format or self.BATCH_FORMAT
-        body = functools.partial(
-            _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kind=kind or self.state_kind,
-            ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, emit=emit,
-        )
-        return exchange(
-            inputs, body, self.num_partitions, route=route, fmt=fmt,
+        kind = kind or self.state_kind
+        refs = exchange(
+            inputs, functools.partial(_lean_fold, fold, kind), self.num_partitions,
+            batch_id=batch_id, ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, kinds=(kind,),
+            blocks=("",) if emit else (), route=route, fmt=batch_format or self.BATCH_FORMAT,
             shard_col=shard_col, columns=columns, num_shards=self.num_shards,
         )
+        return [r[1] for r in refs] if emit else refs
 
     def sum_stats(self, shards: list[dict]) -> dict:
         """Per-shard fold stats summed over the stage-2 results (skipped

@@ -76,7 +76,7 @@ def _file_summary(
     from ..functions.textops import spacesaving_summary
 
     t = pq.read_table(path, columns=[text_col])
-    ss = spacesaving_summary(t[text_col], m, pattern, fallback_name=text_col)
+    ss = spacesaving_summary(t[text_col], m, pattern)
     return path, ss.counts, ss.errs, ss.n
 
 

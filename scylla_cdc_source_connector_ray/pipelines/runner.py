@@ -11,37 +11,39 @@ capture data plane it drives, one keyed exchange per micro-batch
     flat log:     per file slice: read → _route (conform, shard column)
                   → one part per shard
     bucketed log: nothing — each shard's files are its input
-    per shard:    its parts in file-then-slice order → _shard_task
+    per shard:    its parts in file-then-slice order → load-fold-write
+                  body (_microbatch._fold_shard) over _shard_task
     → per-shard stats to the loop, which commits
 
 Like the reference's Kafka Connect tasks, each shard task folds only its own
 streams; no planner sits between the two stages.
 
-``_shard_task`` (one Ray task per non-empty shard) does, fully vectorized:
+The body loads the shard's prior state tables, runs the pure fold
+:func:`_shard_task` and writes what it returns. The fold, fully vectorized:
 
-1. read the shard's checkpointed state (last CDC-log row per key) and inject
-   it as *seed rows* (``seq = -1``) — the cross-batch analogue of the
-   reference's image-correlation accumulator map
-   (``ScyllaChangesConsumer.java:104-139``), but stored as Parquet so any
-   worker on any node can pick up any shard (no actor affinity problem);
-2. run the same :func:`..stages.op_derive.derive_ops` kernel used in batch
+1. injects the checkpointed per-key state (last CDC-log row per key) as
+   *seed rows* (``seq = -1``) — the cross-batch analogue of the reference's
+   image-correlation accumulator map (``ScyllaChangesConsumer.java:104-139``),
+   but stored as Parquet so any worker on any node can pick up any shard (no
+   actor affinity problem);
+2. runs the same :func:`..stages.op_derive.derive_ops` kernel used in batch
    mode — seeds make the per-key state machine continue seamlessly;
-3. write the change events to a deterministic ``batch-K/shard=S.parquet``
-   (temp + rename) — replays overwrite byte-identically ⇒ exactly-once;
-4. write the shard's new state file, return a one-row metrics table;
-5. per configured window kind (:func:`_window_kinds`: tumbling, sliding,
-   session), one stage (:func:`_window_stage`): route rows whose latest
-   window already closed to ``late/<kind>``, partial-aggregate the rest and
-   fold them into the kind's state with the pure core of
-   :mod:`..stages.windows` (one pane fold, one session fold). Under
-   hot-conversation salting the partials go to a per-base-shard merge stage
-   (:meth:`CaptureRunner._merge_partials`) that runs the same fold;
-   :meth:`CaptureRunner.flush_windows` folds the residual state with the
-   threshold at +∞.
+3. returns the change events as the sink ``batch-K/shard=S.parquet``, which
+   the body writes under that deterministic name (temp + rename) — replays
+   overwrite byte-identically ⇒ exactly-once — and the new state;
+4. per configured window kind (:func:`_window_kinds`: tumbling, sliding,
+   session), one stage (:func:`_window_stage`): rows whose latest window
+   already closed go to ``late/<kind>``, the rest are partial-aggregated and
+   folded into the kind's state with the pure core of :mod:`..stages.windows`
+   (one pane fold, one session fold).
 
-The salted merge and fixup stages (:meth:`CaptureRunner._scratch_stage`)
-run on the same exchange over the scratch files the shard tasks wrote,
-keyed by ``base_shard`` or ``sub_shard``. The loop then commits the manifest
+Under hot-conversation salting the shard fold returns the window partials
+and the hot conversations' slim conv-state rows as blocks, and each salted
+stage is one more exchange over them through the same body: the window merge
+(:func:`_merge_windows`) and the conv-state merge (:func:`_merge_cstate`)
+keyed by ``base_shard``, then the envelope fixup (:func:`_fixup_env`) keyed
+by ``sub_shard``. :meth:`CaptureRunner.flush_windows` folds the residual
+window state with the threshold at +∞. The loop then commits the manifest
 (offsets + per-shard watermarks). Crash anywhere before the commit ⇒ the
 next run replays the batch onto the same file names. Empty batches still
 commit (heartbeat semantics, ``ScyllaConnectorConfig.java:350-363``).
@@ -80,6 +82,7 @@ from ._microbatch import (
     exchange,
     exchange_metrics,
     follow_microbatches,
+    gather,
     read_committed_output,
     read_committed_output_ds,
     read_committed_state,
@@ -125,48 +128,85 @@ _CSTATE_FEATURES: tuple[tuple[str, pa.DataType], ...] = (
 )
 
 
-def _append_aligned_features(
-    env: pa.Table, enriched: pa.Table, env_seq
-) -> pa.Table:
-    """Append the conv-state feature columns to ``env``, aligned by ``seq``
-    via vectorized searchsorted. Env rows whose seq is absent from
-    ``enriched`` (hot rows routed to the salted merge stage) get typed NULLs.
-    """
-    ex_seq = enriched[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
-    n_ex, n_env = ex_seq.size, len(env_seq)
-    if n_ex == 0:
-        for c, typ in _CSTATE_FEATURES:
-            env = env.append_column(c, pa.nulls(n_env, typ))
-        return env
-    order = np.argsort(ex_seq)
-    pos = np.minimum(np.searchsorted(ex_seq[order], env_seq), n_ex - 1)
-    valid = ex_seq[order][pos] == env_seq
-    idx = pa.array(order[pos], pa.int64())
-    all_valid = bool(valid.all())
-    vmask = pa.array(valid)
+def _with_features(env: pa.Table, feats: pa.Table) -> pa.Table:
+    """``env`` with the conv-state feature columns of ``feats``, aligned by
+    ``seq`` via vectorized searchsorted (pyarrow join can't carry struct
+    payload columns). A column ``env`` lacks is appended, with typed NULLs
+    for the rows absent from ``feats`` (hot rows, left to the salted
+    stages); one it has is patched, its other rows kept (the fixup)."""
+    env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
+    f_seq = feats[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
+    hit = np.zeros(env_seq.size, dtype=bool)
+    if f_seq.size:
+        order = np.argsort(f_seq)
+        idx = order[np.minimum(np.searchsorted(f_seq[order], env_seq), f_seq.size - 1)]
+        hit = f_seq[idx] == env_seq
     for c, typ in _CSTATE_FEATURES:
-        col = pc.take(enriched[c].combine_chunks().cast(typ), idx)
-        if not all_valid:
-            col = pc.if_else(vmask, col, pa.nulls(n_env, typ))
-        env = env.append_column(c, col)
+        have = c in env.column_names
+        col = env[c].combine_chunks().cast(typ) if have else pa.nulls(env_seq.size, typ)
+        if hit.any():
+            vals = pc.take(feats[c].combine_chunks().cast(typ), pa.array(idx, pa.int64()))
+            col = pc.if_else(pa.array(hit), vals, col)
+        env = env.set_column(env.column_names.index(c), c, col) if have else env.append_column(c, col)
     return env
 
 
+def _key_state(derived: pa.Table, extra_names: tuple[str, ...]) -> pa.Table:
+    """The row-mode state: the last derived row per key, stored log-shaped
+    (seq −1, the after image; a deleted key keeps a tombstone role marker and
+    NULL text). ``derived`` is key-contiguous in fold order, so the last row
+    of a key is where the next row's key differs (vectorized mask)."""
+    n = derived.num_rows
+    conv = derived["conv_id"].combine_chunks()
+    turn = derived["turn_idx"].combine_chunks()
+    is_last = np.ones(n, dtype=bool)
+    if n:
+        is_last[:-1] = ~pc.and_(
+            pc.equal(conv.slice(0, n - 1), conv.slice(1)),
+            pc.equal(turn.slice(0, n - 1), turn.slice(1)),
+        ).to_numpy(zero_copy_only=False)
+    last = derived.filter(pa.array(is_last))
+    cols = {
+        "conv_id": last["conv_id"],
+        "turn_idx": last["turn_idx"],
+        "role": pc.if_else(
+            pc.equal(last["op"], "d"),
+            pa.scalar("__tombstone__"),
+            last["after_role"].combine_chunks(),
+        ),
+        "text": last["after_text"],
+        "tool": last["after_tool"],
+    }
+    for name in extra_names:
+        cols[name] = last["after_" + name]
+    cols["ts"] = last["ts"]  # event ts (tombstones too: keeps seed order)
+    cols[SEQ_COL] = pa.array(np.full(last.num_rows, -1, dtype=np.int64))
+    cols["shard"] = last["shard"]
+    return pa.table(cols)
+
+
 def _shard_task(
+    shard: int,
     group: pa.Table,
+    priors: dict[str, pa.Table | None],
     *,
-    batch_id: int,
     cfg: EngineConfig,
-    ckpt_dir: str,
-    out_dir: str,
     prev_watermarks: dict[str, int],
     extras: tuple[tuple[str, str], ...] = (),
-    salted_pd: bool = False,
-    salted_cstate: bool = False,
     hot_convs: frozenset[str] = frozenset(),
-) -> pa.Table:
-    shard = group["shard"][0].as_py()
-    ckpt = Checkpoint(ckpt_dir)
+) -> tuple[dict, dict, dict]:
+    """The capture shard fold: one shard's rows, in file-then-slice order,
+    and its prior state tables (``state`` or ``imgstate``, ``cstate``, and
+    the unsalted window kinds' ``wstate``/``sstate``/``sessstate``) →
+    ``(sinks, states, stats)``, with no file I/O of its own. Sinks are the
+    envelope (``""``), the ``late/<kind>`` rows and the emitted windows;
+    the salted window partials and the hot conversations' slim rows are
+    blocks for the salted merge stages, named after the state kind that
+    folds them."""
+    if "shard" not in group.column_names:
+        group = group.append_column("shard", pa.array(np.full(group.num_rows, shard, np.int32)))
+    sinks: dict[str, pa.Table | None] = {}
+    states: dict[str, pa.Table] = {}
     # schema evolution (reference ST4, ScyllaSchema.java:467-472): the driver
     # derives the batch's evolved value-column set from the file footers; every
     # shard conforms blocks, state seeds and the envelope to that one schema
@@ -206,17 +246,15 @@ def _shard_task(
     n_stragglers = 0
     if cfg.image_mode:
         # --- image-mode: correlate PRE/delta/POST; incomplete changes carry
-        # over as residual state (reference ST1/ST3) -------------------------
+        # over as residual state (reference ST1/ST3) — preimages travel in
+        # the log, so there is no per-key state -------------------------------
         from ..stages.correlate import correlate_images
 
-        carry_path = ckpt.latest_state_path(shard, batch_id, kind="imgstate")
-        carry = pq.read_table(carry_path) if carry_path else None
-        derived, residual, n_stragglers = correlate_images(
+        events_src, states["imgstate"], n_stragglers = correlate_images(
             group,
             straggler_timeout_us=cfg.straggler_timeout_us,
-            carry=carry,
+            carry=priors["imgstate"],
         )
-        ckpt.write_state(shard, batch_id, residual, kind="imgstate")
     else:
         # --- row-mode: seed with checkpointed per-key state -----------------
         # Seeds must fold FIRST per key regardless of event time (arrival-order
@@ -225,11 +263,10 @@ def _shard_task(
         # seed and re-emit a spurious 'c'. We sort with an explicit
         # arrival-rank column (seed=0, batch=1) and hand derive_ops the
         # pre-sorted block.
-        seed_path = ckpt.latest_state_path(shard, batch_id)
         log = _pin_strings(group.select(state_cols))
-        if seed_path is not None:
+        if priors["state"] is not None:
             # state written before an evolution lacks the new columns → NULLs
-            seed = _with_extras(pq.read_table(seed_path), extras).select(state_cols)
+            seed = _with_extras(priors["state"], extras).select(state_cols)
             log = pa.concat_tables([seed, log])
 
         arrival = (log[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False) >= 0).astype(
@@ -260,7 +297,7 @@ def _shard_task(
                 "shard", pa.array([shard] * flat.num_rows, pa.int32())
             )
 
-            if salted_pd and flat.num_rows:
+            if hot_convs and flat.num_rows:
                 # markers were broadcast to every shard (a hot conversation's
                 # turn-buckets span an unknown shard set) so each shard's keys
                 # fold the wipe; the ``op='pd'`` record itself is emitted only
@@ -283,46 +320,8 @@ def _shard_task(
             log = log.drop_columns(["_arrival"])
             derived = derive_ops(log, sorted_input=True, value_cols=value_cols)
             events_src = derived
-
-    # --- roll state forward: last row per key, stored log-shaped -----------
-    # derived is key-contiguous in fold order ⇒ last row per key is where the
-    # next row's key differs (vectorized mask). (Image mode keeps its
-    # residual as imgstate instead — preimages travel in the log.)
-    if cfg.image_mode:
-        events_src = derived
-    n = derived.num_rows if not cfg.image_mode else 0
-    conv = derived["conv_id"].combine_chunks()
-    turn = derived["turn_idx"].combine_chunks()
-    if n:
-        nxt_same = pc.and_(
-            pc.equal(conv.slice(0, n - 1), conv.slice(1)),
-            pc.equal(turn.slice(0, n - 1), turn.slice(1)),
-        ).to_numpy(zero_copy_only=False)
-        is_last = np.ones(n, dtype=bool)
-        is_last[:-1] = ~nxt_same
-    else:
-        is_last = np.zeros(0, dtype=bool)
-    last = derived.filter(pa.array(is_last)) if not cfg.image_mode else derived.slice(0, 0)
-    state_cols_out = {
-        "conv_id": last["conv_id"],
-        "turn_idx": last["turn_idx"],
-        # tombstone state keeps role marker + NULL text; live state keeps after image
-        "role": pc.if_else(
-            pc.equal(last["op"], "d"),
-            pa.scalar("__tombstone__"),
-            last["after_role"].combine_chunks(),
-        ),
-        "text": last["after_text"],
-        "tool": last["after_tool"],
-    }
-    for name in extra_names:
-        state_cols_out[name] = last["after_" + name]
-    state_cols_out["ts"] = last["ts"]  # event ts (tombstones too: keeps seed order)
-    state_cols_out[SEQ_COL] = pa.array(np.full(last.num_rows, -1, dtype=np.int64))
-    state_cols_out["shard"] = last["shard"]
-    new_state = pa.table(state_cols_out)
-    if not cfg.image_mode:
-        ckpt.write_state(shard, batch_id, new_state)
+        # --- roll state forward: last row per key ---------------------------
+        states["state"] = _key_state(derived, extra_names)
 
     # --- emit change events for real rows only (drop seed re-derivations) --
     real = events_src.filter(pc.greater_equal(events_src[SEQ_COL], 0))
@@ -342,7 +341,7 @@ def _shard_task(
     if real.num_rows:
         for kind in _window_kinds(cfg, salted=bool(hot_convs)):
             n_late_dropped += _window_stage(
-                kind, real, shard, batch_id, cfg, ckpt, out_dir, prev_watermarks
+                kind, real, shard, cfg, prev_watermarks, priors, sinks, states
             )
 
     # --- persistent per-conversation state join (north_star join) ----------
@@ -350,22 +349,22 @@ def _shard_task(
         from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
 
         genrich = group
-        if salted_cstate and hot_convs:
+        if hot_convs:
             # hierarchical salted conv-state (north_star skew clause × the
             # stream-state join): this salted sub-shard enriches only its
             # NON-hot conversations; hot rows are slimmed to ~40 B/row
             # (conv_id, ts, seq, role, chars) and handed to the per-BASE-shard
-            # merge stage (CaptureRunner._merge_cstate_partials), which owns
-            # the hot conversations' cstate store and computes the prefix in
-            # global (ts, seq) order. The envelope keeps typed NULLs here;
-            # _fixup_cstate_env patches them in place before commit.
+            # merge stage (_merge_cstate), which owns the hot conversations'
+            # cstate store and computes the prefix in global (ts, seq) order.
+            # The envelope keeps typed NULLs here; the fixup stage
+            # (_fixup_env) patches them before commit.
             from ..schema import shard_of
 
             conv_np = group["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
             hot_np = np.isin(conv_np, list(hot_convs))
             if hot_np.any():
                 hot_rows = group.filter(pa.array(hot_np))
-                part = pa.table(
+                sinks["cstate_hot"] = pa.table(
                     {
                         "conv_id": hot_rows["conv_id"].combine_chunks().cast(pa.string()),
                         "ts": hot_rows["ts"].combine_chunks(),
@@ -380,30 +379,12 @@ def _shard_task(
                         "base_shard": shard_of(hot_rows["conv_id"], cfg.num_shards),
                     }
                 )
-                write_table_atomic(
-                    part,
-                    os.path.join(
-                        out_dir,
-                        "_cstate_partials",
-                        f"batch-{batch_id:06d}",
-                        f"shard={shard}.parquet",
-                    ),
-                )
                 genrich = group.filter(pa.array(~hot_np))
 
-        cseed_path = ckpt.latest_state_path(shard, batch_id, kind="cstate")
-        cseed = pq.read_table(cseed_path) if cseed_path else None
-        enriched, new_cstate = conv_state_prefix(genrich, seed=cseed)
-        ckpt.write_state(
-            shard, batch_id, new_cstate.select(CONV_STATE_SCHEMA.names), kind="cstate"
-        )
-        # align by seq with a vectorized searchsorted (pyarrow join can't
-        # carry struct payload columns); env rows NOT enriched here (hot rows
-        # under salting) get typed NULLs for the fixup stage to fill
-        env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
-        env = _append_aligned_features(env, enriched, env_seq)
-
-    write_table_atomic(env, os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={shard}.parquet"))
+        enriched, new_cstate = conv_state_prefix(genrich, seed=priors["cstate"])
+        states["cstate"] = new_cstate.select(CONV_STATE_SCHEMA.names)
+        env = _with_features(env, enriched)
+    sinks[""] = env
 
     max_ts = pc.max(real["ts"].cast(pa.int64())).as_py() if real.num_rows else None
     # capture-latency distribution (event time): how far behind the batch
@@ -417,18 +398,16 @@ def _shard_task(
         )
         lag_p50 = int(np.percentile(lags, 50))
         lag_p95 = int(np.percentile(lags, 95))
-    return pa.table(
-        {
-            "shard": pa.array([shard], pa.int32()),
-            "n_events": pa.array([real.num_rows], pa.int64()),
-            "n_late": pa.array([int(n_late)], pa.int64()),
-            "n_late_dropped": pa.array([int(n_late_dropped)], pa.int64()),
-            "n_stragglers": pa.array([int(n_stragglers)], pa.int64()),
-            "max_ts_us": pa.array([max_ts], pa.int64()),
-            "lag_p50_us": pa.array([lag_p50], pa.int64()),
-            "lag_p95_us": pa.array([lag_p95], pa.int64()),
-        }
-    )
+    return sinks, states, {
+        "shard": shard,
+        "n_events": real.num_rows,
+        "n_late": int(n_late),
+        "n_late_dropped": int(n_late_dropped),
+        "n_stragglers": int(n_stragglers),
+        "max_ts_us": max_ts,
+        "lag_p50_us": lag_p50,
+        "lag_p95_us": lag_p95,
+    }
 
 
 def _route(
@@ -476,28 +455,6 @@ def _route(
     return with_salted_shard(b, num_shards, hot, salt_chunk)
 
 
-def _shard_stage(shard: int, group: pa.Table, n_parts: int, **task_kw) -> dict:
-    """Stage-2 body of the capture exchange: one shard's rows, in
-    file-then-slice order, with the ``shard`` column (re)appended, →
-    :func:`_shard_task`. A shard with no rows runs nothing and writes
-    nothing (``stats`` None). Returns the exchange's per-shard metrics."""
-    out = {"stats": None, "rows": group.num_rows, "fold_s": 0.0, "slices": n_parts}
-    if not group.num_rows:
-        return out
-    if "shard" not in group.column_names:
-        group = group.append_column("shard", pa.array(np.full(group.num_rows, shard, np.int32)))
-    t0 = time.perf_counter()
-    out["stats"] = _shard_task(group, **task_kw).to_pylist()[0]
-    out["fold_s"] = time.perf_counter() - t0
-    return out
-
-
-def _scratch_body(task, partition: int, rows: pa.Table, n_parts: int):
-    """Stage-2 body of a salted merge/fixup stage: ``task`` over a
-    non-empty partition; None for an empty one."""
-    return task(partition, rows) if rows.num_rows else None
-
-
 def _conform_envelope_to(p: pa.Table, target: pa.StructType) -> pa.Table:
     """Widen one envelope table's before/after structs to ``target`` (NULL
     child arrays for evolved fields the table predates)."""
@@ -542,8 +499,7 @@ class _WindowKind(NamedTuple):
 
     name: str  # late/<name> side output
     out: str  # emitted windows dir
-    state: str  # checkpoint state kind
-    scratch: str  # partials dir of its salted merge stage
+    state: str  # checkpoint state kind (and the name of its salted partials block)
     ns: str  # watermark namespace of its salted merge stage
     core: Panes | Sessions
     #: hot conversations' rows fold on their base shard (merge stage)
@@ -558,21 +514,21 @@ def _window_kinds(cfg: EngineConfig, salted: bool) -> list[_WindowKind]:
         size, keys = cfg.window_size_us, tuple(cfg.window_agg_keys)
         kinds.append(
             _WindowKind(
-                "tumbling", "windows", "wstate", "_window_partials", "win:",
+                "tumbling", "windows", "wstate", "win:",
                 Panes(size, size, keys), salted and "conv_id" in keys,
             )
         )
     if cfg.sliding_window_us is not None:
         kinds.append(
             _WindowKind(
-                "sliding", "windows_sliding", "sstate", "", "",
+                "sliding", "windows_sliding", "sstate", "",
                 Panes(*cfg.sliding_window_us), False,
             )
         )
     if cfg.session_gap_us is not None:
         kinds.append(
             _WindowKind(
-                "session", "windows_session", "sessstate", "_session_partials", "sess:",
+                "session", "windows_session", "sessstate", "sess:",
                 Sessions(cfg.session_gap_us), salted,
             )
         )
@@ -586,22 +542,15 @@ def _threshold(watermarks: dict, key: str, cfg: EngineConfig) -> int:
     return wm - cfg.allowed_lateness_us if wm is not None else BEFORE_ALL
 
 
-def _route_late(
-    real: pa.Table,
-    kind: _WindowKind,
-    shard: int,
-    batch_id: int,
-    cfg: EngineConfig,
-    out_dir: str,
-    watermarks: dict,
-) -> tuple[pa.Table, int]:
-    """Split off the rows of ``real`` that ``kind`` finalized before this
-    batch (``closes_us ≤ thr_prev``) into ``late/<kind>``; return the
-    on-time rows and the late count. ``thr_prev`` is the shard's own or —
-    salted — each row's base shard's (``<ns><base>``): the merge stage
-    emits, so its watermark defines lateness. (Reference analogue: the
-    straggler drop + error log, ``ScyllaChangesConsumer.java:147-174``;
-    late rows are kept, not lost.)"""
+def _split_late(
+    real: pa.Table, kind: _WindowKind, shard: int, cfg: EngineConfig, watermarks: dict
+) -> tuple[pa.Table, pa.Table | None]:
+    """Split the rows of ``real`` that ``kind`` finalized before this batch
+    (``closes_us ≤ thr_prev``) off the on-time rows; None when none is
+    late. ``thr_prev`` is the shard's own or — salted — each row's base
+    shard's (``<ns><base>``): the merge stage emits, so its watermark
+    defines lateness. (Reference analogue: the straggler drop + error log,
+    ``ScyllaChangesConsumer.java:147-174``; late rows are kept, not lost.)"""
     ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     if kind.salted:
         from ..schema import shard_of
@@ -615,74 +564,99 @@ def _route_late(
     else:
         thr_prev = _threshold(watermarks, str(shard), cfg)
     late = kind.core.closes_us(ts) <= thr_prev
-    n_late = int(late.sum())
-    if not n_late:
-        return real, 0
-    write_table_atomic(
-        real.filter(pa.array(late)),
-        os.path.join(out_dir, "late", kind.name, f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
-    )
-    return real.filter(pa.array(~late)), n_late
+    if not late.any():
+        return real, None
+    return real.filter(pa.array(~late)), real.filter(pa.array(late))
 
 
-def _write_windows(emitted: pa.Table, kind_dir: str, shard: int) -> None:
-    if emitted.num_rows:
-        emitted = emitted.append_column("shard", pa.array([shard] * emitted.num_rows, pa.int32()))
-        write_table_atomic(emitted, os.path.join(kind_dir, f"shard={shard}.parquet"))
+def _windows_sink(emitted: pa.Table, shard: int) -> pa.Table | None:
+    """Emitted windows with their ``shard`` column; None when none closed."""
+    if not emitted.num_rows:
+        return None
+    return emitted.append_column("shard", pa.array([shard] * emitted.num_rows, pa.int32()))
 
 
-def _fold_window_state(
-    kind: _WindowKind,
-    partials: pa.Table,
-    shard: int,
-    batch_id: int,
-    ckpt: Checkpoint,
-    out_dir: str,
-    thr_prev: int,
-    thr: int,
-) -> None:
-    """The per-kind step: read the shard's prior ``kind`` state, fold the
-    partials into it, write the emitted windows and the new state.
-    Deterministic on replay: the inputs are the batch's partials, the state
-    of the previous COMMITTED batch and the manifest watermarks."""
-    path = ckpt.latest_state_path(shard, batch_id, kind=kind.state)
-    prior = pq.read_table(path) if path is not None else None
-    emitted, state = kind.core.fold(partials, prior, thr_prev, thr)
-    _write_windows(emitted, os.path.join(out_dir, kind.out, f"batch-{batch_id:06d}"), shard)
-    ckpt.write_state(shard, batch_id, state, kind=kind.state)
+def _fold_kind(
+    kind: _WindowKind, partials: pa.Table, prior, shard: int, key: str, new_wm: int,
+    watermarks: dict, cfg: EngineConfig,
+) -> tuple[pa.Table | None, pa.Table]:
+    """The per-kind step: fold the partials into the prior state between
+    watermark ``key``'s previous threshold and ``new_wm``'s; returns the
+    emitted windows sink and the new state. Deterministic on replay: the
+    inputs are the batch's partials, the state of the previous COMMITTED
+    batch and the manifest watermarks."""
+    thr_prev = _threshold(watermarks, key, cfg)
+    emitted, state = kind.core.fold(partials, prior, thr_prev, new_wm - cfg.allowed_lateness_us)
+    return _windows_sink(emitted, shard), state
 
 
 def _window_stage(
     kind: _WindowKind,
     real: pa.Table,
     shard: int,
-    batch_id: int,
     cfg: EngineConfig,
-    ckpt: Checkpoint,
-    out_dir: str,
     watermarks: dict,
+    priors: dict,
+    sinks: dict,
+    states: dict,
 ) -> int:
-    """One window kind over one shard's change events: route late rows
-    aside, partial-aggregate the rest, then fold them into the shard's
-    state — or, salted, hand the partials (O(panes | sessions), not O(rows))
-    to the base shard's merge stage. Returns the late row count."""
-    ontime, n_late = _route_late(real, kind, shard, batch_id, cfg, out_dir, watermarks)
+    """One window kind over one shard's change events, added to the shard
+    fold's ``sinks``/``states``: late rows go to ``late/<kind>``, the rest
+    are partial-aggregated and folded into the shard's state — or, salted,
+    the partials (O(panes | sessions), not O(rows)) become the ``kind.state``
+    block for the base shard's merge stage. Returns the late row count."""
+    ontime, late = _split_late(real, kind, shard, cfg, watermarks)
+    sinks[f"late/{kind.name}"] = late
     partials = kind.core.partials(ontime)
     if kind.salted:
         from ..schema import shard_of
 
         if partials.num_rows:
-            write_table_atomic(
-                partials.append_column("base_shard", shard_of(partials["conv_id"], cfg.num_shards)),
-                os.path.join(out_dir, kind.scratch, f"batch-{batch_id:06d}", f"shard={shard}.parquet"),
-            )
-        return n_late
-    new_wm = max(watermarks.get(str(shard)) or 0, pc.max(real["ts"].cast(pa.int64())).as_py())
-    _fold_window_state(
-        kind, partials, shard, batch_id, ckpt, out_dir,
-        _threshold(watermarks, str(shard), cfg), new_wm - cfg.allowed_lateness_us,
-    )
-    return n_late
+            base = shard_of(partials["conv_id"], cfg.num_shards)
+            sinks[kind.state] = partials.append_column("base_shard", base)
+    else:
+        new_wm = max(watermarks.get(str(shard)) or 0, pc.max(real["ts"].cast(pa.int64())).as_py())
+        sinks[kind.out], states[kind.state] = _fold_kind(
+            kind, partials, priors[kind.state], shard, str(shard), new_wm, watermarks, cfg
+        )
+    return 0 if late is None else late.num_rows
+
+
+def _merge_windows(
+    base: int, partials: pa.Table, priors: dict, *, kind: _WindowKind, cfg: EngineConfig,
+    watermarks: dict,
+) -> tuple[dict, dict, dict]:
+    """The salted merge fold of a window kind: the sub-shard partials of one
+    BASE shard (``hash(conv_id) % num_shards``) folded into its state with
+    the per-kind step. Its watermark lives in the kind's ``<ns><base>``
+    namespace of the manifest and advances to the newest event of the
+    partials."""
+    key = f"{kind.ns}{base}"
+    new_wm = max(watermarks.get(key) or 0, pc.max(partials[kind.core.last_ts]).as_py())
+    out, state = _fold_kind(kind, partials, priors[kind.state], base, key, new_wm, watermarks, cfg)
+    return {kind.out: out}, {kind.state: state}, {"base_shard": base, "max_ts_us": new_wm}
+
+
+def _merge_cstate(base: int, slim: pa.Table, priors: dict) -> tuple[dict, dict, None]:
+    """The salted conv-state merge fold: one BASE shard's slim hot rows
+    (from every sub-shard) folded as an exclusive prefix in global (ts, seq)
+    order against the hot conversations' own ``cstate_hot`` store. Returns
+    the per-row features, with the SUB-shard that holds each envelope row,
+    as the ``features`` block for the fixup stage."""
+    from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
+
+    enriched, new_state = conv_state_prefix(slim, seed=priors["cstate_hot"])
+    feats = enriched.select(["sub_shard", SEQ_COL, *[c for c, _ in _CSTATE_FEATURES]])
+    return {"features": feats}, {"cstate_hot": new_state.select(CONV_STATE_SCHEMA.names)}, None
+
+
+def _fixup_env(sub: int, feats: pa.Table, priors: dict, *, env_path: str) -> tuple[dict, dict, None]:
+    """The salted conv-state fixup fold: the envelope the shard stage wrote
+    for sub-shard ``sub`` (``env_path`` formatted with it), its hot rows'
+    typed-NULL feature columns filled from the merge stage's features; the
+    body writes it back in place (atomic temp + rename). Only sub-shards
+    with hot rows are rewritten."""
+    return {"": _with_features(pq.read_table(env_path.format(sub)), feats)}, {}, None
 
 
 class CaptureRunner:
@@ -894,7 +868,7 @@ class CaptureRunner:
             for u in units:
                 for k, p in u.paths.items():
                     inputs.setdefault(k, []).append(p)
-        shards = self._process_batch(batch_id, inputs, watermarks, ext)
+        shards, blocks = self._process_batch(batch_id, inputs, watermarks, ext)
         stats = [r["stats"] for r in shards if r["stats"] is not None]
         for row in stats:
             if row["max_ts_us"] is not None:
@@ -904,23 +878,14 @@ class CaptureRunner:
             if kind.salted:
                 # hierarchical salted windows: the merge stage runs inside
                 # the batch so its state/emissions replay with it
-                for row in self._merge_partials(kind, batch_id, watermarks):
+                for row in self._merge_partials(kind, batch_id, watermarks, blocks.get(kind.state)):
                     k = f"{kind.ns}{row['base_shard']}"
                     watermarks[k] = max(watermarks.get(k, 0), row["max_ts_us"])
         if self._hot and self.cfg.enrich_conv_state:
             # hierarchical salted conv-state: slim-row merge per base shard,
-            # then in-place envelope fixup — a replayed batch regenerates
-            # both byte-stable
-            self._merge_cstate_partials(batch_id)
-            self._fixup_cstate_env(batch_id)
-        if self._hot:
-            # the merge stages consumed their scratch; a replay regenerates it
-
-            for scratch in ("_session_partials", "_window_partials", "_cstate_partials", "_cstate_features"):
-                shutil.rmtree(
-                    os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}"),
-                    ignore_errors=True,
-                )
+            # then the envelope fixup — a replayed batch regenerates both
+            # byte-stable
+            self._merge_cstate_partials(batch_id, blocks.get("cstate_hot"))
         events = sum(r["n_events"] for r in stats)
         sec = time.perf_counter() - t0
         wm_max = max(watermarks.values()) if watermarks else None
@@ -974,20 +939,18 @@ class CaptureRunner:
         inputs: list[str] | dict[int, list[str]],
         watermarks: dict,
         extras: tuple[tuple[str, str], ...] = (),
-    ) -> list[dict]:
-        """The shard stage on the keyed exchange: per-shard metrics of
-        :func:`_shard_stage`, one per partition. A flat batch (file paths)
-        is routed by :func:`_route`; a bucketed one (``{shard: [paths]}``,
-        placement fixed at write time) skips stage 1 and each shard's task
-        reads only its own files — the analogue of a reference task
-        SELECTing only its streams."""
-        if not inputs:
-            return []
+    ) -> tuple[list[dict], dict[str, list]]:
+        """The shard stage: :func:`_shard_task` over the keyed exchange.
+        Returns the per-shard metrics, one per partition, and the refs of
+        the blocks the shards returned for the salted merge stages, by name.
+        A flat batch (file paths) is routed by :func:`_route`; a bucketed one
+        (``{shard: [paths]}``, placement fixed at write time) skips stage 1
+        and each shard's task reads only its own files — the analogue of a
+        reference task SELECTing only its streams."""
         cfg, route = self.cfg, None
         # salting re-places rows of the flat layout only: a bucketed log
         # fixed placement at write time
         hot = frozenset() if isinstance(inputs, dict) else self._hot
-        salted_pd = bool(hot) and cfg.partition_deletes
         if not isinstance(inputs, dict):
             route = functools.partial(
                 _route,
@@ -995,121 +958,58 @@ class CaptureRunner:
                 extras=extras,
                 hot=hot,
                 salt_chunk=max(1, cfg.hot_key_threshold // cfg.salt_factor),
-                salted_pd=salted_pd,
+                salted_pd=bool(hot) and cfg.partition_deletes,
             )
-        body = functools.partial(
-            _shard_stage,
-            batch_id=batch_id,
-            cfg=cfg,
-            ckpt_dir=self.ckpt.dir,
-            out_dir=self.out_dir,
-            prev_watermarks=dict(watermarks),
-            extras=extras,
-            salted_pd=salted_pd,
-            salted_cstate=bool(hot) and cfg.enrich_conv_state,
-            hot_convs=hot,
+        kinds = ["imgstate" if cfg.image_mode else "state"]
+        kinds += ["cstate"] if cfg.enrich_conv_state else []
+        blocks = ["cstate_hot"] if hot and cfg.enrich_conv_state else []
+        for kind in _window_kinds(cfg, salted=bool(hot)):
+            (blocks if kind.salted else kinds).append(kind.state)
+        fold = functools.partial(
+            _shard_task, cfg=cfg, prev_watermarks=dict(watermarks), extras=extras, hot_convs=hot
         )
-        return ray.get(exchange(inputs, body, cfg.num_shards, route=route, shard_col="shard"))
+        return self._stage(batch_id, inputs, fold, "shard", kinds, blocks, route=route)
 
-    def _merge_cstate_partials(self, batch_id: int) -> None:
-        """Stage 2 of the hierarchical salted conv-state path: concatenate
-        the sub-shard slim rows per BASE shard (``hash(conv_id) % num_shards``),
-        fold the exclusive prefix in global (ts, seq) order against the hot
-        conversations' own ``cstate_hot`` store, and write the per-row feature
-        table partitioned by the SUB-shard that holds the full envelope row.
-        The exchange moves the slim projection only (~40 B/row vs the full
-        text-bearing envelope) — the streaming analogue of
-        :func:`..stages.join.conv_state_features`'s pre-shuffle slimming."""
-        cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
+    def _stage(
+        self, batch_id: int, inputs: list | dict[int, list[str]] | None, fold, key: str,
+        kinds: list[str] = (), blocks: list[str] = (), route=None,
+    ) -> tuple[list[dict], dict[str, list]]:
+        """One stage of a batch on the keyed exchange, partitioned by ``key``
+        into ``num_shards`` partitions, with the load-fold-write body writing
+        sinks under ``out_dir`` as ``shard=S.parquet``: the partitions'
+        metrics and block refs (see :func:`._microbatch.gather`); nothing
+        runs for a stage without inputs."""
+        if not inputs:
+            return [], {}
+        refs = exchange(
+            inputs, fold, self.cfg.num_shards, batch_id=batch_id, ckpt_dir=self.ckpt.dir,
+            sink_dir=self.out_dir, kinds=tuple(kinds), blocks=tuple(blocks), name="shard={}",
+            route=route, shard_col=key,
+        )
+        return gather(refs, tuple(blocks))
 
-        def merge_task(b: int, g: pa.Table) -> None:
-            from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
+    def _merge_partials(self, kind: _WindowKind, batch_id: int, watermarks: dict, refs) -> list[dict]:
+        """Stage 2 of a hierarchical salted window kind: the sub-shards'
+        partials blocks, keyed by ``base_shard``, through :func:`_merge_windows`.
+        The exchange moves O(panes | sessions) rows, not O(rows) — the
+        streaming analogue of :func:`..stages.windows.session_salted`'s second
+        stage. Returns each base shard's new watermark."""
+        fold = functools.partial(_merge_windows, kind=kind, cfg=self.cfg, watermarks=dict(watermarks))
+        shards, _ = self._stage(batch_id, refs, fold, "base_shard", [kind.state])
+        return [s["stats"] for s in shards if s["stats"] is not None]
 
-            ckpt = Checkpoint(ckpt_dir)
-            seed_path = ckpt.latest_state_path(b, batch_id, kind="cstate_hot")
-            seed = pq.read_table(seed_path) if seed_path else None
-            enriched, new_state = conv_state_prefix(g, seed=seed)
-            ckpt.write_state(
-                b, batch_id, new_state.select(CONV_STATE_SCHEMA.names), kind="cstate_hot"
-            )
-            feats = enriched.select(
-                ["sub_shard", SEQ_COL, *[c for c, _ in _CSTATE_FEATURES]]
-            )
-            write_table_atomic(
-                feats,
-                os.path.join(
-                    out_dir, "_cstate_features", f"batch-{batch_id:06d}", f"base={b}.parquet"
-                ),
-            )
-
-        self._scratch_stage("_cstate_partials", batch_id, "base_shard", merge_task)
-
-    def _fixup_cstate_env(self, batch_id: int) -> None:
-        """Stage 3 of the hierarchical salted conv-state path: patch each
-        sub-shard's already-written envelope file in place (atomic temp +
-        rename), filling the typed-NULL feature columns of its hot rows from
-        the merge stage's feature table. Only files that contain hot rows are
-        rewritten; replay regenerates partials → merge → fixup
-        deterministically, so resumed batches stay byte-stable."""
-        out_dir = self.out_dir
-
-        def fix_task(s: int, g: pa.Table) -> None:
-            path = os.path.join(out_dir, f"batch-{batch_id:06d}", f"shard={s}.parquet")
-            env = pq.read_table(path)
-            env_seq = env[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
-            f_seq = g[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False)
-            order = np.argsort(f_seq)
-            pos = np.minimum(np.searchsorted(f_seq[order], env_seq), f_seq.size - 1)
-            hit = f_seq[order][pos] == env_seq
-            idx = pa.array(order[pos], pa.int64())
-            hmask = pa.array(hit)
-            for c, typ in _CSTATE_FEATURES:
-                vals = pc.take(g[c].combine_chunks().cast(typ), idx)
-                merged = pc.if_else(hmask, vals, env[c].combine_chunks().cast(typ))
-                env = env.set_column(env.column_names.index(c), c, merged)
-            write_table_atomic(env, path)
-
-        self._scratch_stage("_cstate_features", batch_id, "sub_shard", fix_task)
-
-    def _merge_partials(
-        self, kind: _WindowKind, batch_id: int, watermarks: dict
-    ) -> list[dict]:
-        """Stage 2 of a hierarchical salted window kind: fold the sub-shard
-        partials of each BASE shard (``hash(conv_id) % num_shards``) into its
-        state with the normal per-kind step. The exchange moves O(panes |
-        sessions) rows, not O(rows) — the streaming analogue of
-        :func:`..stages.windows.session_salted`'s second stage. Watermarks
-        live in the kind's ``<ns><base>`` namespace of the manifest dict;
-        each advances to the newest event of its partials."""
-        cfg, ckpt_dir, out_dir = self.cfg, self.ckpt.dir, self.out_dir
-        wm = dict(watermarks)
-
-        def merge_task(b: int, g: pa.Table) -> dict:
-            key = f"{kind.ns}{b}"
-            new_wm = max(wm.get(key) or 0, pc.max(g[kind.core.last_ts]).as_py())
-            _fold_window_state(
-                kind, g, b, batch_id, Checkpoint(ckpt_dir), out_dir,
-                _threshold(wm, key, cfg), new_wm - cfg.allowed_lateness_us,
-            )
-            return {"base_shard": b, "max_ts_us": new_wm}
-
-        return self._scratch_stage(kind.scratch, batch_id, "base_shard", merge_task)
-
-    def _scratch_stage(self, scratch: str, batch_id: int, key: str, task) -> list:
-        """Run one salted merge/fixup stage on the keyed exchange: the
-        batch's ``scratch`` files, which carry their partition column
-        ``key``, are split by it and ``task(partition, rows)`` runs per
-        non-empty partition (rows in file-then-slice order, ``key``
-        dropped); returns the tasks' results, ``[]`` when the batch wrote
-        no scratch file."""
-        d = os.path.join(self.out_dir, scratch, f"batch-{batch_id:06d}")
-        files = sorted(os.listdir(d)) if os.path.isdir(d) else []
-        paths = [os.path.join(d, f) for f in files if f.endswith(".parquet")]
-        if not paths:
-            return []
-        body = functools.partial(_scratch_body, task)
-        refs = exchange(paths, body, self.cfg.num_shards, shard_col=key)
-        return [r for r in ray.get(refs) if r is not None]
+    def _merge_cstate_partials(self, batch_id: int, refs) -> None:
+        """Stages 2 and 3 of the hierarchical salted conv-state path: the
+        sub-shards' slim hot rows, keyed by ``base_shard``, through
+        :func:`_merge_cstate`; then its features, keyed by ``sub_shard``,
+        through :func:`_fixup_env`. The exchange moves the slim projection
+        only (~40 B/row vs the full text-bearing envelope) — the streaming
+        analogue of :func:`..stages.join.conv_state_features`'s pre-shuffle
+        slimming."""
+        _, feats = self._stage(batch_id, refs, _merge_cstate, "base_shard", ["cstate_hot"], ["features"])
+        env_path = os.path.join(self.out_dir, f"batch-{batch_id:06d}", "shard={}.parquet")
+        fixup = functools.partial(_fixup_env, env_path=env_path)
+        self._stage(batch_id, feats.get("features"), fixup, "sub_shard")
 
     def flush_windows(self) -> None:
         """End-of-log flush: once the (complete) log is fully consumed, emit
@@ -1151,7 +1051,9 @@ class CaptureRunner:
                 emitted, _ = kind.core.fold(
                     pq.read_table(path), None, _threshold(wms, key, self.cfg), AFTER_ALL
                 )
-                _write_windows(emitted, os.path.join(tmp_root, kind.out), shard)
+                out = _windows_sink(emitted, shard)
+                if out is not None:
+                    write_table_atomic(out, os.path.join(tmp_root, kind.out, f"shard={shard}.parquet"))
 
         # swap the rebuilt final/ dirs in: previous finals survive any crash
         # up to here; the rename pair is the only non-atomic window and it

@@ -1,7 +1,8 @@
 """The keyed exchange's task graph (``_microbatch.exchange``, under the lean
 runners' ``keyed`` and ``CaptureRunner``'s shard, merge and fixup stages):
 splitting a log file into several route slices must not change a byte of
-sink, state or manifest output, a crash on that path must resume
+sink, state or manifest output, a crash on that path — or a fault between
+the chained salted stages or in the commit steps — must resume
 byte-identically, empty partitions write nothing, and every batch records
 per-shard metrics."""
 
@@ -20,9 +21,15 @@ from scylla_cdc_source_connector_ray.pipelines import dedup_stream as dd
 from scylla_cdc_source_connector_ray.pipelines import distinct_stream as ds
 from scylla_cdc_source_connector_ray.pipelines import element_stream as el
 from scylla_cdc_source_connector_ray.pipelines import substring_stream as sub
+from scylla_cdc_source_connector_ray.pipelines import runner as capture
 from scylla_cdc_source_connector_ray.pipelines import topk_stream as topk
 from scylla_cdc_source_connector_ray.pipelines.runner import CaptureRunner
-from scylla_cdc_source_connector_ray.sources.synthetic import generate, write_bucketed
+from scylla_cdc_source_connector_ray.sources.synthetic import (
+    generate,
+    to_image_log,
+    write_bucketed,
+)
+from scylla_cdc_source_connector_ray.state.checkpoint import Checkpoint
 
 
 def _docs(n=48):
@@ -275,10 +282,26 @@ CAPTURE_CASES = {
     ),
     "partition_delete": (_pd_transcripts, {"partition_deletes": True}, None),
     "evolved": (_transcripts, {}, None),
+    "image": (
+        lambda: to_image_log(_transcripts()),
+        {"image_mode": True, "straggler_timeout_us": 10**15},
+        None,
+    ),
+    # conv1 is tombstoned in the last window and salted across sub-shards
+    "salted_pd": (
+        _pd_transcripts,
+        {"partition_deletes": True, "hot_key_threshold": 8, "salt_factor": 4},
+        ["conv1"],
+    ),
 }
 
 
-def _capture_run(root, name, crash=False):
+def _capture_run(root, name, crash=False, fault=None):
+    """Run a capture case to the end of its log and flush it. ``crash``
+    kills the first run before batch 1's commit; ``fault`` is an
+    ``(install, check)`` pair: ``install`` patches a ``MonkeyPatch`` for a
+    first run that must raise :class:`_Fault`, ``check(ckpt, sink_dir)``
+    asserts where it hit."""
     table, kw, hot = CAPTURE_CASES[name]
     root = str(root)
     log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
@@ -290,6 +313,13 @@ def _capture_run(root, name, crash=False):
     if crash:
         totals = CaptureRunner(log, cfg).run(crash_before_commit_at=1, hot_convs=hot)
         assert totals["crashed"]
+    if fault is not None:
+        install, check = fault
+        with pytest.MonkeyPatch.context() as mp:
+            install(mp)
+            with pytest.raises(_Fault):
+                CaptureRunner(log, cfg).run(hot_convs=hot)
+        check(Checkpoint(ck), out)
     runner = CaptureRunner(log, cfg)
     totals = runner.run(hot_convs=hot)
     runner.flush_windows()
@@ -314,6 +344,82 @@ def test_capture_multi_slice_kill_resume_matches_clean_run(tmp_path, monkeypatch
     clean = _capture_run(tmp_path / "clean", name)[0]
     monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
     resumed = _capture_run(tmp_path / "resumed", name, crash=True)[0]
+    assert resumed == clean
+
+
+class _Fault(Exception):
+    pass
+
+
+def _merge_stage_never_ran(ck, out):
+    # batch 1's shard stage wrote its envelope; nothing of it committed and
+    # no salted merge wrote state for it
+    assert os.listdir(os.path.join(out, "batch-000001"))
+    assert ck.last_committed()["batch_id"] == 0
+    for kind in ("wstate", "sessstate", "cstate_hot"):
+        root = os.path.join(ck.dir, kind)
+        for d in os.listdir(root) if os.path.isdir(root) else []:
+            assert "batch-000001.parquet" not in os.listdir(os.path.join(root, d))
+
+
+def _batch1_committed(ck, out):
+    assert ck.last_committed()["batch_id"] == 1
+
+
+def _second_exchange_of_batch1(mp):
+    """The runner's second exchange of batch 1 — its first salted merge —
+    raises: the shard stage has written, the merge has not."""
+    calls = []
+    real = capture.exchange
+
+    def exchange(*args, **kw):
+        if kw["batch_id"] == 1:
+            calls.append(kw["shard_col"])
+            if len(calls) == 2:
+                raise _Fault(f"exchange keyed by {calls[-1]}")
+        return real(*args, **kw)
+
+    mp.setattr(capture, "exchange", exchange)
+
+
+def _commit_after_rename(mp):
+    """Batch 1's manifest is renamed into place, then the commit raises."""
+    real = Checkpoint.commit
+
+    def commit(self, batch_id, manifest):
+        real(self, batch_id, manifest)
+        if batch_id == 1:
+            raise _Fault("after the manifest rename")
+
+    mp.setattr(Checkpoint, "commit", commit)
+
+
+def _gc_of_batch1(mp):
+    """The state GC after batch 1's commit raises."""
+    calls = []
+    real = Checkpoint.gc_state
+
+    def gc_state(self, keep_batches=2):
+        calls.append(keep_batches)
+        if len(calls) == 2:
+            raise _Fault("state gc")
+        return real(self, keep_batches)
+
+    mp.setattr(Checkpoint, "gc_state", gc_state)
+
+
+FAULTS = {
+    "merge_exchange": (_second_exchange_of_batch1, _merge_stage_never_ran),
+    "commit": (_commit_after_rename, _batch1_committed),
+    "gc_state": (_gc_of_batch1, _batch1_committed),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name", ["salted_panes", "salted_sessions"])
+def test_capture_fault_resume_matches_clean_run(tmp_path, name, fault):
+    clean = _capture_run(tmp_path / "clean", name)[0]
+    resumed = _capture_run(tmp_path / "resumed", name, fault=FAULTS[fault])[0]
     assert resumed == clean
 
 

@@ -8,6 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ import ray.data
 
 from scylla_cdc_source_connector_ray import oracles
 from scylla_cdc_source_connector_ray.functions import textops as T
+from scylla_cdc_source_connector_ray.functions.dedup import ngram_jaccard_dedup
 
 #: where Unicode-aware and ASCII regex classes disagree: \v, the \x1c-\x1f
 #: separators, NBSP, U+2003 and U+0085 (Unicode whitespace, not RE2 \s),
@@ -135,3 +137,62 @@ def test_spacesaving_summary_tokens_match_twin_on_unicode_spaces():
     con.register("documents", UNICODE_SPACE_DOCS)
     want = dict(con.sql(oracles._token_topk_sql(1000)).fetchall())
     assert ss.counts == want
+
+
+@pytest.mark.parametrize(
+    "text", [pa.array(["a b", "b c", None]), pa.chunked_array([["a b"], ["b c", None]])]
+)
+def test_spacesaving_summary_on_unnamed_text(text):
+    """A bare array or chunked array (no table column name) summarizes too."""
+    ss = T.spacesaving_summary(text, 8, T.BPE_TOKEN_RE)
+    assert ss.counts == {"a": 1, "b": 2, "c": 1}
+    assert ss.n == 4
+
+
+#: leading/trailing tabs, newlines and CRs are not words on either side of a
+#: whitespace-splitting twin (DuckDB's ``trim`` strips spaces only)
+EDGE_WS_DOCS = pd.DataFrame(
+    {
+        "doc_id": np.arange(5, dtype=np.int64),
+        "text": pd.Series(
+            [
+                "\talpha beta alpha beta\n",
+                "alpha beta gamma delta epsilon zeta eta",
+                "\n\talpha beta gamma delta epsilon zeta eta\r\n",
+                " \t\n",
+                None,
+            ],
+            dtype=object,
+        ),
+    }
+)
+
+#: the word-splitting twins, each against the engine function it mirrors;
+#: DEDUP_NGRAM_JACCARD stands for every user of the shared shingles CTE
+WORD_SPLIT_TWINS = {
+    "QUALITY_REPETITION": (T.repetition_stats, oracles.QUALITY_REPETITION),
+    "WINNOW_FINGERPRINT": (
+        lambda df: T.winnow_fingerprints(ray.data.from_pandas(df)).to_pandas(),
+        oracles.WINNOW_FINGERPRINT,
+    ),
+    "DEDUP_NGRAM_JACCARD": (
+        lambda df: ngram_jaccard_dedup(ray.data.from_pandas(df), num_partitions=2).to_pandas(),
+        oracles.DEDUP_NGRAM_JACCARD,
+    ),
+}
+
+
+@pytest.mark.parametrize("twin", sorted(WORD_SPLIT_TWINS))
+def test_word_split_twins_strip_edge_whitespace(twin):
+    engine, sql = WORD_SPLIT_TWINS[twin]
+    con = duckdb.connect()
+    con.register("documents", EDGE_WS_DOCS)
+    want = con.sql(sql).df()
+    cols = list(want.columns)
+    got = engine(EDGE_WS_DOCS)[cols]
+    assert len(want)
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True),
+        check_dtype=False,
+    )

@@ -1,8 +1,9 @@
 """Byte-identity fingerprint of the streaming runners: the 16 lean runners
-and ``CaptureRunner`` in ten configurations (flat and bucketed logs; the
+and ``CaptureRunner`` in eleven configurations (flat and bucketed logs; the
 perfbench scoring + panes + conv-state config; salted hot conversations with
-sessions; image mode; partition deletes; an evolved column; sliding windows,
-unsalted sessions and salted conversation-keyed panes, each with a late row).
+sessions; image mode; partition deletes, unsalted and with a tombstoned hot
+conversation; an evolved column; sliding windows, unsalted sessions and
+salted conversation-keyed panes, each with a late row).
 
 Runs every case on a tiny 4-window log, crashing once before the commit of
 batch 1 and then resuming (capture cases then flush their windows), and
@@ -260,6 +261,11 @@ def _capture_cases():
             {},
         ),
         "capture_pd": (_windows(pd_log), capture(partition_deletes=True), {}),
+        "capture_pd_salted": (
+            _windows(pd_log),
+            capture(partition_deletes=True, hot_key_threshold=8, salt_factor=4),
+            {"hot_convs": ["conv1"]},
+        ),
         "capture_evolved": (evolved, capture(), {}),
         "capture_sliding": (
             _windows(with_late(t, "conv5")),
