@@ -103,10 +103,10 @@ def first_row_per_key(
 def with_content_hash(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     """md5 of the normalized text — the 16-byte shuffle key for exact dedup.
     Shares the oracle-critical normalization with ``textops.fingerprint``."""
-    from .textops import md5_normalized
+    from . import textops
 
     batch = batch.copy()
-    batch["content_hash"] = md5_normalized(batch[text_col])
+    batch["content_hash"] = textops.md5_hex(textops.md5_normalized(batch[text_col]))
     return batch
 
 

@@ -16,9 +16,11 @@ classes out (``[^\t\n\f\r ]+`` for ``\S+``, ``(?-u:\b)`` for ``\b``),
 and the counts equal the twin's by construction.
 
 User-supplied patterns (:func:`redact`, the CEP stages) stay on Arrow's
-RE2 kernels, the engine of their SQL twins. So does the whitespace
-collapse in :func:`md5_normalized`: moving it would load polars into the
-dedup worker for no gain. Compiled state (wordlists, broadcast models)
+RE2 kernels, the engine of their SQL twins. So does the exact-dedup hash,
+:func:`md5_normalized`, whose twin is RE2 too: its whitespace collapse
+matches only the runs that change, and its md5 reads each string straight
+off the Arrow buffer, so it makes no Python string and loads no polars into
+the dedup worker. Compiled state (wordlists, broadcast models)
 lives in actor ``__init__`` when used as a class stage.
 """
 
@@ -207,27 +209,62 @@ FROM c
 NORM_IMPL = "re2-ascii-ws-v2"
 
 
-def md5_normalized(texts: pd.Series) -> list[str]:
-    """THE oracle normalization (one definition for fingerprint + dedup):
-    collapse whitespace, lower, strip, md5 — matches the DuckDB
-    ``md5(trim(lower(regexp_replace(text,'\\s+',' ','g'))))`` twin exactly.
+#: The whitespace runs that ``regexp_replace(text, '\s+', ' ', 'g')``
+#: actually changes. RE2's ``\s`` is exactly ``[\t\n\f\r ]``; a lone space
+#: maps to itself, and every other maximal run is matched whole from its
+#: first character (leftmost, greedy), so replacing these with one space
+#: gives the same string while leaving ordinary word gaps untouched.
+_WS_CHANGED = r"[\t\n\f\r ]{2,}|[\t\n\f\r]"
 
-    Normalization runs on pyarrow's RE2 kernels — the SAME engine DuckDB
-    uses, so ``\\s`` semantics match by construction (Python ``re`` would
-    also match unicode whitespace the oracle does not), and it is ~10×
-    faster than the pandas str path it replaced. Only the md5 itself is a
-    Python loop (hashlib has no batch API; ~1M short digests/s/core)."""
-    arr = pa.array(texts.fillna(""), pa.string())
-    norm = pc.utf8_trim(
-        pc.utf8_lower(pc.replace_substring_regex(arr, r"\s+", " ")), " "
-    )
-    return [hashlib.md5(s.encode()).hexdigest() for s in norm.to_pylist()]
+
+def _md5_digests(arr: pa.Array) -> bytes:
+    """The joined 16-byte md5 digests of each normalized string of one
+    null-free string / large_string array (any slice offset)."""
+    norm = pc.replace_substring_regex(arr, _WS_CHANGED, " ")
+    data = norm.buffers()[2]
+    ascii_only = data is None or not (np.frombuffer(data, np.uint8) >= 0x80).any()
+    norm = pc.utf8_trim(pc.ascii_lower(norm) if ascii_only else pc.utf8_lower(norm), " ")
+    bufs = norm.buffers()
+    otype = np.int64 if pa.types.is_large_string(norm.type) else np.int32
+    offs = np.frombuffer(bufs[1], otype)[norm.offset : norm.offset + len(norm) + 1].tolist()
+    view = memoryview(bufs[2] if bufs[2] is not None else b"")
+    md5 = hashlib.md5
+    return b"".join([md5(view[a:b]).digest() for a, b in zip(offs, offs[1:])])
+
+
+def md5_normalized(texts) -> bytes:
+    """THE oracle normalization (one definition for fingerprint + dedup):
+    collapse whitespace, lower, strip spaces, md5 — matches the DuckDB
+    ``md5(trim(lower(regexp_replace(text,'\\s+',' ','g')),' '))`` twin
+    (``oracles.NORM_MD5``) exactly.
+    ``texts`` is a ``pd.Series`` or an Arrow (chunked, sliced) string or
+    large_string array; NULL hashes as ``""``. Returns the rows' 16-byte
+    digests joined into one ``bytes`` (``16 * len(texts)`` long).
+
+    The collapse runs on Arrow's RE2 — the SAME engine DuckDB uses, so
+    ``\\s`` is ``[\\t\\n\\f\\r ]`` by construction — with a pattern that
+    matches only the runs that change (:data:`_WS_CHANGED`), not every word
+    gap. Lowering is ``ascii_lower`` when the buffer holds no byte ≥ 0x80
+    (``utf8_lower`` otherwise). The md5 reads each string straight off the
+    Arrow data buffer through a ``memoryview`` slice: no Python strings."""
+    if isinstance(texts, pd.Series):
+        texts = pa.array(texts.fillna(""), pa.string())
+    elif pa.types.is_null(texts.type):  # an all-NULL column read untyped
+        texts = texts.cast(pa.string())
+    chunks = texts.chunks if isinstance(texts, pa.ChunkedArray) else [texts]
+    return b"".join(_md5_digests(pc.fill_null(c, "")) for c in chunks)
+
+
+def md5_hex(digests: bytes) -> list[str]:
+    """Joined 16-byte digests (:func:`md5_normalized`) as hex strings."""
+    h = digests.hex()
+    return [h[i : i + 32] for i in range(0, len(h), 32)]
 
 
 def fingerprint(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     """Whitespace-normalized md5 content fingerprint (see ``md5_normalized``)."""
     batch = batch.copy()
-    batch["fp"] = md5_normalized(batch[text_col])
+    batch["fp"] = md5_hex(md5_normalized(batch[text_col]))
     return batch
 
 

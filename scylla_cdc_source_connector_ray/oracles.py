@@ -422,9 +422,15 @@ FROM s
 TEXT_STATS = _text_stats_sql()
 QUALITY_SCORE = _quality_score_sql()
 
-FINGERPRINT = r"""
+#: The exact-dedup content hash, the twin of ``textops.md5_normalized``:
+#: DuckDB's regexp ``\s`` is RE2's, as in the engine, and ``trim`` is given
+#: ``' '`` because a bare DuckDB ``trim`` also strips the Unicode spaces
+#: (NBSP, U+2003) that the engine keeps.
+NORM_MD5 = r"md5(trim(lower(regexp_replace(coalesce(text, ''), '\s+', ' ', 'g')), ' '))"
+
+FINGERPRINT = f"""
 SELECT doc_id,
-       md5(trim(lower(regexp_replace(coalesce(text, ''), '\s+', ' ', 'g')))) AS fp
+       {NORM_MD5} AS fp
 FROM documents
 """
 
@@ -433,8 +439,8 @@ SELECT text, min(doc_id) AS keep_id, count(*) AS n_copies
 FROM documents GROUP BY text
 """
 
-DEDUP_EXACT_HASHED = r"""
-SELECT md5(trim(lower(regexp_replace(coalesce(text, ''), '\s+', ' ', 'g')))) AS content_hash,
+DEDUP_EXACT_HASHED = f"""
+SELECT {NORM_MD5} AS content_hash,
        min(doc_id) AS keep_id, count(*) AS n_copies
 FROM documents GROUP BY 1
 """
@@ -477,7 +483,7 @@ FROM ranked GROUP BY doc_id
 #: shifted-id replay of every text (sf0.01 documents are exact-dup-free, so
 #: the bare table would leave the dedup path unexercised); the runner must
 #: drop the entire second half across micro-batch boundaries.
-DEDUP_STREAM_EXACT = r"""
+DEDUP_STREAM_EXACT = f"""
 WITH stream AS (
     SELECT doc_id, text FROM documents
     UNION ALL
@@ -485,7 +491,7 @@ WITH stream AS (
 )
 SELECT doc_id FROM (
     SELECT doc_id, row_number() OVER (
-        PARTITION BY md5(trim(lower(regexp_replace(coalesce(text, ''), '\s+', ' ', 'g'))))
+        PARTITION BY {NORM_MD5}
         ORDER BY doc_id) AS rn
     FROM stream) WHERE rn = 1
 """
@@ -831,7 +837,7 @@ clean AS (
 ),
 dedup AS (
     SELECT min(doc_id) AS doc_id FROM clean
-    GROUP BY md5(trim(lower(regexp_replace(coalesce(text, ''), '\\s+', ' ', 'g'))))
+    GROUP BY {NORM_MD5}
 ),
 capd AS (
     SELECT c.doc_id, c.source,
@@ -1666,7 +1672,7 @@ WHERE d.doc_id NOT IN (SELECT doc_id FROM dropped)
 #: normalized content hash) -> deterministic 4/16 nibble sample. Each stage
 #: reuses a gated operator's exact SQL semantics.
 CORPUS_PREP = (
-    "WITH qscore AS (" + QUALITY_SCORE + r"""),
+    "WITH qscore AS (" + QUALITY_SCORE + f"""),
 q AS (
     SELECT d.doc_id, d.text, qs.quality_micro
     FROM documents d JOIN qscore qs USING (doc_id)
@@ -1675,7 +1681,7 @@ q AS (
 dedup AS (
     SELECT min(doc_id) AS doc_id
     FROM q
-    GROUP BY md5(trim(lower(regexp_replace(coalesce(text, ''), '\s+', ' ', 'g'))))
+    GROUP BY {NORM_MD5}
 )
 SELECT q.doc_id, q.quality_micro
 FROM q JOIN dedup USING (doc_id)

@@ -80,7 +80,7 @@ def checkpoint_lock(ckpt: Checkpoint):
     """Single-writer guard: two runners on one checkpoint would interleave
     state files nondeterministically (≙ Kafka Connect's single task
     ownership per partition). Advisory flock, released on exit."""
-    os.makedirs(ckpt.dir, exist_ok=True)  # may vanish after construction
+    os.makedirs(ckpt.dir, exist_ok=True)  # constructing a Checkpoint makes no directory
     with open(os.path.join(ckpt.dir, "runner.lock"), "w") as f:
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -494,7 +494,7 @@ def _fold_shard(
     metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": n_parts, "blocks": ()}
     if t.num_rows == 0:
         return _returns([metrics, *(t for _ in blocks)])
-    ck = Checkpoint(ckpt_dir)  # path math only
+    ck = Checkpoint(ckpt_dir)  # path math only: construction touches no file
     paths = {kind: ck.latest_state_path(shard, before_batch=batch_id, kind=kind) for kind in kinds}
     priors = {kind: pq.read_table(p) if p else None for kind, p in paths.items()}
     t0 = time.perf_counter()

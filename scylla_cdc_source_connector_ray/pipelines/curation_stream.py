@@ -131,7 +131,7 @@ class CurationStreamRunner(KeyedStateRunner):
             (h1, h2) seen set (the DedupStreamRunner kernel, returning
             survivors downstream instead of writing a sink)."""
             g = g.sort_values(id_col, kind="mergesort")
-            keep, state = first_occurrence(g, st)
+            keep, state = first_occurrence(g["_h1"].to_numpy(), g["_h2"].to_numpy(), st)
             return g.loc[keep, [id_col, source_col]], state, {}
 
         # --- cap stage: route survivors by source -------------------------

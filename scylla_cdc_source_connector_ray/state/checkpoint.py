@@ -59,12 +59,13 @@ def write_table_atomic(table, path: str) -> None:
 
 
 class Checkpoint:
+    """The paths of one checkpoint directory. Constructing one touches no
+    file: each write makes the directories it needs, so a stage-2 task can
+    build one per fold, and a checkpoint holds only the kinds written."""
+
     def __init__(self, checkpoint_dir: str):
         self.dir = checkpoint_dir
         self.manifest_dir = os.path.join(checkpoint_dir, "manifest")
-        self.state_dir = os.path.join(checkpoint_dir, "state")
-        os.makedirs(self.manifest_dir, exist_ok=True)
-        os.makedirs(self.state_dir, exist_ok=True)
 
     # --- manifest ----------------------------------------------------------
 
@@ -72,6 +73,8 @@ class Checkpoint:
         """Most recent committed batch manifest, or None (fresh start).
         Picks max by NUMERIC batch id — lexicographic order breaks once ids
         outgrow the 6-digit zero padding (batch-1000000 < batch-999999)."""
+        if not os.path.isdir(self.manifest_dir):
+            return None
         entries = [f for f in os.listdir(self.manifest_dir) if f.endswith(".json")]
         if not entries:
             return None

@@ -187,3 +187,50 @@ def test_files_per_batch_change_is_rejected(tmp_path):
 
     with pytest.raises(ValueError, match="files_per_batch"):
         _runner(tmp, log).run(files_per_batch=2)
+
+
+def test_checkpoint_construction_creates_nothing(tmp_path):
+    """A ``Checkpoint`` is path math: constructing one (as every fold task
+    does) makes no directory, and a run writes only the kinds it uses."""
+    from scylla_cdc_source_connector_ray.state.checkpoint import Checkpoint
+
+    missing = str(tmp_path / "nope" / "ckpt")
+    ck = Checkpoint(missing)
+    assert not os.path.exists(os.path.dirname(missing))
+    assert ck.last_committed() is None
+    assert ck.latest_state_path(0, before_batch=5, kind="seen") is None
+    tmp = str(tmp_path)
+    log = _write_log(tmp, [_mk([0, 1], ["a", "b"]), _mk([2], ["a"])])
+    r = _runner(tmp, log)
+    assert not os.path.exists(os.path.join(tmp, "r", "ckpt"))
+    r.run(files_per_batch=1)
+    ckpt = os.path.join(tmp, "r", "ckpt")
+    assert sorted(os.listdir(ckpt)) == ["manifest", "metrics", "pins.json", "runner.lock", "seen"]
+
+
+def test_whitespace_and_case_variants_across_text_encodings(tmp_path):
+    """Tabs, CRLF, space runs and case dedup together; ``\\v``, NBSP and
+    U+0085 are not RE2 whitespace and keep documents apart. Windows carry
+    the text as large_string, as an all-NULL (untyped) column and as
+    string."""
+    tmp = str(tmp_path)
+    log = os.path.join(tmp, "log")
+    os.makedirs(log)
+    windows = [
+        pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
+                  "text": pa.array(["Hello  World", "x\vy", "ΣΑΣ İ"], pa.large_string())}),
+        pa.table({"doc_id": pa.array([3, 4], pa.int64()), "text": pa.array([None, None])}),
+        pa.table({"doc_id": pa.array([5, 6, 7, 8, 9, 10, 11], pa.int64()),
+                  "text": pa.array(["\thello\r\nWORLD ", "x y", "x\xa0y", "x\x85y", "",
+                                    "σασ\t\ti", " \t "], pa.string())}),
+    ]
+    for i, t in enumerate(windows):
+        pq.write_table(t, os.path.join(log, f"window-{i:05d}.parquet"))
+    r = _runner(tmp, log)
+    totals = r.run(files_per_batch=1)
+    assert totals["rows"] == 12
+    out = r.read_output()
+    kept = sorted(out["doc_id"].to_pylist())
+    # 5 ≡ 0 (whitespace + case); 9 and 11 ≡ 3 (NULL, "" and blank all hash
+    # as ""); 10 ≡ 2 (utf8_lower: Σ → σ without a final-sigma rule, İ → i)
+    assert kept == [0, 1, 2, 3, 6, 7, 8]

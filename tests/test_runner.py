@@ -368,7 +368,9 @@ def test_single_writer_checkpoint_lock(tmp_path, make):
     t = generate(num_convs=4, turns_per_conv=4)
     write_windowed(t, str(tmp_path / "log"), num_files=1)
     r1 = make(tmp_path)
-    # simulate a concurrently-running runner holding the lock
+    # simulate a concurrently-running runner holding the lock (it made the
+    # checkpoint dir; constructing a runner makes none)
+    os.makedirs(r1.ckpt.dir, exist_ok=True)
     holder = open(os.path.join(r1.ckpt.dir, "runner.lock"), "w")
     fcntl.flock(holder, fcntl.LOCK_EX)
     with pytest.raises(RuntimeError, match="checkpoint lock"):

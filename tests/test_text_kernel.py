@@ -2,6 +2,8 @@
 twins: every fixed pattern's engine spelling (Rust regex) must count
 exactly what its SQL spelling (RE2) counts, on raw and lowered text."""
 
+import hashlib
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -196,3 +198,67 @@ def test_word_split_twins_strip_edge_whitespace(twin):
         want.sort_values(cols).reset_index(drop=True),
         check_dtype=False,
     )
+
+
+# --------------------------------------------------------------------------
+# md5_normalized: the exact-dedup / fingerprint hash kernel
+
+#: RE2 whitespace, the Unicode spaces RE2's \s does not match (\v, NBSP,
+#: U+0085), ASCII letters and multi-byte letters whose lowercase differs
+#: in byte length or needs Unicode case rules (Σ, İ, ǅ, é)
+MD5_ALPHABET = [" ", "\t", "\n", "\r", "\f", "\v", "\xa0", "\x85", "a", "B", "Σ", "İ", "ǅ", "é"]
+md5_texts = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(alphabet=[" ", "\t", "\n", "\r", "\f"], min_size=1, max_size=6),
+    st.text(alphabet=MD5_ALPHABET, max_size=24),
+)
+#: the gates' twin, over a row index: DuckDB's parallel scan reorders rows
+MD5_TWIN_SQL = f"SELECT {oracles.NORM_MD5} FROM docs ORDER BY i"
+
+
+def _md5_reference(docs: list) -> list[str]:
+    """The kernel's definition, one step per Arrow RE2 / utf8 kernel."""
+    arr = pc.fill_null(pa.array(docs, pa.string()), "")
+    norm = pc.utf8_trim(pc.utf8_lower(pc.replace_substring_regex(arr, r"\s+", " ")), " ")
+    return [hashlib.md5(s.encode()).hexdigest() for s in norm.to_pylist()]
+
+
+def _md5_inputs(docs: list) -> dict:
+    """``docs`` in every input shape the kernel takes."""
+    arr = pa.array(docs, pa.string())
+    half = len(docs) // 2
+    return {
+        "series": pd.Series(docs, dtype=object),
+        "array": arr,
+        "sliced": pa.array(["x\t\tY", None, *docs], pa.string()).slice(2),
+        "chunked": pa.chunked_array([arr.slice(0, half), arr.slice(half)], pa.string()),
+        "large_string": arr.cast(pa.large_string()),
+        "large_sliced": pa.array(["ΣΣ ", *docs], pa.large_string()).slice(1),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(md5_texts, max_size=12))
+def test_md5_normalized_matches_reference_and_duckdb_twin(docs):
+    want = _md5_reference(docs)
+    for shape, texts in _md5_inputs(docs).items():
+        digests = T.md5_normalized(texts)
+        assert isinstance(digests, bytes) and len(digests) == 16 * len(docs), shape
+        assert T.md5_hex(digests) == want, (shape, docs)
+    con = duckdb.connect()
+    con.register("docs", pa.table({"i": pa.array(np.arange(len(docs))), "text": pa.array(docs, pa.string())}))
+    assert [r[0] for r in con.sql(MD5_TWIN_SQL).fetchall()] == want, docs
+
+
+def test_md5_normalized_edge_inputs():
+    docs = [None, "", " \t\r\n\f ", "A  b\tC", "\vX\xa0", "ΣΑΣ\r\n\r\nİ"]
+    want = _md5_reference(docs)
+    for shape, texts in _md5_inputs(docs).items():
+        assert T.md5_hex(T.md5_normalized(texts)) == want, shape
+    assert want[0] == want[1] == want[2] == hashlib.md5(b"").hexdigest()
+    assert T.md5_normalized(pa.array([], pa.string())) == b""
+    assert T.md5_normalized(pa.chunked_array([], pa.string())) == b""
+    assert T.md5_normalized(pd.Series([], dtype=object)) == b""
+    # an all-NULL column read without a type hashes as empty strings
+    assert T.md5_normalized(pa.array([None, None])) == hashlib.md5(b"").digest() * 2

@@ -1,5 +1,6 @@
 """Byte-identity fingerprint of the streaming runners: the 16 lean runners
-and ``CaptureRunner`` in eleven configurations (flat and bucketed logs; the
+(the dedup runner twice, once on whitespace and case variants) and
+``CaptureRunner`` in eleven configurations (flat and bucketed logs; the
 perfbench scoring + panes + conv-state config; salted hot conversations with
 sessions; image mode; partition deletes, unsalted and with a tombstoned hot
 conversation; an evolved column; sliding windows, unsalted sessions and
@@ -44,6 +45,25 @@ def _tables():
             "text": pa.array(texts),
             "source": pa.array([["web", "wiki", "forum"][i % 3] for i in range(48)]),
         }
+    )
+    # whitespace / case variants of a few phrases: tabs, CRLF, space runs and
+    # ASCII case dedup together; \v, NBSP and U+0085 are not RE2 whitespace,
+    # and the non-ASCII capitals take the utf8_lower path
+    phrases = ["Hello World again", "tab separated words", "ΣΑΣ Straße İstanbul", "Ǆemal É x"]
+    variants = [
+        lambda p: p,
+        lambda p: p.replace(" ", "\t"),
+        lambda p: p.replace(" ", "\r\n"),
+        lambda p: " " + p.replace(" ", "   ") + " \n",
+        lambda p: p.swapcase() if p.isascii() else p.lower(),
+        lambda p: p.replace(" ", "\v"),
+        lambda p: p.replace(" ", "\xa0"),
+        lambda p: "\t" + p.replace(" ", "\x85"),
+    ]
+    ws_texts = [v(p) for v in variants for p in phrases] * 2
+    ws_texts = [ws_texts[i] for i in np.random.default_rng(11).permutation(len(ws_texts))]
+    ws_docs = pa.table(
+        {"doc_id": pa.array(np.arange(len(ws_texts), dtype=np.int64)), "text": pa.array(ws_texts)}
     )
     rng = np.random.default_rng(9)
     kv = pa.table(
@@ -103,7 +123,7 @@ def _tables():
             "seq": pa.array(np.arange(30, dtype=np.int64)),
         }
     )
-    return docs, kv, events, keys_ts, vectors, elements, turns
+    return docs, ws_docs, kv, events, keys_ts, vectors, elements, turns
 
 
 def _cases():
@@ -126,10 +146,11 @@ def _cases():
         topk_stream as topk,
     )
 
-    docs, kv, events, keys_ts, vectors, elements, turns = _tables()
+    docs, ws_docs, kv, events, keys_ts, vectors, elements, turns = _tables()
     s = 3
     lean = {
         "dedup": (docs, lambda lg, o, c: dd.DedupStreamRunner(lg, s, o, c)),
+        "dedup_ws": (ws_docs, lambda lg, o, c: dd.DedupStreamRunner(lg, s, o, c)),
         "element_list": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "list")),
         "element_set": (elements, lambda lg, o, c: el.ElementStreamRunner(lg, s, o, c, "set")),
         "cap": (docs, lambda lg, o, c: cap.SourceCapRunner(lg, s, o, c, k=5)),
