@@ -1107,15 +1107,6 @@ def candidate_pairs_grouped(g: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"a": np.minimum(a, b), "b": np.maximum(a, b)})
 
 
-def jaccard(text_a: str, text_b: str, ngram: int = 3) -> float:
-    ha = _word_ngram_hashes(text_a, ngram)
-    hb = _word_ngram_hashes(text_b, ngram)
-    if len(ha) == 0 and len(hb) == 0:
-        return 1.0
-    inter = len(np.intersect1d(ha, hb, assume_unique=True))
-    return inter / (len(ha) + len(hb) - inter)
-
-
 def _jaccard_micro_from_blobs(batch: pd.DataFrame) -> pd.DataFrame:
     """Exact integer Jaccard from the two sorted-unique shingle blobs:
     floor(1e6 * |A∩B| / |A∪B|) — integer arithmetic end to end so the SQL

@@ -355,10 +355,6 @@ def winnow_fingerprints(
     return ds.map_batches(fps, batch_format="pandas")
 
 
-def token_count_ds(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
-    return ds.map_batches(lambda b: text_stats(b, text_col), batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # Token frequency: exact distributed top-k + SpaceSaving scale path
 # ---------------------------------------------------------------------------

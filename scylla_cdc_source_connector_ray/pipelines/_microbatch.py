@@ -31,8 +31,11 @@ tasks, a hash shuffle with no planner in between (as in Exoshuffle, Luan et
 al., SIGCOMM'23): stage 1 reads one slice of a log file (or takes a block
 ref), routes it and returns one part per partition; stage 2 runs one task
 per partition that hands its parts, in arrival order, to a stage-2 body. A
-pre-partitioned input (a bucketed log) skips stage 1. A small batch costs a
-few tasks, where a Ray Data plan costs tens of milliseconds per operator.
+pre-partitioned input (a bucketed log) skips stage 1. A batch of log files
+with at most :data:`SPLIT_ROWS` rows runs both stages in one task, so a
+small batch costs one task, where the two-stage graph costs 2 + partitions
+tasks and a Ray Data plan tens of milliseconds per operator (Drizzle,
+Venkataraman et al., SOSP'17, amortizes per-batch scheduling the same way).
 Stage 2 is always the one load-fold-write body (:func:`_fold_shard`): load
 the prior table of each declared state kind, run a pure fold, write the
 new states and the named sinks, and hand any tables the fold marks as
@@ -329,17 +332,30 @@ def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None
     write_table_atomic(table, os.path.join(sink_dir, f"batch-{batch_id:06d}", f"{name}.parquet"))
 
 
-#: Rows per stage-1 slice of a log file: a file of ``rows`` rows is read as
-#: ``min(2 * num_shards, ceil(rows / SPLIT_ROWS))`` slices, each routed by
-#: its own task, so a large batch keeps its parallelism while a small one
-#: is read and routed in one task.
+#: Rows one task takes. A batch of log files with at most this many rows in
+#: all (footer counts) runs as one task that routes, splits and folds every
+#: partition (:func:`_route_fold`). A larger batch runs as the two-stage
+#: graph, and a file of ``rows`` rows is read there as ``min(2 * num_shards,
+#: ceil(rows / SPLIT_ROWS))`` slices, each routed by its own task, so a
+#: large batch keeps its parallelism.
+#:
+#: The one-task cutoff reuses the slice size; it is not a measured
+#: crossover. On one CPU the one task was faster at every size tried (6k
+#: to 66k rows, 4 and 64 partitions), so there the cutoff only caps the
+#: work that gives up parallelism. On many CPUs the one task runs up to
+#: ``n`` folds one after another where the graph runs them side by side;
+#: that trade is unmeasured.
 SPLIT_ROWS = 16_384
+
+
+def _slice_count(rows: int, num_shards: int) -> int:
+    """Stage-1 slices of a log file of ``rows`` rows."""
+    return max(1, min(2 * num_shards, math.ceil(rows / SPLIT_ROWS)))
 
 
 def slices(path: str, num_shards: int) -> int:
     """Stage-1 slices of a log file, from its footer row count."""
-    rows = pq.read_metadata(path).num_rows
-    return max(1, min(2 * num_shards, math.ceil(rows / SPLIT_ROWS)))
+    return _slice_count(pq.read_metadata(path).num_rows, num_shards)
 
 
 def _as_format(block, fmt: str):
@@ -357,7 +373,8 @@ def _returns(parts: list):
 
 
 def _refs(refs, n: int) -> list:
-    """The refs of a ``num_returns=n`` task as a list."""
+    """The refs of a ``num_returns=n`` task (or the value its body
+    returns) as a list."""
     return refs if n > 1 else [refs]
 
 
@@ -390,22 +407,20 @@ def _slice_refs(path: str, k: int, columns: list[str] | None) -> list:
     return _refs(_read_slices.options(num_returns=k).remote(path, k, columns), k)
 
 
-@ray.remote
-def _route_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str] | None):
-    """Stage 1: one slice (a log file path or a block) → ``route`` → one
-    Arrow part per partition. A callable-class route is built per task;
-    ``route=None`` keeps rows that already carry ``shard_col``."""
+def _route_and_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str] | None):
+    """One slice (a log file path or a block) → ``route`` → one Arrow part
+    per partition. A callable-class route is built here; ``route=None``
+    keeps rows that already carry ``shard_col``."""
     t = pq.read_table(src, columns=columns) if isinstance(src, str) else src
     if route is not None:
         fn = route() if isinstance(route, type) else route
         t = _as_format(fn(_as_format(t, fmt)), "pyarrow")
-    return _returns(_by_partition(t, shard_col, n))
+    return _by_partition(t, shard_col, n)
 
 
-@ray.remote
-def _reduce(partition: int, body, *parts):
-    """Stage 2: one partition's parts in order — stage-1 Arrow parts, or
-    the files of a pre-partitioned input, read here under a
+def _reduce_parts(partition: int, body, parts: list):
+    """One partition's parts in order — Arrow parts, or the files of a
+    pre-partitioned input, read here under a
     :class:`..state.retry.RetryPolicy` — concatenated and handed to
     ``body(partition, rows, len(parts))``."""
     if parts and isinstance(parts[0], str):
@@ -414,6 +429,35 @@ def _reduce(partition: int, body, *parts):
         retry = RetryPolicy()
         parts = [retry.call(lambda path=path: pq.read_table(path)) for path in parts]
     return body(partition, pa.concat_tables(parts, promote_options="permissive"), len(parts))
+
+
+@ray.remote
+def _route_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str] | None):
+    """Stage 1: :func:`_route_and_split` over one slice."""
+    return _returns(_route_and_split(src, route, fmt, shard_col, n, columns))
+
+
+@ray.remote
+def _reduce(partition: int, body, *parts):
+    """Stage 2: :func:`_reduce_parts` over one partition's parts."""
+    return _reduce_parts(partition, body, parts)
+
+
+@ray.remote
+def _route_fold(
+    paths: list[str], route, fmt: str, shard_col: str, n: int, columns: list[str] | None,
+    body, n_out: int,
+):
+    """Both stages in one task: every file of ``paths`` is read, routed and
+    split (``route`` built once), then ``body`` runs per partition ``0..n-1``
+    over that partition's parts in file order. Returns the ``n_out``
+    stage-2 values of each partition, partition after partition."""
+    fn = route() if isinstance(route, type) else route
+    parts = [_route_and_split(path, fn, fmt, shard_col, n, columns) for path in paths]
+    out = []
+    for p in range(n):
+        out += _refs(_reduce_parts(p, body, [sp[p] for sp in parts]), n_out)
+    return _returns(out)
 
 
 def exchange(
@@ -433,40 +477,51 @@ def exchange(
     columns: list[str] | None = None,
     num_shards: int | None = None,
 ) -> list:
-    """The keyed exchange as a two-stage graph of plain Ray tasks, with the
-    load-fold-write body (:func:`_fold_shard`: ``fold`` over state
+    """The keyed exchange as a two-stage graph of plain Ray tasks (one task
+    for a small batch of log files), with the load-fold-write body (:func:`_fold_shard`: ``fold`` over state
     ``kinds``, sinks ``sink_dir/<sink>/batch-B/<name>.parquet``) as stage
     2; returns one stage-2 result per partition, in partition order: a ref
     to the partition's metrics, or with ``blocks`` a list of refs
     ``[metrics, *blocks]`` (see :func:`gather`).
 
-    ``inputs`` is a list of log file paths (read with ``columns``; cut into
-    :func:`slices` of at most ``2 * num_shards``, default ``n``, before any
-    task runs) or block refs. Stage 1, per slice: ``route`` over the rows
-    (``fmt``; None when the rows already carry ``shard_col``), then one part
-    per partition ``[0, n)`` by ``shard_col``. A one-slice file is read and
-    routed in one task; a larger one is read by one task and routed per
-    slice. Stage 2, per partition: the parts in source-then-slice order (so
-    the fold sees arrival order), an empty table for an empty partition.
+    ``inputs`` is a list of log file paths (read with ``columns``) or block
+    refs. Stage 1, per slice: ``route`` over the rows (``fmt``; None when
+    the rows already carry ``shard_col``), then one part per partition
+    ``[0, n)`` by ``shard_col``. Stage 2, per partition: the parts in
+    source-then-slice order (so the fold sees arrival order), an empty
+    table for an empty partition.
+
+    Log files with at most :data:`SPLIT_ROWS` rows in all run both stages
+    in one task (:func:`_route_fold`), with ``route`` and the body passed as
+    plain arguments. Otherwise each file is cut into :func:`slices` of at
+    most ``2 * num_shards`` (default ``n``) before any task runs: a
+    one-slice file is read and routed in one task, a larger one is read by
+    one task and routed per slice. On this two-stage graph, ``route`` and
+    the body (with whatever the fold closes over) go to the object store
+    once per call, not once per task.
 
     A pre-partitioned input (``{partition: [file paths]}``, a bucketed log)
-    skips stage 1: one stage-2 task per listed partition reads its own files.
-
-    ``route`` and the body (with whatever the fold closes over) go to the
-    object store once per call, not once per task."""
-    body_ref = ray.put(
-        functools.partial(
-            _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
-            ckpt_dir=ckpt_dir, sink_dir=sink_dir, name=name, blocks=blocks,
-        )
+    skips stage 1: one stage-2 task per listed partition reads its own
+    files."""
+    body = functools.partial(
+        _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
+        ckpt_dir=ckpt_dir, sink_dir=sink_dir, name=name, blocks=blocks,
     )
-    reduce = _reduce.options(num_returns=1 + len(blocks))
+    n_out = 1 + len(blocks)
+    if not isinstance(inputs, dict):
+        rows = [pq.read_metadata(src).num_rows if isinstance(src, str) else None for src in inputs]
+        if inputs and None not in rows and sum(rows) <= SPLIT_ROWS:
+            one = _route_fold.options(num_returns=n * n_out)
+            refs = _refs(one.remote(inputs, route, fmt, shard_col, n, columns, body, n_out), n * n_out)
+            return refs if n_out == 1 else [refs[p * n_out:(p + 1) * n_out] for p in range(n)]
+    body_ref = ray.put(body)
+    reduce = _reduce.options(num_returns=n_out)
     if isinstance(inputs, dict):
         return [reduce.remote(p, body_ref, *paths) for p, paths in sorted(inputs.items())]
     route_ref = ray.put(route)
     parts = []  # per slice, one part ref per partition
-    for src in inputs:
-        k = slices(src, num_shards or n) if isinstance(src, str) else 1
+    for src, r in zip(inputs, rows):
+        k = 1 if r is None else _slice_count(r, num_shards or n)
         for sl in [src] if k == 1 else _slice_refs(src, k, columns):
             split = _route_split.options(num_returns=n)
             parts.append(_refs(split.remote(sl, route_ref, fmt, shard_col, n, columns), n))

@@ -38,7 +38,6 @@ from __future__ import annotations
 import gc
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -101,38 +100,36 @@ class CurationStreamRunner(KeyedStateRunner):
         text_col, id_col, source_col = self.text_col, self.id_col, self.source_col
         num_shards, cap_k = self.num_shards, self.cap_k
 
-        def hash_route(b: pd.DataFrame) -> pd.DataFrame:
+        def hash_route(b: pa.Table) -> pa.Table:
             # text is consumed HERE: only (hash words, id, source) cross the
             # dedup exchange (the DedupStreamRunner transport)
-            if len(b) == 0 or text_col not in b.columns:
-                return pd.DataFrame(
+            if b.num_rows == 0 or text_col not in b.column_names:
+                return pa.table(
                     {
-                        id_col: pd.Series(dtype="int64"),
-                        source_col: pd.Series(dtype=object),
-                        "_h1": pd.Series(dtype="uint64"),
-                        "_h2": pd.Series(dtype="uint64"),
-                        "_shard": pd.Series(dtype="int32"),
+                        id_col: pa.array([], pa.int64()),
+                        source_col: pa.array([], pa.string()),
+                        "_h1": pa.array([], pa.uint64()),
+                        "_h2": pa.array([], pa.uint64()),
+                        "_shard": pa.array([], pa.int32()),
                     }
                 )
             h1, h2 = _hash128(b[text_col])
-            out = pd.DataFrame(
+            return pa.table(
                 {
-                    id_col: b[id_col].to_numpy(),
-                    source_col: b[source_col].astype(object),
+                    id_col: b[id_col],
+                    source_col: b[source_col],
                     "_h1": h1,
                     "_h2": h2,
+                    "_shard": (h1 % np.uint64(num_shards)).astype(np.int32),
                 }
             )
-            out["_shard"] = (h1 % np.uint64(num_shards)).astype(np.int32)
-            return out
 
-        def dedup_fold(g: pd.DataFrame, st: pa.Table | None):
+        def dedup_fold(g: pa.Table, st: pa.Table | None):
             """First-occurrence filter per hash shard; state = sorted
             (h1, h2) seen set (the DedupStreamRunner kernel, returning
             survivors downstream instead of writing a sink)."""
-            g = g.sort_values(id_col, kind="mergesort")
-            keep, state = first_occurrence(g["_h1"].to_numpy(), g["_h2"].to_numpy(), st)
-            return g.loc[keep, [id_col, source_col]], state, {}
+            rows, state = first_occurrence(g, id_col, st)
+            return g.select([id_col, source_col]).take(rows), state, {}
 
         # --- cap stage: route survivors by source -------------------------
         sat = saturated_keys(self, batch_id, self.CAP_KIND, source_col, cap_k)
@@ -192,8 +189,7 @@ class CurationStreamRunner(KeyedStateRunner):
         # the exchange's tasks get those CPUs
         gc.collect()
         survivors = self.keyed(
-            filtered, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND,
-            batch_format="pandas", emit=True,
+            filtered, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND, emit=True
         )
         m = self.sum_stats(
             ray.get(

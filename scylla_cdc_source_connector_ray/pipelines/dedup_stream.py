@@ -101,14 +101,18 @@ def _first128(h1: np.ndarray, h2: np.ndarray, tie: np.ndarray) -> np.ndarray:
 
 
 def first_occurrence(
-    h1: np.ndarray, h2: np.ndarray, st: pa.Table | None
+    g: pa.Table, order_col: str, st: pa.Table | None
 ) -> tuple[np.ndarray, pa.Table]:
-    """The exact-dedup fold over the uint64 hash words of arrival-ordered
-    rows: keep = first occurrence within the batch AND unseen in the prior
-    state; returns (keep mask, new seen state)."""
+    """The exact-dedup fold over one shard's rows, which carry the uint64
+    hash words ``_h1``/``_h2``: the rows are put in arrival order by a
+    stable sort on ``order_col``, and keep = first occurrence within the
+    batch AND unseen in the prior state. Returns (the kept rows' indices
+    into ``g``, in arrival order, for one ``take``; new seen state)."""
+    order = pc.sort_indices(g, [(order_col, "ascending")]).to_numpy()  # stable
+    h1, h2 = g["_h1"].to_numpy()[order], g["_h2"].to_numpy()[order]
     s1, s2 = _seen128(st)
     keep = _first128(h1, h2, np.arange(len(h1))) & ~_member128(s1, s2, h1, h2)
-    return keep, _union128(s1, s2, h1[keep], h2[keep])
+    return order[keep], _union128(s1, s2, h1[keep], h2[keep])
 
 
 class DedupStreamRunner(KeyedStateRunner):
@@ -202,13 +206,10 @@ class DedupStreamRunner(KeyedStateRunner):
         out_schema = pq.read_schema(bfiles[0])
 
         def fold(g: pa.Table, st: pa.Table | None):
-            order = pc.sort_indices(g, [(order_col, "ascending")]).to_numpy()  # stable
             n_in = pc.sum(g["_w"]).as_py()  # combiner-folded rows count as seen
-            keep, state = first_occurrence(
-                g["_h1"].to_numpy()[order], g["_h2"].to_numpy()[order], st
-            )
-            out = g.select(out_schema.names).take(order[keep]).cast(out_schema)
-            kept = int(keep.sum())
+            rows, state = first_occurrence(g, order_col, st)
+            out = g.select(out_schema.names).take(rows).cast(out_schema)
+            kept = len(rows)
             return out, state, {"rows": n_in, "kept": kept, "dups": n_in - kept}
 
         return add_hash, fold

@@ -15,6 +15,10 @@ capture data plane it drives, one keyed exchange per micro-batch
                   body (_microbatch._fold_shard) over _shard_task
     → per-shard stats to the loop, which commits
 
+    flat batch of ≤ SPLIT_ROWS rows: both stages in one task — read and
+                  _route every file, split, then the body per shard in
+                  shard order
+
 Like the reference's Kafka Connect tasks, each shard task folds only its own
 streams; no planner sits between the two stages.
 

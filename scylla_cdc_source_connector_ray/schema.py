@@ -45,8 +45,6 @@ SEQ_COL = "seq"
 #: columns whose cells appear in before/after images).
 VALUE_COLS = ("role", "text", "tool", "ts")
 
-KEY_COLS = ("conv_id", "turn_idx")
-
 #: Collection-typed value columns (reference M8 one notch wider —
 #: ``ScyllaSchema.java:340-389``: list → Arrow list, UDT → Arrow struct;
 #: "column not modified vs set-to-NULL vs emptied" all distinct states).

@@ -77,16 +77,6 @@ def conv_state_prefix(
             .to_numpy(zero_copy_only=False)
         )
     ts_us = t["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    role_np = t["role"].combine_chunks().to_numpy(zero_copy_only=False)
-
-    # seed lookup per first-row-of-conv
-    seed_map: dict[str, tuple[int, int, str | None, int | None]] = {}
-    if seed is not None and seed.num_rows:
-        sd = seed.to_pandas()
-        seed_map = {
-            r.conv_id: (r.n_turns, r.n_chars, r.last_role, r.last_ts_us)
-            for r in sd.itertuples(index=False)
-        }
 
     # exclusive prefix counts/sums per conv: cumsum minus each conv's base
     ones = np.ones(n, dtype=np.int64)
@@ -106,28 +96,43 @@ def conv_state_prefix(
     prior_turns = cum_n - 1 - base_n
     prior_chars = cum_c - chars - base_c
 
-    # seed offsets + last_role/last_ts via shift-within-conv
+    # each conv's seed row, one hash lookup of the block's conv starts in
+    # the seed (-1: a conv the seed has not seen)
+    start_conv = pc.take(conv, pa.array(starts, pa.int64()))
+    has_seed = seed is not None and seed.num_rows > 0
+    at = np.full(len(starts), -1, dtype=np.int64)
+    if has_seed:
+        pos = pc.index_in(start_conv, value_set=seed["conv_id"].combine_chunks().cast(conv.type))
+        at = pc.fill_null(pos, -1).to_numpy().astype(np.int64)
+    hit = at >= 0
     seed_n = np.zeros(n, dtype=np.int64)
     seed_c = np.zeros(n, dtype=np.int64)
-    last_role = np.empty(n, dtype=object)
-    last_ts = np.full(n, np.nan)
+    seed_roles = pa.array([], pa.string())
+    # previous turn's role/ts: the row before in the block, at a conv's
+    # first row the seed's last turn (NULL without one)
+    prev_ts = np.zeros(n, dtype=np.int64)
+    prev_valid = np.ones(n, dtype=bool)
     if n:
-        last_role[1:] = role_np[:-1]
-        last_ts[1:] = ts_us[:-1]
-        for s in starts:
-            cid = conv_np[s]
-            if cid in seed_map:
-                sn, sc, sr, st_ = seed_map[cid]
-                seed_n[s] = sn
-                seed_c[s] = sc
-                last_role[s] = sr
-                last_ts[s] = st_ if st_ is not None else np.nan
-            else:
-                last_role[s] = None
-                last_ts[s] = np.nan
+        prev_ts[1:] = ts_us[:-1]
+        prev_valid[starts] = False
+    if hit.any():
+        rows = pa.array(at[hit], pa.int64())
+        seed_n[starts[hit]] = pc.take(seed["n_turns"], rows).to_numpy()
+        seed_c[starts[hit]] = pc.take(seed["n_chars"], rows).to_numpy()
+        seed_ts = pc.take(seed["last_ts_us"], rows).combine_chunks()
+        prev_ts[starts[hit]] = pc.fill_null(seed_ts, 0).to_numpy()
+        prev_valid[starts[hit]] = seed_ts.is_valid().to_numpy(zero_copy_only=False)
+        seed_roles = seed["last_role"].combine_chunks().cast(pa.string())
+    if n:
         # propagate seed offsets across the conv's rows (idx computed above)
         seed_n = seed_n[idx]
         seed_c = seed_c[idx]
+    # candidates: the block's roles, the seed's last roles, one NULL
+    roles = pa.concat_arrays(
+        [t["role"].combine_chunks().cast(pa.string()), seed_roles, pa.nulls(1, pa.string())]
+    )
+    role_at = np.arange(-1, n - 1, dtype=np.int64)
+    role_at[starts] = np.where(hit, n + at, len(roles) - 1)
 
     prior_turns = prior_turns + seed_n
     prior_chars = prior_chars + seed_c
@@ -135,11 +140,8 @@ def conv_state_prefix(
     enriched = (
         t.append_column("prior_turns", pa.array(prior_turns, pa.int64()))
         .append_column("prior_chars", pa.array(prior_chars, pa.int64()))
-        .append_column("prev_role", pa.array(last_role, pa.string()))
-        .append_column(
-            "prev_ts_us",
-            pa.array([None if np.isnan(x) else int(x) for x in last_ts], pa.int64()),
-        )
+        .append_column("prev_role", pc.take(roles, pa.array(role_at, pa.int64())))
+        .append_column("prev_ts_us", pa.array(prev_ts, pa.int64(), mask=~prev_valid))
     )
 
     # new state: totals per conv (inclusive), last row's role/ts
@@ -147,7 +149,7 @@ def conv_state_prefix(
         ends = np.append(starts[1:] - 1, n - 1)
         new_state = pa.table(
             {
-                "conv_id": pc.take(conv, pa.array(starts, pa.int64())),
+                "conv_id": start_conv,
                 "n_turns": pa.array(prior_turns[ends] + 1, pa.int64()),
                 "n_chars": pa.array(prior_chars[ends] + chars[ends], pa.int64()),
                 "last_role": pc.take(t["role"].combine_chunks(), pa.array(ends, pa.int64())),
@@ -155,11 +157,10 @@ def conv_state_prefix(
             }
         )
         # carry forward seeded convs not present in this block
-        if seed is not None and seed.num_rows:
-            present = set(new_state["conv_id"].to_pylist())
-            missing = seed.filter(
-                pa.array([c not in present for c in seed["conv_id"].to_pylist()])
-            )
+        if has_seed:
+            seed_conv = seed["conv_id"]
+            present = start_conv.cast(seed_conv.type)
+            missing = seed.filter(pc.invert(pc.is_in(seed_conv, value_set=present)))
             if missing.num_rows:
                 # blocks off the Ray exchange carry large_string while a
                 # parquet-read seed carries string — pin both to the schema

@@ -1,11 +1,12 @@
 """The keyed exchange's task graph (``_microbatch.exchange``, under the lean
 runners' ``keyed`` and ``CaptureRunner``'s shard, merge and fixup stages):
-splitting a log file into several route slices must not change a byte of
-sink, state or manifest output, a crash on that path — or a fault between
-the chained salted stages or in the commit steps — must resume
-byte-identically, empty partitions write nothing, and every batch records
-per-shard metrics."""
+running a small batch as one task, or splitting a log file into several
+route slices, must not change a byte of sink, state or manifest output, a
+crash on either path — or a fault between the chained salted stages or in
+the commit steps — must resume byte-identically, empty partitions write
+nothing, and every batch records per-shard metrics."""
 
+import functools
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from scylla_cdc_source_connector_ray.config import EngineConfig
 from scylla_cdc_source_connector_ray.pipelines import _microbatch
@@ -124,21 +126,24 @@ def _metrics(root, batch_id=0):
         return json.load(fh)
 
 
-def _run(root, name, crash=False):
+def _run(root, name, crash=False, files_per_batch=1):
     table, make = CASES[name]
     root = str(root)
     log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
     _write_windows(log, table())
     if crash:
-        assert make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1)["crashed"]
+        run = make(log, out, ck).run(files_per_batch=files_per_batch, crash_before_commit_at=1)
+        assert run["crashed"]
     runner = make(log, out, ck)
-    totals = runner.run(files_per_batch=1)
+    totals = runner.run(files_per_batch=files_per_batch)
     slices = runner.slices(os.path.join(log, "window-00000.parquet"))
     return _fingerprint(root), totals, slices
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_multi_slice_matches_single_slice(tmp_path, monkeypatch, name):
+    """The one-task path (each 12-row window fits under ``SPLIT_ROWS``)
+    against the two-stage graph with every file cut into several slices."""
     one, one_totals, one_slices = _run(tmp_path / "one", name)
     monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
     many, many_totals, many_slices = _run(tmp_path / "many", name)
@@ -296,7 +301,7 @@ CAPTURE_CASES = {
 }
 
 
-def _capture_run(root, name, crash=False, fault=None):
+def _capture_run(root, name, crash=False, fault=None, files_per_batch=1):
     """Run a capture case to the end of its log and flush it. ``crash``
     kills the first run before batch 1's commit; ``fault`` is an
     ``(install, check)`` pair: ``install`` patches a ``MonkeyPatch`` for a
@@ -310,18 +315,19 @@ def _capture_run(root, name, crash=False, fault=None):
     else:
         _write_windows(log, table())
     cfg = EngineConfig(num_shards=3, sink_dir=out, checkpoint_dir=ck, **kw)
+    run = functools.partial(CaptureRunner.run, files_per_batch=files_per_batch, hot_convs=hot)
     if crash:
-        totals = CaptureRunner(log, cfg).run(crash_before_commit_at=1, hot_convs=hot)
+        totals = run(CaptureRunner(log, cfg), crash_before_commit_at=1)
         assert totals["crashed"]
     if fault is not None:
         install, check = fault
         with pytest.MonkeyPatch.context() as mp:
             install(mp)
             with pytest.raises(_Fault):
-                CaptureRunner(log, cfg).run(hot_convs=hot)
+                run(CaptureRunner(log, cfg))
         check(Checkpoint(ck), out)
     runner = CaptureRunner(log, cfg)
-    totals = runner.run(hot_convs=hot)
+    totals = run(runner)
     runner.flush_windows()
     slices = _microbatch.slices(os.path.join(log, "window-00000.parquet"), 3)
     return _fingerprint(root), totals, slices
@@ -468,3 +474,133 @@ def test_capture_batch_metrics_record_exchange_skew(tmp_path, monkeypatch):
     assert m["shard_rows_max"] >= m["shard_rows_p50"]
     assert m["shard_rows_max"] > 0
     assert m["fold_s_max"] >= m["fold_s_p50"] >= 0
+
+
+# --- one task per small batch -----------------------------------------------
+
+
+class _NoGraph:
+    """Stands in for a task of the two-stage graph: using it raises."""
+
+    def options(self, **kw):
+        raise _Fault("the two-stage graph ran")
+
+    def remote(self, *args, **kw):
+        raise _Fault("the two-stage graph ran")
+
+
+def _no_graph(mp):
+    mp.setattr(_microbatch, "_route_split", _NoGraph())
+    mp.setattr(_microbatch, "_reduce", _NoGraph())
+
+
+def test_batch_under_split_rows_runs_as_one_task(tmp_path, monkeypatch):
+    _no_graph(monkeypatch)
+    assert _run(tmp_path / "dedup", "dedup")[1]["batches"] == 4
+    assert _capture_run(tmp_path / "flat", "flat")[1]["batches"] == 4
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
+    with pytest.raises(_Fault):
+        _run(tmp_path / "dedup_graph", "dedup")
+    with pytest.raises(_Fault):
+        _capture_run(tmp_path / "flat_graph", "flat")
+
+
+@pytest.mark.parametrize("files_per_batch", [1, 2])
+def test_split_rows_bounds_the_one_task_path(tmp_path, monkeypatch, files_per_batch):
+    rows = 12 * files_per_batch  # the dedup log is four 12-row windows
+    _no_graph(monkeypatch)
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", rows)
+    _run(tmp_path / "at", "dedup", files_per_batch=files_per_batch)
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", rows - 1)
+    with pytest.raises(_Fault):
+        _run(tmp_path / "over", "dedup", files_per_batch=files_per_batch)
+
+
+@pytest.mark.parametrize("name", ["dedup", "capture_perfbench"])
+def test_two_file_batch_one_task_matches_graph(tmp_path, monkeypatch, name):
+    """Two 12-row files a batch: one task, against the graph with one slice
+    a file (the batch is over ``SPLIT_ROWS``, each file is not)."""
+
+    def run(root):
+        if name == "dedup":
+            return _run(root, "dedup", files_per_batch=2)[:2]
+        return _capture_run(root, "perfbench", files_per_batch=2)[:2]
+
+    with monkeypatch.context() as mp:
+        _no_graph(mp)
+        one, one_totals = run(tmp_path / "one")
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 12)
+    graph, graph_totals = run(tmp_path / "graph")
+    assert one_totals["batches"] == 2
+    assert graph == one
+    assert graph_totals == one_totals
+
+
+def test_one_task_keeps_file_then_slice_order(tmp_path, monkeypatch):
+    """Each partition gets its rows in file order, with the stage-2 values
+    regrouped per partition as the two-stage graph returns them."""
+    paths = []
+    for i in range(2):
+        x = np.arange(10 * i, 10 * i + 10)[::-1].copy()
+        t = pa.table({"x": x, "_shard": (x * 7 % 3).astype(np.int32)})
+        paths.append(str(tmp_path / f"window-{i:05d}.parquet"))
+        pq.write_table(t, paths[-1])
+
+    def fold(shard, rows, priors):
+        return {"rows": rows}, {}, {"shard": shard}
+
+    def run():
+        refs = _microbatch.exchange(
+            paths, fold, 3, batch_id=0, ckpt_dir=str(tmp_path / "ckpt"), blocks=("rows",)
+        )
+        shards, blocks = _microbatch.gather(refs, ("rows",))
+        rows = [ray.get(b)["x"].to_pylist() for b in blocks["rows"]]
+        return [(s["stats"], s["rows"], s["slices"]) for s in shards], rows
+
+    want = [[x for f in (range(9, -1, -1), range(19, 9, -1)) for x in f if x * 7 % 3 == p] for p in range(3)]
+    with monkeypatch.context() as mp:
+        _no_graph(mp)
+        one = run()
+    assert one[1] == want
+    assert one[0] == [({"shard": p}, len(want[p]), 2) for p in range(3)]
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 10)  # the graph, one slice a file
+    assert run() == one
+    monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 3)  # the graph, four slices a file
+    many = run()
+    assert many[1] == want
+    assert [s[2] for s in many[0]] == [8, 8, 8]
+
+
+def test_fold_fault_in_one_task_resumes_like_clean_run(tmp_path, monkeypatch):
+    """Batch 1's fold raises on its second partition inside the one task,
+    after the first partition wrote: nothing of batch 1 commits, and the
+    resumed run equals a clean one."""
+    clean = _run(tmp_path / "clean", "dedup")[0]
+    table, make = CASES["dedup"]
+    root = str(tmp_path / "resumed")
+    log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
+    _write_windows(log, table())
+    assert make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1)["crashed"]
+    real_plan = dd.DedupStreamRunner.plan
+
+    def plan(self, batch_id, bfiles):
+        route, fold = real_plan(self, batch_id, bfiles)
+        calls = []
+
+        def failing(rows, prior):
+            calls.append(rows.num_rows)
+            if len(calls) == 2:
+                raise RuntimeError("fold fault")
+            return fold(rows, prior)
+
+        return route, failing
+
+    with monkeypatch.context() as mp:
+        _no_graph(mp)
+        mp.setattr(dd.DedupStreamRunner, "plan", plan)
+        with pytest.raises(Exception, match="fold fault"):
+            make(log, out, ck).run(files_per_batch=1)
+    assert Checkpoint(ck).last_committed()["batch_id"] == 0
+    assert not os.path.exists(os.path.join(ck, "metrics", "batch-000001.json"))
+    make(log, out, ck).run(files_per_batch=1)
+    assert _fingerprint(root) == clean

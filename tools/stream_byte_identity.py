@@ -1,15 +1,17 @@
 """Byte-identity fingerprint of the streaming runners: the 16 lean runners
 (the dedup runner twice, once on whitespace and case variants) and
-``CaptureRunner`` in eleven configurations (flat and bucketed logs; the
-perfbench scoring + panes + conv-state config; salted hot conversations with
-sessions; image mode; partition deletes, unsalted and with a tombstoned hot
-conversation; an evolved column; sliding windows, unsalted sessions and
-salted conversation-keyed panes, each with a late row).
+``CaptureRunner`` in twelve configurations (flat and bucketed logs; the
+perfbench scoring + panes + conv-state config, bucketed and flat with two
+files per batch; salted hot conversations with sessions; image mode;
+partition deletes, unsalted and with a tombstoned hot conversation; an
+evolved column; sliding windows, unsalted sessions and salted
+conversation-keyed panes, each with a late row).
 
-Runs every case on a tiny 4-window log, crashing once before the commit of
-batch 1 and then resuming (capture cases then flush their windows), and
-prints one ``<case> <path> <md5> <content-md5>`` line per sink and state
-parquet it leaves (the content md5 hashes the table's Arrow IPC stream with
+Runs every case on a tiny 4-window log, one file per batch unless the case
+sets its own ``files_per_batch``, crashing once before the commit of batch
+1 and then resuming (capture cases then flush their windows), and prints
+one ``<case> <path> <md5> <content-md5>`` line per sink and state parquet
+it leaves (the content md5 hashes the table's Arrow IPC stream with
 the schema metadata dropped, so files that differ only by the pandas
 metadata block compare equal on it), and one ``<case> <path> <key>=<json>``
 line per top-level key of ``pins.json`` and the manifests, so that an added
@@ -263,14 +265,14 @@ def _capture_cases():
         )
 
     minute = 60_000_000
+    perfbench = capture(score_text=True, window_agg=True, enrich_conv_state=True, window_size_us=minute)
     return {
         "capture_flat": (_windows(t), capture(), {}),
         "capture_bucketed": (bucketed, capture(), {}),
-        "capture_perfbench": (
-            bucketed,
-            capture(score_text=True, window_agg=True, enrich_conv_state=True, window_size_us=minute),
-            {},
-        ),
+        "capture_perfbench": (bucketed, perfbench, {}),
+        # two flat files per batch: the exchange routes, splits and folds
+        # both in one task, file by file
+        "capture_flat_fpb2": (_windows(t), perfbench, {"files_per_batch": 2}),
         "capture_salted_sessions": (
             _windows(hot),
             capture(session_gap_us=3_000_000, enrich_conv_state=True, hot_key_threshold=8, salt_factor=4),
@@ -345,9 +347,10 @@ def main() -> int:
         log, out, ck = (os.path.join(d, x) for x in ("log", "sink", "ckpt"))
         os.makedirs(log)
         write_log(log)
-        make(log, out, ck).run(files_per_batch=1, crash_before_commit_at=1, **crash_kw)
+        crash_kw = {"files_per_batch": 1, **crash_kw}
+        make(log, out, ck).run(crash_before_commit_at=1, **crash_kw)
         runner = make(log, out, ck)
-        totals = runner.run(files_per_batch=1)
+        totals = runner.run(files_per_batch=crash_kw["files_per_batch"])
         if hasattr(runner, "flush_windows"):
             runner.flush_windows()
         print(name, "totals", sorted(totals.items()), flush=True)
