@@ -40,9 +40,11 @@ Stage 2 is always the one load-fold-write body (:func:`_fold_shard`): load
 the prior table of each declared state kind, run a pure fold, write the
 new states and the named sinks, and hand any tables the fold marks as
 blocks to a chained exchange. The lean runners reach it through
-:meth:`KeyedStateRunner.keyed` (runners with extra stages chain it, as it
-returns the stage-2 refs); ``CaptureRunner`` runs its shard stage and its
-salted merge and fixup stages through it with folds of its own.
+:meth:`KeyedStateRunner.keyed`; the composed runners (curation, segment,
+substring) chain a second exchange over the blocks the first returns, and
+``CaptureRunner`` runs its shard stage and its salted merge and fixup
+stages through it with folds of its own. No streaming runner builds a Ray
+Data plan per batch.
 """
 
 from __future__ import annotations
@@ -694,11 +696,6 @@ class KeyedStateRunner:
     def slices(self, path: str) -> int:
         """Stage-1 slices of a log file (see :func:`slices`)."""
         return slices(path, self.num_shards)
-
-    def read_slices(self, bfiles: list[str], columns: list[str] | None = None) -> list:
-        """Block refs of the batch's rows, file by file, for a stage that
-        runs on Ray Data (``ray.data.from_arrow_refs``)."""
-        return [ref for path in bfiles for ref in _slice_refs(path, self.slices(path), columns)]
 
     def keyed(
         self,

@@ -110,6 +110,20 @@ def admit(keys: pd.Series, st: pa.Table | None, key_col: str, k: int, kt: pa.Dat
     return rank, state
 
 
+def admit_first(
+    t: pa.Table, st: pa.Table | None, key_col: str, order_col: str, k: int, kt: pa.DataType
+) -> tuple[pa.Table, np.ndarray, pa.Table]:
+    """The cap fold over one shard's rows: ``t`` in ``order_col`` order (a
+    stable sort, so ties keep arrival order), ranked by :func:`admit`
+    against the prior counts ``st``. Returns the admitted rows (``rank <=
+    k``), their ranks and the new count state. Only the key column goes
+    through pandas; NULL keys form one group."""
+    t = t.take(pc.sort_indices(t, [(order_col, "ascending")]))
+    rank, state = admit(t[key_col].to_pandas(integer_object_nulls=True), st, key_col, k, kt)
+    keep = rank <= k
+    return t.filter(pa.array(keep)), rank[keep], state
+
+
 class SourceCapRunner(KeyedStateRunner):
     """Micro-batch per-key admission cap over ``log_dir/window-*.parquet``.
 
@@ -180,13 +194,11 @@ class SourceCapRunner(KeyedStateRunner):
             t = drop_saturated(t, key_col, sat_ref)
             return t.append_column("_shard", shard_of(t[key_col], num_shards))
 
-        # sink schema pinned from the log footer: an empty admitted frame
-        # must not degrade string columns to null type through pandas
-        out_schema = pq.read_schema(bfiles[0])
+        # sink schema pinned from the log footer: an empty admitted part
+        # keeps the log's column types
+        out_schema = pq.read_schema(bfiles[0]).remove_metadata()
 
         def fold(gt: pa.Table, st: pa.Table | None):
-            g = gt.to_pandas(integer_object_nulls=True)
-            g = g.sort_values(order_col, kind="mergesort").reset_index(drop=True)
             # state key type: the committed state's once written (replay
             # stable), else the batch's, string for an all-null key column
             kt = st.schema.field(key_col).type if st is not None else pa.null()
@@ -194,11 +206,8 @@ class SourceCapRunner(KeyedStateRunner):
                 kt = gt.schema.field(key_col).type
                 if pa.types.is_large_string(kt) or pa.types.is_null(kt):
                     kt = pa.string()
-            rank, state = admit(g[key_col], st, key_col, k, kt)
-            keep = rank <= k
-            out = pa.Table.from_pandas(
-                g.loc[keep, out_schema.names], schema=out_schema, preserve_index=False
-            )
-            return out, state, {"admitted": int(keep.sum()), "exchanged": len(g)}
+            out, _, state = admit_first(gt, st, key_col, order_col, k, kt)
+            out = out.select(out_schema.names).cast(out_schema)
+            return out, state, {"admitted": out.num_rows, "exchanged": gt.num_rows}
 
         return route, fold

@@ -27,7 +27,7 @@ With a ``doc_id``-ordered log the admitted set equals the batch chain's
 
 Scale shape (100 TB): the two stateless filters run BEFORE anything moves
 (corpus reduced in-task; decontamination's gram blocklist is built once per
-actor); the dedup exchange ships only (hash, id, source) — text never
+task); the dedup exchange ships only (hash, id, source) — text never
 crosses an exchange; the cap exchange ships the deduped survivors (≤ cap·
 |sources| long-run). State families are the two smallest here: hashes/shard
 and one int per source/shard.
@@ -35,17 +35,15 @@ and one int per source/shard.
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from ..state.checkpoint import current_hash_impl
-from ._microbatch import KeyedStateRunner
-from .cap_stream import admit, drop_saturated, saturated_keys
+from ._microbatch import BatchResult, KeyedStateRunner, _as_format, exchange_metrics
+from .cap_stream import admit_first, drop_saturated, saturated_keys
 from .dedup_stream import _hash128, first_occurrence
 
 
@@ -93,17 +91,17 @@ class CurationStreamRunner(KeyedStateRunner):
             "hash_impl": current_hash_impl(),
         }
 
-    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
         from ..functions.corpus import RepDecontamFilter
         from ..schema import shard_of
 
         text_col, id_col, source_col = self.text_col, self.id_col, self.source_col
-        num_shards, cap_k = self.num_shards, self.cap_k
+        num_shards, cap_k, max_dup_micro = self.num_shards, self.cap_k, self.max_dup_micro
 
         def hash_route(b: pa.Table) -> pa.Table:
             # text is consumed HERE: only (hash words, id, source) cross the
             # dedup exchange (the DedupStreamRunner transport)
-            if b.num_rows == 0 or text_col not in b.column_names:
+            if b.num_rows == 0:
                 return pa.table(
                     {
                         id_col: pa.array([], pa.int64()),
@@ -130,6 +128,19 @@ class CurationStreamRunner(KeyedStateRunner):
             survivors downstream instead of writing a sink)."""
             rows, state = first_occurrence(g, id_col, st)
             return g.select([id_col, source_col]).take(rows), state, {}
+
+        class FilterHashRoute:
+            """Repetition + decontamination filter, then :func:`hash_route`:
+            the filter (and its gram blocklist) is built once per task and
+            sees each slice as pandas."""
+
+            def __init__(self):
+                self.filter = RepDecontamFilter(
+                    max_dup_micro, text_col=text_col, id_col=id_col, source_col=source_col
+                )
+
+            def __call__(self, t: pa.Table) -> pa.Table:
+                return hash_route(_as_format(self.filter(_as_format(t, "pandas")), "pyarrow"))
 
         # --- cap stage: route survivors by source -------------------------
         sat = saturated_keys(self, batch_id, self.CAP_KIND, source_col, cap_k)
@@ -160,45 +171,22 @@ class CurationStreamRunner(KeyedStateRunner):
         )
 
         def cap_fold(gt: pa.Table, st: pa.Table | None):
-            g = gt.to_pandas(integer_object_nulls=True)
-            g = g.sort_values(id_col, kind="mergesort").reset_index(drop=True)
-            rank, state = admit(g[source_col], st, source_col, cap_k, pa.string())
-            keep = rank <= cap_k
-            out = g[keep].copy()
-            out["rank"] = rank[keep]
-            out = pa.Table.from_pandas(
-                out[[id_col, source_col, "rank"]], schema=sink_schema, preserve_index=False
-            )
-            return out, state, {"cap_in": len(g), "admitted": int(keep.sum())}
+            out, rank, state = admit_first(gt, st, source_col, id_col, cap_k, pa.string())
+            out = out.select([id_col, source_col]).append_column("rank", pa.array(rank))
+            return out.cast(sink_schema), state, {"cap_in": gt.num_rows, "admitted": out.num_rows}
 
-        filtered = ray.data.from_arrow_refs(self.read_slices(bfiles)).map_batches(
-            RepDecontamFilter,
-            batch_format="pandas",
-            # one actor pool for the whole gram-hashing front-end
-            concurrency=(1, 16),
-            fn_constructor_kwargs={
-                "max_dup_micro": self.max_dup_micro,
-                "text_col": text_col,
-                "id_col": id_col,
-                "source_col": source_col,
-            },
-        ).to_arrow_refs()
-        # Ray Data releases pool actors by dropping their handles, but
-        # reference cycles in the finished execution keep them (and the CPUs
-        # they reserve) alive until the cyclic GC runs; collect them now so
-        # the exchange's tasks get those CPUs
-        gc.collect()
         survivors = self.keyed(
-            filtered, hash_route, dedup_fold, batch_id, kind=self.SEEN_KIND, emit=True
+            bfiles, FilterHashRoute, dedup_fold, batch_id, kind=self.SEEN_KIND, emit=True,
+            columns=[id_col, text_col, source_col],
         )
-        m = self.sum_stats(
-            ray.get(
-                self.keyed(
-                    survivors, cap_route, cap_fold, batch_id, kind=self.CAP_KIND,
-                    shard_col="_cshard",
-                )
+        shards = ray.get(
+            self.keyed(
+                survivors, cap_route, cap_fold, batch_id, kind=self.CAP_KIND, shard_col="_cshard"
             )
         )
         # per-stage splits (filtered vs dup) are the standalone runners'
         # metrics; the composed runner reports the chain's endpoints
-        return {"rows": sum(pq.read_metadata(f).num_rows for f in bfiles), **m}
+        rows = sum(pq.read_metadata(f).num_rows for f in bfiles)
+        return BatchResult(
+            {"rows": rows, **self.sum_stats(shards)}, metrics=exchange_metrics(shards)
+        )

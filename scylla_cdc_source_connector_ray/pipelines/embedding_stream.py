@@ -38,9 +38,25 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from ._microbatch import KeyedStateRunner, write_sink
+
+
+@ray.remote
+def _keep_ids(path: str, drop: np.ndarray, order_col: str, sink_dir: str, batch_id: int) -> int:
+    """Survivor pass over one file: its ``order_col`` ids not in ``drop``,
+    sorted, to sink ``part-<file stem>``."""
+    ids = (
+        pq.read_table(path, columns=[order_col])[order_col]
+        .to_numpy(zero_copy_only=False)
+        .astype(np.int64)
+    )
+    kept = np.sort(ids[~np.isin(ids, drop)])
+    stem = os.path.splitext(os.path.basename(path))[0]
+    kept_tbl = pa.table({order_col: pa.array(kept, pa.int64())})
+    write_sink(sink_dir, batch_id, f"part-{stem}", kept_tbl)
+    return len(kept)
 
 
 class EmbeddingLshStreamRunner(KeyedStateRunner):
@@ -152,34 +168,15 @@ class EmbeddingLshStreamRunner(KeyedStateRunner):
             np.concatenate([t["vid"].to_numpy().astype(np.int64) for t in dropped_tbls])
         )
 
-        # survivor pass: column-pruned id read per file, no exchange; the
-        # vectors themselves never move (downstream filters by id)
-        sink_dir = self.sink_dir
+        # survivor pass: one task per file reads only its id column, no
+        # exchange; the vectors themselves never move (downstream filters by id)
         dropped_ref = ray.put(dropped)
-
-        def keep_ids(path: str) -> int:
-            drop = ray.get(dropped_ref)
-            ids = (
-                pq.read_table(path, columns=[order_col])[order_col]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            kept = np.sort(ids[~np.isin(ids, drop)])
-            stem = os.path.splitext(os.path.basename(path))[0]
-            kept_tbl = pa.table({order_col: pa.array(kept, pa.int64())})
-            write_sink(sink_dir, batch_id, f"part-{stem}", kept_tbl)
-            return len(kept)
-
         kept = sum(
-            r["n"]
-            for r in ray.data.from_items(
-                [{"path": f} for f in bfiles], override_num_blocks=len(bfiles)
+            ray.get(
+                [
+                    _keep_ids.remote(f, dropped_ref, order_col, self.sink_dir, batch_id)
+                    for f in bfiles
+                ]
             )
-            .map_batches(
-                lambda b: pd.DataFrame({"n": [keep_ids(p) for p in b["path"]]}),
-                batch_format="pandas",
-                batch_size=None,
-            )
-            .take_all()
         )
         return {"rows": kept + len(dropped), "kept": kept, "dups": int(len(dropped))}

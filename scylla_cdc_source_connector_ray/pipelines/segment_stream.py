@@ -14,10 +14,12 @@ Scale shape (100 TB): per batch, ONE segment-hash exchange of 24 B/segment
 decision rows (md5-128 + packed (doc,seg) key — segment text never crosses
 it) into per-shard sorted seen-state (the ``dedup_stream`` state family:
 state ∝ unique segments / num_shards, one ``searchsorted`` probe), then ONE
-coarse doc-keyed exchange carrying each doc's text once plus its kept pairs
-for partition-local reassembly. Replay of a committed batch reads the state
-as-of the batch start, so output is byte-identical (same exactly-once
-contract as ``CaptureRunner``).
+chained exchange keyed by reassembly part (``_pid``, a hash of the doc id)
+over the decision blocks and the batch's files, carrying each doc's text
+once plus its kept pairs; each part's fold reassembles its docs and writes
+sink ``part-K``. Both are ``_microbatch.exchange`` task graphs. Replay of a
+committed batch reads the state as-of the batch start, so output is
+byte-identical (same exactly-once contract as ``CaptureRunner``).
 
 Reference anchor: the connector's at-least-once delivery + idempotent sink
 (README.md:9,18) strengthened to exactly-once, reused for corpus curation.
@@ -30,9 +32,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
-from ._microbatch import KeyedStateRunner, write_sink
+from ._microbatch import BatchResult, KeyedStateRunner, exchange, exchange_metrics
 from .dedup_stream import _member128, _seen128, _union128
 
 
@@ -88,49 +90,40 @@ class SegmentDedupStreamRunner(KeyedStateRunner):
             "sink_layout": f"part-v1/{self.num_parts}",
         }
 
-    def process(self, batch_id: int, bfiles: list[str]) -> dict:
+    def process(self, batch_id: int, bfiles: list[str]) -> BatchResult:
         """Keyed decision stage (packed (doc, position) keys ``_pk`` out),
-        then ONE coarse doc-keyed exchange carrying each doc's text once
-        plus its decided keys, reassembled per part into the sink."""
+        then ONE chained doc-keyed exchange over the decided keys and the
+        batch's documents, reassembled per part into the sink."""
         from ..functions.dedup import _seg_doc_rows_table, _seg_unpack_table
 
         self._check_monotone_ids(batch_id, bfiles)
         route, fold = self.plan(batch_id, bfiles)
         text_col, id_col, num_parts = self.text_col, self.id_col, self.num_parts
         reassemble, out_schema, stats = self.reassembler(), self.OUT_SCHEMA, self.STATS
-        sink_dir = self.sink_dir
 
-        def part_task(b: pd.DataFrame) -> pd.DataFrame:
-            pid = int(b.pop("_pid").iloc[0])
+        def part_route(b: pd.DataFrame) -> pa.Table:
+            """Decided keys or a document slice → reassembly rows by ``_pid``."""
+            if "_pk" in b.columns:
+                return _seg_unpack_table(b["_pk"].to_numpy(), num_parts)
+            return _seg_doc_rows_table(b, text_col, id_col, num_parts)
+
+        def part_fold(pid: int, b: pd.DataFrame, priors: dict):
             out = reassemble(b).sort_values("doc_id", kind="mergesort")
-            write_sink(
-                sink_dir,
-                batch_id,
-                f"part-{pid:05d}",
-                pa.Table.from_pandas(out, schema=out_schema, preserve_index=False),
-            )
             # docs, then the per-doc n_<stat> columns summed
-            return pd.DataFrame(
-                {"docs": [len(out)], **{c: [int(out[f"n_{c}"].sum())] for c in stats[1:]}}
-            )
+            counts = {"docs": len(out), **{c: int(out[f"n_{c}"].sum()) for c in stats[1:]}}
+            table = pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
+            return {"": table}, {}, counts
 
-        decided = (
-            ray.data.from_arrow_refs(self.keyed(bfiles, route, fold, batch_id, emit=True))
-            .map_batches(
-                lambda t: _seg_unpack_table(t["_pk"].to_numpy(zero_copy_only=False), num_parts),
-                batch_format="pyarrow",
+        decided = self.keyed(bfiles, route, fold, batch_id, emit=True)
+        shards = ray.get(
+            exchange(
+                [*decided, *bfiles], part_fold, num_parts, batch_id=batch_id,
+                ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, name="part-{:05d}",
+                route=part_route, fmt="pandas", shard_col="_pid",
+                columns=[text_col, id_col], num_shards=self.num_shards,
             )
-            # coalesce the per-shard tiny blocks before the reassembly
-            # shuffle (many-small-blocks sort pathology; see segment_dedup)
-            .repartition(num_parts, shuffle=False)
         )
-        docs = ray.data.from_arrow_refs(self.read_slices(bfiles)).map_batches(
-            lambda b: _seg_doc_rows_table(b, text_col, id_col, num_parts),
-            batch_format="pandas",
-        )
-        parts = decided.union(docs).groupby("_pid").map_groups(part_task, batch_format="pandas")
-        rows = parts.take_all()
-        return {k: sum(r[k] for r in rows) for k in stats}
+        return BatchResult(self.sum_stats(shards), metrics=exchange_metrics(shards))
 
     def reassembler(self):
         from ..functions.dedup import _seg_reassemble_part

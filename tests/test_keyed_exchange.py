@@ -1,12 +1,15 @@
 """The keyed exchange's task graph (``_microbatch.exchange``, under the lean
-runners' ``keyed`` and ``CaptureRunner``'s shard, merge and fixup stages):
-running a small batch as one task, or splitting a log file into several
-route slices, must not change a byte of sink, state or manifest output, a
-crash on either path — or a fault between the chained salted stages or in
-the commit steps — must resume byte-identically, empty partitions write
-nothing, and every batch records per-shard metrics."""
+runners' ``keyed``, the composed runners' chained stages and
+``CaptureRunner``'s shard, merge and fixup stages): running a small batch as
+one task, or splitting a log file into several route slices, must not change
+a byte of sink, state or manifest output, a crash on either path — or a
+fault between chained stages or in the commit steps — must resume
+byte-identically, empty partitions write nothing, every batch records
+per-shard metrics, and no streaming runner builds a Ray Data plan."""
 
+import ast
 import functools
+import glob
 import hashlib
 import json
 import os
@@ -19,9 +22,11 @@ import ray
 
 from scylla_cdc_source_connector_ray.config import EngineConfig
 from scylla_cdc_source_connector_ray.pipelines import _microbatch
+from scylla_cdc_source_connector_ray.pipelines import curation_stream as cur
 from scylla_cdc_source_connector_ray.pipelines import dedup_stream as dd
 from scylla_cdc_source_connector_ray.pipelines import distinct_stream as ds
 from scylla_cdc_source_connector_ray.pipelines import element_stream as el
+from scylla_cdc_source_connector_ray.pipelines import segment_stream as seg
 from scylla_cdc_source_connector_ray.pipelines import substring_stream as sub
 from scylla_cdc_source_connector_ray.pipelines import runner as capture
 from scylla_cdc_source_connector_ray.pipelines import topk_stream as topk
@@ -43,6 +48,24 @@ def _docs(n=48):
         {
             "doc_id": pa.array(np.arange(n, dtype=np.int64)),
             "text": pa.array(texts),
+        }
+    )
+
+
+def _sourced_docs():
+    """Docs for the curation chain: exact duplicates across windows, a
+    repetitive doc, a doc holding a benchmark 3-gram, and more docs per
+    source than the cap admits."""
+    rng = np.random.default_rng(5)
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+    words += ["golf", "hotel", "india", "juliet", "kilo", "lima"]
+    texts = [" ".join(rng.choice(words, 8)) for _ in range(42)]
+    texts += texts[:4] + ["spam ham " * 20, "prefix the fast key order sort suffix"]
+    return pa.table(
+        {
+            "doc_id": pa.array(np.arange(48, dtype=np.int64)),
+            "text": pa.array(texts),
+            "source": pa.array([["web", "wiki", "forum"][i % 3] for i in range(48)]),
         }
     )
 
@@ -97,7 +120,17 @@ CASES = {
         _docs,
         lambda lg, o, c: sub.SubstringDedupStreamRunner(lg, 3, o, c, k=3, num_parts=2),
     ),
+    "segment": (
+        _docs,
+        lambda lg, o, c: seg.SegmentDedupStreamRunner(lg, 3, o, c, seg_words=3, num_parts=2),
+    ),
+    "curation": (_sourced_docs, lambda lg, o, c: cur.CurationStreamRunner(lg, 3, o, c, cap_k=4)),
 }
+
+#: The runners that chain a second exchange over the blocks of the first,
+#: each with the state kind of its first exchange (only the second writes a
+#: sink).
+CHAINED = {"segment": "segs", "substring": "grams", "curation": "cseen"}
 
 
 def _write_windows(log, table, n=4):
@@ -126,7 +159,10 @@ def _metrics(root, batch_id=0):
         return json.load(fh)
 
 
-def _run(root, name, crash=False, files_per_batch=1):
+def _run(root, name, crash=False, files_per_batch=1, fault=None):
+    """Run a lean case to the end of its log. ``crash`` kills a first run
+    before batch 1's commit; ``fault`` is an ``(install, check)`` pair as in
+    :func:`_capture_run`."""
     table, make = CASES[name]
     root = str(root)
     log, out, ck = (os.path.join(root, x) for x in ("log", "sink", "ckpt"))
@@ -134,6 +170,13 @@ def _run(root, name, crash=False, files_per_batch=1):
     if crash:
         run = make(log, out, ck).run(files_per_batch=files_per_batch, crash_before_commit_at=1)
         assert run["crashed"]
+    if fault is not None:
+        install, check = fault
+        with pytest.MonkeyPatch.context() as mp:
+            install(mp)
+            with pytest.raises(_Fault):
+                make(log, out, ck).run(files_per_batch=files_per_batch)
+        check(Checkpoint(ck), out)
     runner = make(log, out, ck)
     totals = runner.run(files_per_batch=files_per_batch)
     slices = runner.slices(os.path.join(log, "window-00000.parquet"))
@@ -207,6 +250,43 @@ def test_batch_metrics_record_exchange_skew(tmp_path, monkeypatch):
     assert m["slices"] == 3  # 12 rows a file, 5 rows a slice
     assert m["shard_rows_max"] >= m["shard_rows_p50"] > 0
     assert m["fold_s_max"] >= m["fold_s_p50"] >= 0
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_chained_runner_metrics_record_last_exchange_skew(tmp_path, name):
+    """The composed runners record the skew of their last exchange (the
+    reassembly for segment and substring, the cap stage for curation)."""
+    _run(tmp_path, name)
+    for b in range(4):
+        m = _metrics(tmp_path, b)
+        for k in ("slices", "shard_rows_max", "shard_rows_p50", "fold_s_max", "fold_s_p50"):
+            assert k in m
+        assert m["slices"] >= 1
+        assert m["shard_rows_max"] >= m["shard_rows_p50"]
+        assert m["fold_s_max"] >= m["fold_s_p50"] >= 0
+    assert _metrics(tmp_path)["shard_rows_max"] > 0
+
+
+def test_stream_runners_build_no_ray_data_plan():
+    """No ``pipelines/*_stream.py`` module imports or names ``ray.data``:
+    every streaming stage runs on the keyed exchange or on plain tasks."""
+    root = os.path.dirname(_microbatch.__file__)
+    paths = sorted(glob.glob(os.path.join(root, "*_stream.py")))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            bad = [n for n in names if n == "ray.data" or n.startswith("ray.data.")]
+            assert not bad, f"{os.path.basename(path)}:{node.lineno} names {bad[0]}"
 
 
 # --- CaptureRunner on the exchange ------------------------------------------
@@ -426,6 +506,48 @@ FAULTS = {
 def test_capture_fault_resume_matches_clean_run(tmp_path, name, fault):
     clean = _capture_run(tmp_path / "clean", name)[0]
     resumed = _capture_run(tmp_path / "resumed", name, fault=FAULTS[fault])[0]
+    assert resumed == clean
+
+
+def _second_exchange_of_chained_batch1(mp):
+    """A composed runner's second exchange of batch 1 (segment and
+    substring's reassembly, curation's cap stage) raises once the first
+    exchange's tasks have finished: its state is written, no sink is."""
+    calls = []
+    real = _microbatch.exchange
+
+    def exchange(inputs, *args, **kw):
+        if kw["batch_id"] == 1:
+            calls.append(kw.get("shard_col"))
+            if len(calls) == 2:
+                ray.get([x for x in inputs if isinstance(x, ray.ObjectRef)])
+                raise _Fault(f"exchange keyed by {calls[-1]}")
+        return real(inputs, *args, **kw)
+
+    mp.setattr(_microbatch, "exchange", exchange)
+    mp.setattr(seg, "exchange", exchange)
+
+
+def _chained_second_stage_never_ran(kind):
+    def check(ck, out):
+        assert ck.last_committed()["batch_id"] == 0
+        assert not os.path.exists(os.path.join(out, "batch-000001"))
+        root = os.path.join(ck.dir, kind)
+        assert any(
+            "batch-000001.parquet" in os.listdir(os.path.join(root, d)) for d in os.listdir(root)
+        )
+
+    return check
+
+
+@pytest.mark.parametrize("fault", ["commit", "gc_state", "second_exchange"])
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_chained_runner_fault_resume_matches_clean_run(tmp_path, name, fault):
+    injected = FAULTS.get(fault) or (
+        _second_exchange_of_chained_batch1, _chained_second_stage_never_ran(CHAINED[name])
+    )
+    clean = _run(tmp_path / "clean", name)[0]
+    resumed = _run(tmp_path / "resumed", name, fault=injected)[0]
     assert resumed == clean
 
 
