@@ -4,8 +4,8 @@ embedding-cosine near-dup — the standard large-corpus dedup toolbox
 
 Scale shapes (ray_guide "Aggregation at scale"):
 
-* exact: content-key groupby, keep min doc_id — ONE shuffle of (key, doc_id)
-  pairs, not of documents.
+* exact: content-key hash partitions, keep min doc_id per key — ONE shuffle
+  of (key, doc_id) pairs, not of documents.
 * MinHash-LSH: signatures per batch (vectorized universal hashing) → explode
   to (band, band_hash, doc_id) rows → groupby buckets → candidate pairs →
   Jaccard verify. Only bucket rows shuffle.
@@ -29,23 +29,12 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.join import JOIN_PARTITIONS, shuffle_hash_join
+from ..stages import exchange
+from ..stages.join import shuffle_hash_join
 
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
-
-
-def _add_key_hash(t: pa.Table, key_col: str) -> pa.Table:
-    """Append ``_kh`` = stable 8-byte polars hash of ``key_col`` — THE shared
-    shuffle key of the exact-dedup family (engine-internal, so no md5 parity
-    needed; groups re-split by raw key inside the group task, so a hash
-    collision can never merge two distinct keys)."""
-    import polars as pl
-
-    key = t[key_col].combine_chunks().cast(pa.string())
-    h = pl.Series(pl.from_arrow(key).hash(seed=0)).reinterpret(signed=True).to_arrow()
-    return t.append_column("_kh", h)
 
 
 def exact_dedup(
@@ -53,28 +42,20 @@ def exact_dedup(
 ) -> ray.data.Dataset:
     """Keep the minimum ``id_col`` per distinct ``key_col`` value.
 
-    The 100 TB shape even for the raw-key variant: the SHUFFLE/sort key is
-    the 8-byte ``_add_key_hash``; the key value itself crosses as payload
-    only (it must — it's in the output)."""
+    One keyed shuffle of the (key, id) pairs on the hash of the key, then
+    one Arrow ``group_by`` per partition over all the keys it holds. The
+    key value crosses as payload (it must — it's in the output)."""
+    from ..schema import select_agg
 
-    def per_group(g: pa.Table) -> pa.Table:
-        from ..schema import select_agg
-
-        out = select_agg(
+    def per_part(g: pa.Table) -> pa.Table:
+        return select_agg(
             g.group_by([key_col]).aggregate([(id_col, "min"), (id_col, "count")]),
             [key_col],
             [(f"{id_col}_min", "keep_id"), (f"{id_col}_count", "n_copies")],
         )
-        return out
 
-    return (
-        ds.map_batches(
-            lambda t: _add_key_hash(t.select([key_col, id_col]), key_col),
-            batch_format="pyarrow",
-        )
-        .groupby("_kh")
-        .map_groups(lambda g: per_group(g.drop_columns(["_kh"])), batch_format="pyarrow")
-    )
+    pairs = ds.map_batches(lambda t: t.select([key_col, id_col]), batch_format="pyarrow")
+    return exchange.shuffle(pairs, per_part, [key_col])
 
 
 def first_row_per_key(
@@ -83,21 +64,15 @@ def first_row_per_key(
     """Keep the full min-``id_col`` ROW per distinct ``key_col`` —
     ``exact_dedup``'s row-carrying sibling (same one-keyed-exchange shape;
     project ``ds`` to the columns you need BEFORE calling so only those
-    cross the exchange). Run-boundary first-row selection inside the
-    partition — never a per-group UDF over O(corpus) tiny groups."""
+    cross the exchange). One call per hash partition selects every key's
+    first row with a run-boundary scan, never one call per key."""
     from ..stages.cep import run_starts
 
     def per_part(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_kh"]).sort_by(
-            [(key_col, "ascending"), (id_col, "ascending")]
-        )
+        g = g.sort_by([(key_col, "ascending"), (id_col, "ascending")])
         return g.filter(pa.array(run_starts(g, [key_col])))
 
-    return (
-        ds.map_batches(lambda t: _add_key_hash(t, key_col), batch_format="pyarrow")
-        .groupby("_kh")
-        .map_groups(per_part, batch_format="pyarrow")
-    )
+    return exchange.shuffle(ds, per_part, [key_col])
 
 
 def with_content_hash(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
@@ -1129,7 +1104,7 @@ def minhash_lsh_dedup(
     bands: int = 16,
     ngram: int = 3,
     threshold: float = 0.7,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
     spill_dir: str | None = None,
 ) -> ray.data.Dataset:
     """Full MinHash-LSH near-dup pipeline → verified duplicate pairs
@@ -1604,7 +1579,7 @@ def ngram_jaccard_dedup(
     ds: ray.data.Dataset,
     ngram: int = 3,
     threshold: float = 0.7,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
     spill_dir: str | None = None,
     vocab_mode: str = "auto",
     broadcast_vocab_limit: int = 50_000_000,

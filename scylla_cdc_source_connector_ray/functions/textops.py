@@ -36,7 +36,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.join import JOIN_PARTITIONS, shuffle_hash_join
+from ..stages.exchange import NUM_PARTITIONS
+from ..stages.join import shuffle_hash_join
 
 
 class CountPattern(NamedTuple):
@@ -411,7 +412,7 @@ def doc_term_relevance(
     id_col: str = "doc_id",
     k: int = 2,
     pattern: str = BPE_TOKEN_RE,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """TF-IDF-style top-``k`` most distinctive terms per document — the
     classic corpus-analysis / keyword-extraction pipeline, kept SQL-exact by

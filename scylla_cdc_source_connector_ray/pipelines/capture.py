@@ -3,14 +3,15 @@
 Batch-mode capture (one logical window over a whole Dataset):
 
     read_parquet → map_batches(with_shard)           (stateless, zero-copy)
-    → groupby("shard").map_groups(derive_ops)        (the ONE keyed shuffle)
+    → exchange.shuffle(derive_ops)                   (the ONE keyed shuffle)
     → map_batches(build_envelope)                    (stateless)
     → write_parquet / downstream stages
 
-The groupby-on-shard shuffle co-locates every row of a conversation
-(``hash(conv_id) % num_shards``) exactly like the reference's stream-id →
-Vnode → task assignment (``ConfigSerializerUtil.java:39-52``), and the
-within-shard ``(conv_id, turn_idx, ts, seq)`` sort enforces the ordering
+The keyed shuffle (:mod:`..stages.exchange`, one call per shard) co-locates
+every row of a conversation (``hash(conv_id) % num_shards``) exactly like
+the reference's stream-id → Vnode → task assignment
+(``ConfigSerializerUtil.java:39-52``), and the within-shard
+``(conv_id, turn_idx, ts, seq)`` sort enforces the ordering
 invariant the reference inherits from Scylla's per-stream ``cdc$time`` order
 (SURVEY.md §2.6). ``num_shards`` — not cluster size — bounds per-task memory:
 at 100 TB set ``num_shards`` so one shard's window ≪ worker heap; shards are
@@ -31,6 +32,7 @@ import ray.data
 from ..config import EngineConfig
 from ..schema import with_shard
 from ..sources.events_adapter import events_to_transcripts
+from ..stages import exchange
 from ..stages.envelope import build_envelope, flatten_envelope
 from ..stages.op_derive import derive_ops
 
@@ -73,7 +75,7 @@ def read_transcripts_from_events(
 def derive_stage(
     ds: ray.data.Dataset, cfg: EngineConfig, shard_fn=None, value_cols=None
 ) -> ray.data.Dataset:
-    """shard → groupby(shard) → per-shard sort + op-derive (flat columns).
+    """shard → keyed shuffle → per-shard sort + op-derive (flat columns).
     ``shard_fn(batch) -> batch-with-shard`` defaults to plain hash sharding;
     the salted variant passes its own. ``value_cols`` extends the value-column
     set (e.g. the list/struct collection columns)."""
@@ -83,24 +85,27 @@ def derive_stage(
     nested = bool(set(vcols) - set(VALUE_COLS))
     if shard_fn is None:
         shard_fn = lambda b: with_shard(b, cfg.num_shards)  # noqa: E731
-    if nested:
-        # nested (list/struct) value columns cross the shuffle in the flat
-        # transport encoding (schema.encode_nested): Ray's sort exchange
-        # mangles nested layouts (polars blocks rewrite string→large_string
-        # per worker and the merge fails), and flat columns shuffle cheaper
-        # anyway. The group task decodes before compute.
-        from ..schema import decode_nested, encode_nested
+    # nested (list/struct) value columns cross the shuffle in the flat
+    # transport encoding (schema.encode_nested): Ray's sort exchange mangles
+    # nested layouts (polars blocks rewrite string→large_string per worker
+    # and the merge fails), and flat columns shuffle cheaper anyway. The
+    # partition task decodes before compute.
+    from ..schema import decode_nested, encode_nested
 
-        ds = ds.map_batches(
-            lambda b: encode_nested(shard_fn(b)), batch_format="pyarrow"
-        )
-        return ds.groupby("shard").map_groups(
-            lambda t: derive_ops(decode_nested(t), value_cols=vcols),
-            batch_format="pyarrow",
-        )
-    ds = ds.map_batches(shard_fn, batch_format="pyarrow")
-    return ds.groupby("shard").map_groups(
-        lambda t: derive_ops(t, value_cols=vcols), batch_format="pyarrow"
+    if nested:
+        encode, decode = encode_nested, decode_nested
+    else:
+        encode = decode = lambda b: b  # noqa: E731
+
+    def project(b: pa.Table) -> pa.Table:
+        # the (possibly salted) shard IS the partition, and stays a column:
+        # the envelope reports it as source.shard
+        b = encode(shard_fn(b))
+        return b.append_column(exchange.PART_COL, b["shard"])
+
+    return exchange.shuffle(
+        ds.map_batches(project, batch_format="pyarrow"),
+        lambda t: derive_ops(decode(t), value_cols=vcols),
     )
 
 
@@ -178,11 +183,10 @@ def compaction(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
             }
         )
 
-    # fold inside the same per-shard group task (a map_batches after
+    # fold inside the same per-shard partition task (a map_batches after
     # derive_stage could split a key across batch boundaries)
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda t: last_per_key(derive_ops(t)), batch_format="pyarrow"
+    return exchange.shuffle(
+        ds, lambda t: last_per_key(derive_ops(t)), ["conv_id"], cfg.num_shards
     )
 
 
@@ -195,10 +199,7 @@ def capture_pd(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
     shard as their conversation's rows."""
     from ..stages.partition_delete import derive_flat_pd
 
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda t: derive_flat_pd(t.drop_columns(["shard"])), batch_format="pyarrow"
-    )
+    return exchange.shuffle(ds, derive_flat_pd, ["conv_id"], cfg.num_shards)
 
 
 def history_intervals(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
@@ -239,10 +240,7 @@ def history_intervals(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Datas
             }
         )
 
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda g: lead_per_key(g.drop_columns(["shard"])), batch_format="pyarrow"
-    )
+    return exchange.shuffle(ds, lead_per_key, ["conv_id"], cfg.num_shards)
 
 
 def compaction_pd(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
@@ -250,10 +248,7 @@ def compaction_pd(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
     event precedes the conversation's final tombstone drop out."""
     from ..stages.partition_delete import compact_pd
 
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda t: compact_pd(t.drop_columns(["shard"])), batch_format="pyarrow"
-    )
+    return exchange.shuffle(ds, compact_pd, ["conv_id"], cfg.num_shards)
 
 
 def ttl_deletes(ds: ray.data.Dataset, cfg: EngineConfig, ttl_us: int) -> ray.data.Dataset:
@@ -270,17 +265,11 @@ def ttl_deletes(ds: ray.data.Dataset, cfg: EngineConfig, ttl_us: int) -> ray.dat
     parts = ds.select_columns(["ts"]).map_batches(_max_ts, batch_format="pyarrow").take_all()
     stamps = [r["m"] for r in parts if r["m"] is not None]
     if not stamps:  # empty log (or all-NULL ts): no timespan, no expiries
-        import ray.data as _rd
-
-        from ..stages.ttl import ttl_delete_events
-
-        return _rd.from_arrow(ttl_delete_events(pa.table({}), ttl_us, 0))
+        return ray.data.from_arrow(ttl_delete_events(pa.table({}), ttl_us, 0))
     horizon_us = max(stamps)
 
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda t: ttl_delete_events(t.drop_columns(["shard"]), ttl_us, horizon_us),
-        batch_format="pyarrow",
+    return exchange.shuffle(
+        ds, lambda t: ttl_delete_events(t, ttl_us, horizon_us), ["conv_id"], cfg.num_shards
     )
 
 
@@ -352,10 +341,7 @@ def list_rebuild(ds: ray.data.Dataset, cfg: EngineConfig, element_col: str = "ro
             }
         )
 
-    sharded = ds.map_batches(lambda b: with_shard(b, cfg.num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda t: rebuild(t.drop_columns(["shard"])), batch_format="pyarrow"
-    )
+    return exchange.shuffle(ds, rebuild, ["conv_id"], cfg.num_shards)
 
 
 def capture_flat(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
@@ -367,18 +353,15 @@ def capture_flat(ds: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
 
 def _element_capture(ds: ray.data.Dataset, cfg: EngineConfig, fold_name: str) -> ray.data.Dataset:
     """Shared element-op exchange: encode nested cols into the flat counted
-    transport, one keyed shuffle on shard, decode + fold per group. The three
-    collection kinds differ only in the fold kernel."""
+    transport, one keyed shuffle on conv_id, decode + fold per partition. The
+    three collection kinds differ only in the fold kernel."""
     from ..schema import decode_nested, encode_nested
     from ..stages import element_ops
 
     fold = getattr(element_ops, fold_name)
-    sharded = ds.map_batches(
-        lambda b: encode_nested(with_shard(b, cfg.num_shards)), batch_format="pyarrow"
-    )
-    return sharded.groupby("shard").map_groups(
-        lambda t: fold(decode_nested(t.drop_columns(["shard"]))),
-        batch_format="pyarrow",
+    flat = ds.map_batches(encode_nested, batch_format="pyarrow")
+    return exchange.shuffle(
+        flat, lambda t: fold(decode_nested(t)), ["conv_id"], cfg.num_shards
     )
 
 

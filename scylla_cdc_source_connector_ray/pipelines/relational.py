@@ -21,7 +21,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..stages.join import JOIN_PARTITIONS
+from ..stages.exchange import NUM_PARTITIONS
 
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
@@ -1384,7 +1384,7 @@ def event_transitions(sf_dir: str, num_parts: int = 64) -> "pd.DataFrame":
 
 
 def purchase_error_daily_join(
-    sf_dir: str, num_partitions: int = JOIN_PARTITIONS
+    sf_dir: str, num_partitions: int = NUM_PARTITIONS
 ) -> ray.data.Dataset:
     """FULL OUTER co-partitioned hash join (the last join type in the
     §2.4 family): per-(user, day) purchase activity joined against error

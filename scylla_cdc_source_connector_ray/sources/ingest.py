@@ -18,6 +18,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..schema import with_shard
+from ..stages import exchange
 
 
 def bucketize(
@@ -29,15 +30,19 @@ def bucketize(
     """Rewrite every parquet file under ``src_dir`` into
     ``dst_dir/shard=K/{file_tag}.parquet`` (one distributed keyed exchange).
 
-    Each shard's file is written atomically inside its group task; re-running
-    overwrites deterministically (same input → same bytes per shard).
+    Each shard's file is written atomically inside its partition task;
+    re-running overwrites deterministically (same input → same bytes per
+    shard).
     Returns per-shard row counts.
     """
     paths = sorted(
         os.path.join(src_dir, f) for f in os.listdir(src_dir) if f.endswith(".parquet")
     )
-    ds = ray.data.read_parquet(paths)
-    ds = ds.map_batches(lambda b: with_shard(b, num_shards), batch_format="pyarrow")
+
+    def project(b: pa.Table) -> pa.Table:
+        # the written files keep the shard column; it is also the partition
+        b = with_shard(b, num_shards)
+        return b.append_column(exchange.PART_COL, b["shard"])
 
     def write_shard(g: pa.Table) -> pa.Table:
         shard = g["shard"][0].as_py()
@@ -54,5 +59,6 @@ def bucketize(
             {"shard": pa.array([shard], pa.int32()), "rows": pa.array([g.num_rows], pa.int64())}
         )
 
-    stats = ds.groupby("shard").map_groups(write_shard, batch_format="pyarrow").take_all()
+    ds = ray.data.read_parquet(paths).map_batches(project, batch_format="pyarrow")
+    stats = exchange.shuffle(ds, write_shard).take_all()
     return {int(r["shard"]): int(r["rows"]) for r in stats}

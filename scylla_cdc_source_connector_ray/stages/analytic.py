@@ -8,11 +8,11 @@ running total; this module covers per-PARTITION analytic functions — the
 ``fn() OVER (PARTITION BY k ORDER BY ...)`` surface a user of a SQL engine
 reaches for constantly.
 
-Scale shape: ONE keyed exchange on ``hash(keys)`` (the same stream-id →
-shard mapping as every other conversation/key-level stage), then pure
-vectorized numpy/Arrow kernels inside each shard task — run-boundary masks
-over the sorted table, never a Python loop over rows or a per-group UDF
-dispatch (the round-2 lesson: ``groupby(fine_key).map_groups`` over O(n)
+Scale shape: ONE keyed exchange on ``hash(keys)`` (:mod:`.exchange`, the
+same stream-id → shard mapping as every other conversation/key-level
+stage), then pure vectorized numpy/Arrow kernels inside each shard task —
+run-boundary masks over the sorted table, never a Python loop over rows or
+a per-group UDF dispatch (the round-2 lesson: ``groupby(fine_key).map_groups`` over O(n)
 tiny groups is Python-dispatch-bound; one coarse shard task handles
 thousands of key runs with run-scan math). Partition sizes are bounded by
 the key's own cardinality profile; hot keys can be pre-salted upstream the
@@ -41,6 +41,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from . import exchange
 from .cep import run_starts
 
 
@@ -174,28 +175,11 @@ def analytic_functions(
     keys = list(keys)
     order_cols = list(order_cols)
 
-    def project(t: pa.Table) -> pa.Table:
-        from ..schema import shard_of
-
-        # shard_of hashes NULL to a stable value (polars hash of null is a
-        # constant), so the SQL single-NULL-partition routes to one shard;
-        # multi-key partitions mix the per-column routing hashes
-        h = shard_of(t[keys[0]], num_shards).to_numpy(zero_copy_only=False).astype(np.int64)
-        for c in keys[1:]:
-            h = h * 1_000_003 + shard_of(t[c], num_shards).to_numpy(
-                zero_copy_only=False
-            ).astype(np.int64)
-        return t.append_column(
-            "_shard", pa.array((h % num_shards).astype(np.int32))
-        )
-
-    def shard_task(g: pa.Table) -> pa.Table:
-        return analytic_kernel(
-            g.drop_columns(["_shard"]), keys, order_cols, value_col, ntile=ntile
-        )
-
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("_shard")
-        .map_groups(shard_task, batch_format="pyarrow")
+    # exchange.part_of routes every NULL key to one fixed partition, so the
+    # SQL single-NULL-partition stays whole
+    return exchange.shuffle(
+        ds,
+        lambda g: analytic_kernel(g, keys, order_cols, value_col, ntile=ntile),
+        keys,
+        num_shards,
     )

@@ -9,7 +9,8 @@ Mechanics (one keyed exchange, then pure vectorized kernels):
 1. ``map_batches`` projects each event to a 1-char symbol (role → char here;
    any classifier works) — rows shrink to (key, sym, order) before the
    shuffle.
-2. Rows shard on ``hash(key)`` and each shard task sorts its slice, joins
+2. Rows shard on the hash of the full key (the batch operators' one keyed
+   shuffle, :mod:`.exchange`) and each shard task sorts its slice, joins
    every key's symbols into ONE string with ``pa.LargeListArray`` +
    ``pc.binary_join`` (no per-row Python), and runs the compiled RE2 pattern
    over the per-key strings with ``pc.count_substring_regex`` /
@@ -35,7 +36,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..schema import shard_of
+from . import exchange
 
 #: role → symbol alphabet (shared with the oracle SQL via :func:`role_case_sql`)
 ROLE_SYMBOLS: tuple[tuple[str, str], ...] = (
@@ -128,9 +129,7 @@ def match_pattern(
 
     def project(t: pa.Table) -> pa.Table:
         t = t.select([*keys, sym_col, *order])
-        t = t.filter(pc.is_valid(t[sym_col]))  # string_agg skips NULLs
-        # shard on the leading key so a key's rows never straddle shards
-        return t.append_column("shard", shard_of(t[keys[0]], num_shards))
+        return t.filter(pc.is_valid(t[sym_col]))  # string_agg skips NULLs
 
     def per_shard(g: pa.Table) -> pa.Table:
         g = g.sort_by([(c, "ascending") for c in (*keys, *order)])
@@ -139,10 +138,8 @@ def match_pattern(
         first = pc.struct_field(pc.extract_regex(strs, wrapped), "m")
         return key_rows.append_column("n_matches", n).append_column("first_match", first)
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(per_shard, batch_format="pyarrow")
+    return exchange.shuffle(
+        ds.map_batches(project, batch_format="pyarrow"), per_shard, keys, num_shards
     )
 
 
@@ -169,12 +166,11 @@ def match_pattern_sessions(
 
     def project(t: pa.Table) -> pa.Table:
         t = t.select([key, sym_col, ts_us_col, seq_col])
-        t = t.set_column(
+        return t.set_column(
             t.schema.get_field_index(sym_col),
             sym_col,
             pc.fill_null(t[sym_col].combine_chunks(), ""),
         )
-        return t.append_column("shard", shard_of(t[key], num_shards))
 
     def per_shard(g: pa.Table) -> pa.Table:
         g = g.sort_by(
@@ -195,8 +191,6 @@ def match_pattern_sessions(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(per_shard, batch_format="pyarrow")
+    return exchange.shuffle(
+        ds.map_batches(project, batch_format="pyarrow"), per_shard, [key], num_shards
     )

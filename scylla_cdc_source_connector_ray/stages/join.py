@@ -34,7 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..schema import SEQ_COL, with_shard
+from ..schema import SEQ_COL
+from . import exchange
 
 CONV_STATE_SCHEMA = pa.schema(
     [
@@ -182,10 +183,7 @@ def conv_state_prefix(
 def enrich_with_conv_state(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.Dataset:
     """Batch-mode stream-state join: each turn row + the state of its
     conversation as of just before the turn. One hash shuffle by conv_id."""
-    sharded = ds.map_batches(lambda b: with_shard(b, num_shards), batch_format="pyarrow")
-    return sharded.groupby("shard").map_groups(
-        lambda g: conv_state_prefix(g)[0], batch_format="pyarrow"
-    )
+    return exchange.shuffle(ds, lambda g: conv_state_prefix(g)[0], ["conv_id"], num_shards)
 
 
 def conv_state_features(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.Dataset:
@@ -198,12 +196,9 @@ def conv_state_features(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.
     def slim(b: pa.Table) -> pa.Table:
         chars = pc.fill_null(pc.utf8_length(b["text"].combine_chunks()), 0).cast(pa_.int64())
         out = b.select(["conv_id", "turn_idx", "role", "ts", SEQ_COL])
-        return with_shard(out.append_column("chars", chars), num_shards)
+        return out.append_column("chars", chars)
 
-    sharded = ds.map_batches(slim, batch_format="pyarrow")
-    enriched = sharded.groupby("shard").map_groups(
-        lambda g: conv_state_prefix(g)[0], batch_format="pyarrow"
-    )
+    enriched = enrich_with_conv_state(ds.map_batches(slim, batch_format="pyarrow"), num_shards)
     return enriched.select_columns(
         ["conv_id", "turn_idx", SEQ_COL, "prior_turns", "prior_chars", "prev_role", "prev_ts_us"]
     )
@@ -212,17 +207,14 @@ def conv_state_features(ds: ray.data.Dataset, num_shards: int = 64) -> ray.data.
 # ---------------------------------------------------------------------------
 # Co-partitioned joins. Every shuffle join in the engine — relational
 # (inner/outer/semi/anti), as-of and interval — is one shape: tag each side,
-# hash the equality key to a partition, union the two streams and join each
-# partition once via groupby().map_groups(); both inputs move exactly once.
+# hash the equality key to a partition (exchange.part_of), union the two
+# streams and join each partition once in the batch operators' one keyed
+# shuffle (exchange.shuffle); both inputs move exactly once.
 # Assumption: no single key dominates (a hot key lands whole in one
 # partition — salt it upstream, as stages/salt.py does for conversations).
 # ---------------------------------------------------------------------------
 
-#: Partition count of every co-partitioned join unless the caller passes one.
-JOIN_PARTITIONS = 16
-
 _SIDE_COL = "__oj_side"
-_PART_COL = "__oj_part"
 _BUCKET_COL = "__oj_bucket"
 _RIGHT_PREFIX = "__oj_r."
 
@@ -315,21 +307,6 @@ def _null_pad(t: pa.Table, target: pa.Schema) -> pa.Table:
     return pa.table(dict(zip(target.names, cols)))
 
 
-def _part_of(t: pa.Table, keys: list[str], num_partitions: int) -> pa.Array:
-    """Stable cross-process partition id over the FULL equality key (reuses
-    the pinned polars hash from schema.shard_of). A multi-column key hashes
-    its string-cast columns joined by a unit separator; a NULL in any key
-    column routes the row to one fixed partition, where it never matches."""
-    from ..schema import shard_of
-
-    if len(keys) == 1:
-        return shard_of(t[keys[0]], num_partitions)
-    key = pc.binary_join_element_wise(
-        *[pc.cast(t[k], pa.string()) for k in keys], "\x1f"
-    )
-    return shard_of(key, num_partitions)
-
-
 def _co_partition(
     left: tuple[ray.data.Dataset, pa.Schema],
     right: tuple[ray.data.Dataset, pa.Schema],
@@ -347,8 +324,8 @@ def _co_partition(
     Shape: right columns are prefixed (so equal names on the two sides never
     collide in the union), each batch is null-padded to the one union
     schema, tagged with its side and the pinned hash of its full equality
-    key, the two streams are unioned and ``groupby(partition).map_groups``
-    splits every group back into ``(l, r)`` at exactly the input schemas —
+    key, the two streams are unioned and :func:`.exchange.shuffle` splits
+    every partition back into ``(l, r)`` at exactly the input schemas —
     0-row but typed when a side has no rows in that partition. Checks: join
     keys exist, the reserved tag columns are free, and payload (non-key)
     names are disjoint; ``per_part`` then runs once on two empty slices, so
@@ -383,7 +360,7 @@ def _co_partition(
     (left, ls), (right, rs) = left, right
     left_keys, right_keys = list(left_keys), list(right_keys)
     for schema, keys in ((ls, left_keys), (rs, right_keys)):
-        for reserved in (_SIDE_COL, _PART_COL):
+        for reserved in (_SIDE_COL, exchange.PART_COL):
             if reserved in schema.names:
                 raise ValueError(f"input dataset already has a {reserved!r} column")
         missing = [k for k in keys if k not in schema.names]
@@ -398,12 +375,12 @@ def _co_partition(
 
     def tag(side: int, keys: list[str]):
         def fn(t: pa.Table) -> pa.Table:
-            part = _part_of(t, keys, num_partitions)
+            part = exchange.part_of(t, keys, num_partitions)
             if side:
                 t = t.rename_columns([_RIGHT_PREFIX + n for n in t.column_names])
             t = _null_pad(t, union)
             t = t.append_column(_SIDE_COL, pa.array(np.full(t.num_rows, side, np.int8)))
-            return t.append_column(_PART_COL, part)
+            return t.append_column(exchange.PART_COL, part)
 
         return fn
 
@@ -416,7 +393,7 @@ def _co_partition(
     tagged = left.map_batches(tag(0, left_keys), batch_format="pyarrow").union(
         right.map_batches(tag(1, right_keys), batch_format="pyarrow")
     )
-    out = tagged.groupby(_PART_COL).map_groups(run, batch_format="pyarrow")
+    out = exchange.shuffle(tagged, run)
     _OUT_SCHEMAS[out] = out_schema
     return out
 
@@ -446,7 +423,7 @@ def shuffle_hash_join(
     left_on: str | tuple[str, ...],
     right_on: str | tuple[str, ...] | None = None,
     how: str = "inner",
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """Generic co-partitioned large–large hash join (multi-key): both sides
     cross one keyed exchange into ``num_partitions`` partitions and each
@@ -524,7 +501,7 @@ def asof_join(
     direction: str = "backward",
     suffix: str = "_r",
     tolerance: int | None = None,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed as-of join: for every left row, attach the right row with
     the same ``by`` key and the nearest ``on`` value (``backward``: greatest
@@ -599,7 +576,7 @@ def interval_join(
     end: str,
     bucket_width: int,
     suffix: str = "_r",
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed range (interval) join: emit one row per (point, interval)
     pair with equal ``by`` key and ``start <= ts < end`` (inner semantics;
@@ -665,7 +642,7 @@ def semi_anti_join(
     left_on: str,
     right_on: str | None = None,
     anti: bool = False,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """Distributed SEMI (EXISTS) / ANTI (NOT EXISTS) join: keep left rows
     whose key does (semi) or does not (anti) appear in ``right``.
@@ -737,7 +714,7 @@ def bloom_prefilter_join(
     right_on: str | None = None,
     m_bits: int = 1 << 22,
     k_hashes: int = 4,
-    num_partitions: int = JOIN_PARTITIONS,
+    num_partitions: int = exchange.NUM_PARTITIONS,
 ) -> ray.data.Dataset:
     """Inner join where the LEFT side is pre-filtered by a Bloom filter of
     the right side's keys before anything is shuffled — the classic

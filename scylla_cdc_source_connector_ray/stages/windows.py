@@ -21,7 +21,8 @@ Batch stages (Ray Data):
   fill NULL keys with a sentinel upstream if they are common. Sliding
   explodes each partial *after* partial aggregation (copies of partials, not
   of rows).
-* **Session** windows hash-shard by ``conv_id`` and run one vectorized
+* **Session** windows hash-shard by ``conv_id`` through the batch
+  operators' one keyed shuffle (:mod:`.exchange`) and run one vectorized
   islands pass per shard block — the same single-shuffle contract as
   op-derive.
 
@@ -61,7 +62,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
-from ..schema import select_agg, with_shard
+from ..schema import select_agg
+from . import exchange
 
 #: finalization thresholds: nothing final yet / the end-of-log flush
 BEFORE_ALL = int(np.iinfo(np.int64).min)
@@ -224,12 +226,9 @@ def session(
     the previous turn exceeds ``gap_us``. One shuffle (hash by conv_id) —
     projected down to (conv_id, ts) FIRST so the exchange never moves the
     text payload (~10× fewer shuffled bytes on transcript data)."""
-    slim = ds.map_batches(
-        lambda b: with_shard(b.select(["conv_id", ts_col]), num_shards),
-        batch_format="pyarrow",
-    )
-    return slim.groupby("shard").map_groups(
-        lambda g: session_islands(g, gap_us, ts_col), batch_format="pyarrow"
+    slim = ds.map_batches(lambda b: b.select(["conv_id", ts_col]), batch_format="pyarrow")
+    return exchange.shuffle(
+        slim, lambda g: session_islands(g, gap_us, ts_col), ["conv_id"], num_shards
     )
 
 
@@ -286,20 +285,20 @@ def session_salted(
     from .salt import with_salted_shard
 
     hot = frozenset(hot_convs)
-    slim = ds.map_batches(
-        lambda b: with_salted_shard(
+
+    def salted(b: pa.Table) -> pa.Table:
+        b = with_salted_shard(
             b.select(["conv_id", "turn_idx", ts_col]), num_shards, hot, salt_chunk
-        ),
-        batch_format="pyarrow",
-    )
-    partials = slim.groupby("shard").map_groups(
-        lambda g: session_islands(g, gap_us, ts_col), batch_format="pyarrow"
+        )
+        return b.select(["conv_id", ts_col]).append_column(exchange.PART_COL, b["shard"])
+
+    partials = exchange.shuffle(
+        ds.map_batches(salted, batch_format="pyarrow"),
+        lambda g: session_islands(g, gap_us, ts_col),
     )
 
     def _merge(g: pa.Table) -> pa.Table:
-        merged = merge_session_intervals(
-            g.drop_columns(["shard"]).to_pandas(), gap_us
-        )
+        merged = merge_session_intervals(g.to_pandas(), gap_us)
         out = pa.Table.from_pandas(merged, preserve_index=False)
         return pa.table(
             {
@@ -310,10 +309,7 @@ def session_salted(
             }
         )
 
-    resharded = partials.map_batches(
-        lambda b: with_shard(b, num_shards), batch_format="pyarrow"
-    )
-    return resharded.groupby("shard").map_groups(_merge, batch_format="pyarrow")
+    return exchange.shuffle(partials, _merge, ["conv_id"], num_shards)
 
 
 # --- streaming folds ---------------------------------------------------------
