@@ -93,13 +93,13 @@ def cmd_validate(args) -> int:
                 "value_cols_extra": last.get("value_cols_extra", {}),
             }
             # the run's own pin check; a resume adopts the recorded hot set
-            from .pipelines._microbatch import check_pins
+            from .pipelines._microbatch import check_pins, run_pins
             from .pipelines.runner import CaptureRunner
 
             runner = CaptureRunner(args.log_dir, cfg)
             try:
                 pins = {**runner.pins(), "hot_convs": last.get("hot_convs", [])}
-                check_pins(runner.ckpt, {**pins, "files_per_batch": args.files_per_batch})
+                check_pins(runner.ckpt, run_pins(pins, args.files_per_batch))
             except ImportError:
                 problems.append("polars unavailable: cannot verify checkpoint shard hash")
             except ValueError as ex:

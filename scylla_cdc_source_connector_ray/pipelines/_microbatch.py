@@ -65,7 +65,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..sources import windowed
-from ..state.checkpoint import Checkpoint, _atomic_write, write_table_atomic
+from ..state.checkpoint import STATE_FORMAT, Checkpoint, _atomic_write, write_table_atomic
 
 
 @dataclasses.dataclass
@@ -125,6 +125,13 @@ def check_pins(ckpt: Checkpoint, pins: dict) -> None:
             )
 
 
+def run_pins(pins: dict, files_per_batch: int) -> dict:
+    """Every pin a run commits and checks on resume: the runner's own
+    ``pins``, ``files_per_batch`` and the checkpoint's state file format.
+    The ``validate`` CLI checks the same set."""
+    return {**pins, "files_per_batch": files_per_batch, "state_format": STATE_FORMAT}
+
+
 def run_microbatches(
     ckpt: Checkpoint,
     log_dir: str,
@@ -146,7 +153,7 @@ def run_microbatches(
     and returns a numeric stats dict or a :class:`BatchResult`. Stats are
     summed per run (returned) and per stream (the manifest's ``cum``, so
     they survive resume). ``pins`` (see :func:`check_pins`) are committed
-    into every manifest with ``files_per_batch``.
+    into every manifest with the loop's own (:func:`run_pins`).
 
     ``tail=True`` (live polling): the listing stops at a concurrent writer's
     in-flight file (the next poll retries) and, if the runner passes
@@ -157,7 +164,7 @@ def run_microbatches(
     ``crash_before_commit_at=k`` simulates a hard kill after the k-th
     batch's writes but BEFORE its commit (the worst case for exactly-once)."""
     with checkpoint_lock(ckpt):
-        all_pins = {**pins, "files_per_batch": files_per_batch}
+        all_pins = run_pins(pins, files_per_batch)
         check_pins(ckpt, all_pins)
         last = ckpt.last_committed()
         pins_path = os.path.join(ckpt.dir, "pins.json")
@@ -261,22 +268,17 @@ def follow_microbatches(
 def read_committed_state(ckpt: Checkpoint, kind: str) -> list[pa.Table]:
     """Latest COMMITTED state snapshot per shard for ``kind`` — ONE
     definition of the manifest-gated state-read rule (a crashed attempt's
-    uncommitted state files are invisible: latest_state_path filters to
-    batch_id <= last committed). A checkpoint with no commit has no state:
+    uncommitted state files are invisible: only batch ids <= the last
+    committed one are read). A checkpoint with no commit has no state:
     ``[]``, the same rule the output readers follow."""
     last = ckpt.last_committed()
-    tables = []
-    root = os.path.join(ckpt.dir, kind)
-    if last is not None and os.path.isdir(root):
-        for d in sorted(os.listdir(root)):
-            if not d.startswith("shard="):
-                continue
-            p = ckpt.latest_state_path(
-                int(d.split("=", 1)[1]), before_batch=last["batch_id"] + 1, kind=kind
-            )
-            if p:
-                tables.append(pq.read_table(p))
-    return tables
+    if last is None:
+        return []
+    loaded = (
+        ckpt.load_state(shard, before_batch=last["batch_id"] + 1, kind=kind)
+        for shard in ckpt.state_shards(kind)
+    )
+    return [t for t in loaded if t is not None]
 
 
 def committed_sink_files(ckpt: Checkpoint, sink_dir: str) -> list[str]:
@@ -552,8 +554,7 @@ def _fold_shard(
     if t.num_rows == 0:
         return _returns([metrics, *(t for _ in blocks)])
     ck = Checkpoint(ckpt_dir)  # path math only: construction touches no file
-    paths = {kind: ck.latest_state_path(shard, before_batch=batch_id, kind=kind) for kind in kinds}
-    priors = {kind: pq.read_table(p) if p else None for kind, p in paths.items()}
+    priors = {kind: ck.load_state(shard, before_batch=batch_id, kind=kind) for kind in kinds}
     t0 = time.perf_counter()
     sinks, states, stats = fold(shard, _as_format(t, fmt), priors)
     metrics["fold_s"] = time.perf_counter() - t0

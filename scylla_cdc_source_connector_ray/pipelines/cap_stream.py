@@ -45,10 +45,9 @@ def saturated_keys(runner, batch_id: int, kind: str, key_col: str, k: int) -> pa
     Size is bounded by total-admitted / k."""
     arrs: list[pa.Array] = []
     for shard in range(runner.num_shards):
-        p = runner.ckpt.latest_state_path(shard, before_batch=batch_id, kind=kind)
-        if not p:
+        st = runner.ckpt.load_state(shard, before_batch=batch_id, kind=kind)
+        if st is None:
             continue
-        st = pq.read_table(p)
         sat = st.filter(pc.greater_equal(st["n_admitted"], k))[key_col]
         if len(sat):
             arrs.append(sat.combine_chunks())

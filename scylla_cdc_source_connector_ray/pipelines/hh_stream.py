@@ -113,14 +113,8 @@ class HeavyHittersStreamRunner(KeyedStateRunner):
         }
 
     def process(self, batch_id: int, bfiles: list[str]) -> dict:
-        prev = self.ckpt.latest_state_path(
-            0, before_batch=batch_id, kind=self.STATE_KIND
-        )
-        state = (
-            _summary_from_table(pq.read_table(prev), self.m)
-            if prev
-            else SpaceSaving(self.m)
-        )
+        prev = self.ckpt.load_state(0, before_batch=batch_id, kind=self.STATE_KIND)
+        state = _summary_from_table(prev, self.m) if prev is not None else SpaceSaving(self.m)
         n_before = state.n
         # one task per file (deterministic partial unit), merged in the
         # batch's pinned file order

@@ -1043,18 +1043,14 @@ class CaptureRunner:
         nb = last["batch_id"] + 1
         wms = last.get("watermarks", {})
         for kind in kinds:
-            d = os.path.join(self.ckpt.dir, kind.state)
-            shards = os.listdir(d) if os.path.isdir(d) else []
-            for shard in sorted(int(x.split("=", 1)[1]) for x in shards if x.startswith("shard=")):
-                path = self.ckpt.latest_state_path(shard, nb, kind=kind.state)
-                if path is None:
+            for shard in self.ckpt.state_shards(kind.state):
+                state = self.ckpt.load_state(shard, nb, kind=kind.state)
+                if state is None:
                     continue
                 # the state holds what the last fold kept: fold it as the
                 # partials of an empty state with the threshold at +∞
                 key = f"{kind.ns}{shard}" if kind.salted else str(shard)
-                emitted, _ = kind.core.fold(
-                    pq.read_table(path), None, _threshold(wms, key, self.cfg), AFTER_ALL
-                )
+                emitted, _ = kind.core.fold(state, None, _threshold(wms, key, self.cfg), AFTER_ALL)
                 out = _windows_sink(emitted, shard)
                 if out is not None:
                     write_table_atomic(out, os.path.join(tmp_root, kind.out, f"shard={shard}.parquet"))

@@ -192,10 +192,10 @@ class SegmentDedupStreamRunner(KeyedStateRunner):
                     continue
                 lo = st.min if lo is None else min(lo, st.min)
                 hi = st.max if hi is None else max(hi, st.max)
-        prev_path = self.ckpt.latest_state_path(0, before_batch=batch_id, kind="idrg")
+        prev = self.ckpt.load_state(0, before_batch=batch_id, kind="idrg")
         prev_max = None
-        if prev_path:
-            col = pq.read_table(prev_path)["max_id"]
+        if prev is not None:
+            col = prev["max_id"]
             prev_max = col[0].as_py() if len(col) else None
         if prev_max is not None and lo is not None and lo <= prev_max:
             raise ValueError(

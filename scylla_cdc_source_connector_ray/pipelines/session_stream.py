@@ -95,10 +95,10 @@ class SessionStreamRunner(KeyedStateRunner):
                     continue
                 lo = st.min if lo is None else min(lo, st.min)
                 hi = st.max if hi is None else max(hi, st.max)
-        prev_path = self.ckpt.latest_state_path(0, before_batch=batch_id, kind="tsrg")
+        prev = self.ckpt.load_state(0, before_batch=batch_id, kind="tsrg")
         prev_max = None
-        if prev_path:
-            col = pq.read_table(prev_path)["max_ts_us"]
+        if prev is not None:
+            col = prev["max_ts_us"]
             prev_max = col[0].as_py() if len(col) else None
         lo_us = None if lo is None else int(pd.Timestamp(lo).value // 1000)
         hi_us = None if hi is None else int(pd.Timestamp(hi).value // 1000)

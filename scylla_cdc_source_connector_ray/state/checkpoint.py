@@ -4,8 +4,20 @@ heartbeats ``ScyllaWorkerTransport.java:58-79``).
 
 Layout under ``checkpoint_dir``::
 
+    pins.json                      # the first run's pins, until its first commit
     manifest/batch-000007.json     # committed micro-batch 7 (atomic rename)
-    state/shard=3/batch-000007.parquet   # last CDC row per key, after batch 7
+    metrics/batch-000007.json      # batch 7's lineage metrics
+    <kind>/shard=3/batch-000007.arrow    # shard 3's ``kind`` state after batch 7
+
+``kind`` namespaces a runner's state tables: "state" (last CDC row per key),
+"wstate" (window panes), "cstate" (per-conversation store), "seen" (the
+dedup stream's hash set), and so on. State files are engine-private: they
+are written whole and read back whole, never scanned by column, so they are
+uncompressed Arrow IPC files (:data:`STATE_FORMAT`, pinned in every
+manifest) in the engine's in-memory layout rather than Parquet. Sinks and
+the log stay Parquet, the public contract. Only this module knows the state
+file format: runners go through :meth:`Checkpoint.write_state` and
+:meth:`Checkpoint.load_state`.
 
 Commit protocol (exactly-once, SURVEY.md §7.4): data files → state files →
 manifest, each via write-to-temp + ``os.rename`` (atomic on POSIX). A crash
@@ -23,6 +35,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+
+import pyarrow as pa
+
+#: Identity of the state file format, committed as the ``state_format`` pin:
+#: a checkpoint whose state was written in another format (Parquet, before
+#: this one) refuses to resume instead of folding from empty state.
+STATE_FORMAT = "arrow-ipc-file"
+_STATE_EXT = ".arrow"
 
 
 def _batch_num(fname: str) -> int:
@@ -47,7 +67,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def write_table_atomic(table, path: str) -> None:
     """Parquet write under a temp name, then rename into place (atomic on
-    POSIX): a reader never sees a half-written state or sink file. Calls
+    POSIX): a reader never sees a half-written sink file. Calls
     ``pq.write_table`` through the module attribute so tracing wrappers
     installed on it see every write."""
     import pyarrow.parquet as pq
@@ -56,6 +76,23 @@ def write_table_atomic(table, path: str) -> None:
     tmp = path + ".tmp"
     pq.write_table(table, tmp)
     os.rename(tmp, path)
+
+
+def _write_state_file(table: pa.Table, path: str) -> None:
+    """Uncompressed Arrow IPC file under a temp name, then rename into
+    place, as :func:`write_table_atomic` does for Parquet."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    with pa.OSFile(tmp, "wb") as f, pa.ipc.new_file(f, table.schema) as w:
+        w.write_table(table)
+    os.rename(tmp, path)
+
+
+def read_state_file(path: str) -> pa.Table:
+    """One state file, memory-mapped. Every state write renames a new inode
+    into place, so a mapped file is never rewritten under its reader."""
+    with pa.memory_map(path) as src:
+        return pa.ipc.open_file(src).read_all()
 
 
 class Checkpoint:
@@ -92,27 +129,38 @@ class Checkpoint:
     # --- per-shard state files ---------------------------------------------
 
     def state_path(self, shard: int, batch_id: int, kind: str = "state") -> str:
-        return os.path.join(self.dir, kind, f"shard={shard}", f"batch-{batch_id:06d}.parquet")
+        return os.path.join(self.dir, kind, f"shard={shard}", f"batch-{batch_id:06d}{_STATE_EXT}")
 
-    def latest_state_path(self, shard: int, before_batch: int, kind: str = "state") -> str | None:
+    def state_shards(self, kind: str) -> list[int]:
+        """The shards that have a ``kind`` state directory, in order."""
+        d = os.path.join(self.dir, kind)
+        names = os.listdir(d) if os.path.isdir(d) else []
+        return sorted(int(x.split("=", 1)[1]) for x in names if x.startswith("shard="))
+
+    def _latest_state_path(self, shard: int, before_batch: int, kind: str) -> str | None:
         """Newest state file for ``shard`` with batch_id < ``before_batch``
-        (a shard with no rows in a batch writes no file — fall back further).
-        ``kind`` namespaces independent state tables: "state" (per-key row
-        state), "wstate" (window panes), "cstate" (per-conversation store)."""
+        (a shard with no rows in a batch writes no file — fall back further)."""
         d = os.path.join(self.dir, kind, f"shard={shard}")
         if not os.path.isdir(d):
             return None
         best = None
         for f in os.listdir(d):
-            if f.startswith("batch-") and f.endswith(".parquet"):
+            if f.startswith("batch-") and f.endswith(_STATE_EXT):
                 b = _batch_num(f)  # numeric parse: ids may outgrow the padding
                 if b < before_batch and (best is None or b > best):
                     best = b
-        return os.path.join(d, f"batch-{best:06d}.parquet") if best is not None else None
+        return self.state_path(shard, best, kind) if best is not None else None
+
+    def load_state(self, shard: int, before_batch: int, kind: str = "state") -> pa.Table | None:
+        """``shard``'s newest ``kind`` state from before ``before_batch``, or
+        None if it has none. Passing the last committed batch id + 1 reads
+        committed state only: a crashed attempt's files are invisible."""
+        path = self._latest_state_path(shard, before_batch, kind)
+        return read_state_file(path) if path is not None else None
 
     def write_state(self, shard: int, batch_id: int, table, kind: str = "state") -> None:
         """Atomic per-shard state write (temp + rename)."""
-        write_table_atomic(table, self.state_path(shard, batch_id, kind))
+        _write_state_file(table, self.state_path(shard, batch_id, kind))
 
     def gc_state(self, keep_batches: int = 2) -> None:
         """Drop state files older than the newest ``keep_batches`` per shard,
@@ -135,7 +183,7 @@ class Checkpoint:
                     continue
                 d = os.path.join(kd, sd)
                 files = sorted(
-                    (f for f in os.listdir(d) if f.endswith(".parquet")), key=_batch_num
+                    (f for f in os.listdir(d) if f.endswith(_STATE_EXT)), key=_batch_num
                 )
                 for f in files[:-keep_batches]:
                     os.unlink(os.path.join(d, f))

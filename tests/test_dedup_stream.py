@@ -171,11 +171,11 @@ def test_seen_state_is_gc_pruned(tmp_path):
     log = _write_log(tmp, [_mk([i], [f"t{i}"]) for i in range(5)])
     r = _runner(tmp, log)
     r.run(files_per_batch=1)
-    seen_root = os.path.join(tmp, "r", "ckpt", "seen")
-    assert os.path.isdir(seen_root)
-    for sd in os.listdir(seen_root):
-        files = [f for f in os.listdir(os.path.join(seen_root, sd)) if f.endswith(".parquet")]
-        assert len(files) <= 2, (sd, files)  # gc keeps 2 batches per shard
+    shards = r.ckpt.state_shards("seen")
+    assert shards
+    for shard in shards:
+        kept = [b for b in range(5) if os.path.exists(r.ckpt.state_path(shard, b, "seen"))]
+        assert 1 <= len(kept) <= 2, (shard, kept)  # gc keeps 2 batches per shard
 
 
 def test_files_per_batch_change_is_rejected(tmp_path):
@@ -198,7 +198,7 @@ def test_checkpoint_construction_creates_nothing(tmp_path):
     ck = Checkpoint(missing)
     assert not os.path.exists(os.path.dirname(missing))
     assert ck.last_committed() is None
-    assert ck.latest_state_path(0, before_batch=5, kind="seen") is None
+    assert ck.load_state(0, before_batch=5, kind="seen") is None
     tmp = str(tmp_path)
     log = _write_log(tmp, [_mk([0, 1], ["a", "b"]), _mk([2], ["a"])])
     r = _runner(tmp, log)

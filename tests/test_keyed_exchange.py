@@ -442,10 +442,11 @@ def _merge_stage_never_ran(ck, out):
     # no salted merge wrote state for it
     assert os.listdir(os.path.join(out, "batch-000001"))
     assert ck.last_committed()["batch_id"] == 0
-    for kind in ("wstate", "sessstate", "cstate_hot"):
-        root = os.path.join(ck.dir, kind)
-        for d in os.listdir(root) if os.path.isdir(root) else []:
-            assert "batch-000001.parquet" not in os.listdir(os.path.join(root, d))
+    kinds = ("wstate", "sessstate", "cstate_hot")
+    assert any(os.path.exists(ck.state_path(s, 0, k)) for k in kinds for s in ck.state_shards(k))
+    for kind in kinds:
+        for shard in ck.state_shards(kind):
+            assert not os.path.exists(ck.state_path(shard, 1, kind))
 
 
 def _batch1_committed(ck, out):
@@ -532,10 +533,7 @@ def _chained_second_stage_never_ran(kind):
     def check(ck, out):
         assert ck.last_committed()["batch_id"] == 0
         assert not os.path.exists(os.path.join(out, "batch-000001"))
-        root = os.path.join(ck.dir, kind)
-        assert any(
-            "batch-000001.parquet" in os.listdir(os.path.join(root, d)) for d in os.listdir(root)
-        )
+        assert any(os.path.exists(ck.state_path(s, 1, kind)) for s in ck.state_shards(kind))
 
     return check
 
@@ -575,7 +573,7 @@ def test_capture_bucketed_shard_without_file_commits(tmp_path):
     assert runner.run()["batches"] == 2
     assert runner.ckpt.last_committed()["batch_id"] == 1
     state2 = os.listdir(os.path.join(ck, "state", "shard=2"))
-    assert state2 == ["batch-000000.parquet"]
+    assert state2 == [os.path.basename(runner.ckpt.state_path(2, 0))]
     assert sorted(os.listdir(os.path.join(out, "batch-000001"))) == [
         "shard=0.parquet",
         "shard=1.parquet",

@@ -13,6 +13,7 @@ from scylla_cdc_source_connector_ray.config import EngineConfig
 from scylla_cdc_source_connector_ray.pipelines.runner import CaptureRunner
 from scylla_cdc_source_connector_ray.sources.synthetic import generate, write_windowed
 from scylla_cdc_source_connector_ray.stages.envelope import flatten_envelope
+from scylla_cdc_source_connector_ray.state.checkpoint import Checkpoint
 from tests.oracle import cdc_oracle
 
 
@@ -740,7 +741,6 @@ def test_microbatch_tail_drops_in_flight_file(tmp_path):
     """The shared lean-runner protocol (run_microbatches tail=True) must drop
     unreadable trailing files from the listing and retry next poll."""
     from scylla_cdc_source_connector_ray.pipelines._microbatch import run_microbatches
-    from scylla_cdc_source_connector_ray.state.checkpoint import Checkpoint
 
     log = tmp_path / "log"
     log.mkdir()
@@ -860,16 +860,13 @@ def test_read_output_is_committed_only(tmp_path):
     assert fresh.read_output_ds().count() == 0
 
 
-def _to_large_strings(path: str) -> int:
-    """Rewrite a state file with its string columns as large_string, the
-    encoding earlier releases wrote from their sort-shuffle blocks; returns
-    its row count."""
-    t = pq.read_table(path)
+def _to_large_strings(t: pa.Table) -> pa.Table:
+    """``t`` with its string columns as large_string, the encoding earlier
+    releases wrote from their sort-shuffle blocks."""
     schema = pa.schema(
         [pa.field(f.name, pa.large_string()) if pa.types.is_string(f.type) else f for f in t.schema]
     )
-    pq.write_table(t.cast(schema), path)
-    return t.num_rows
+    return t.cast(schema)
 
 
 def _upgrade_resume(tmp_path, log, cfg_kw, kind, run_kw=None) -> CaptureRunner:
@@ -878,8 +875,12 @@ def _upgrade_resume(tmp_path, log, cfg_kw, kind, run_kw=None) -> CaptureRunner:
         sink_dir=str(tmp_path / "up_out"), checkpoint_dir=str(tmp_path / "up_ckpt"), **cfg_kw
     )
     CaptureRunner(log, cfg).run(max_batches=1, **(run_kw or {}))
-    root = tmp_path / "up_ckpt" / kind
-    rows = sum(_to_large_strings(str(p)) for p in sorted(root.glob("shard=*/batch-000000.parquet")))
+    ck = Checkpoint(cfg.checkpoint_dir)
+    rows = 0
+    for shard in ck.state_shards(kind):
+        state = ck.load_state(shard, before_batch=1, kind=kind)
+        ck.write_state(shard, 0, _to_large_strings(state), kind=kind)
+        rows += state.num_rows
     assert rows > 0  # a non-empty carry crosses the upgrade
     runner = CaptureRunner(log, cfg)
     assert runner.run(**(run_kw or {}))["batches"] == 1
@@ -948,8 +949,8 @@ def test_large_string_log_file_folds_onto_string_state(tmp_path):
     write_windowed(t, str(tmp_path / "log"), num_files=2)
     clean = CaptureRunner(str(tmp_path / "log"), _cfg(tmp_path, num_shards=3))
     clean.run()
-    later = sorted((tmp_path / "log").iterdir())[1]
-    _to_large_strings(str(later))
+    later = str(sorted((tmp_path / "log").iterdir())[1])
+    pq.write_table(_to_large_strings(pq.read_table(later)), later)
     cfg = EngineConfig(
         num_shards=3, sink_dir=str(tmp_path / "ls_out"), checkpoint_dir=str(tmp_path / "ls_ckpt")
     )

@@ -10,12 +10,13 @@ conversation-keyed panes, each with a late row).
 Runs every case on a tiny 4-window log, one file per batch unless the case
 sets its own ``files_per_batch``, crashing once before the commit of batch
 1 and then resuming (capture cases then flush their windows), and prints
-one ``<case> <path> <md5> <content-md5>`` line per sink and state parquet
+one ``<case> <path> <md5> <content-md5>`` line per sink and state file
 it leaves (the content md5 hashes the table's Arrow IPC stream with
-the schema metadata dropped, so files that differ only by the pandas
-metadata block compare equal on it), and one ``<case> <path> <key>=<json>``
-line per top-level key of ``pins.json`` and the manifests, so that an added
-manifest key shows up as an added line (``metrics/*.json`` records wall
+the schema metadata dropped and list children named ``item``, so files
+that differ only by the pandas metadata block, or only by their file
+format, compare equal on it), and one ``<case> <path> <key>=<json>``
+line per top-level key of ``pins.json`` and the manifests, so that an
+added manifest key shows up as an added line (``metrics/*.json`` records wall
 seconds and ``runner.lock`` is an empty lock file; both are skipped). Run it
 on two checkouts and diff the outputs: a refactor of the runners must print
 the same lines.
@@ -314,13 +315,40 @@ def _capture_cases():
     }
 
 
-def _content_md5(path: str) -> str:
-    """md5 of the table's IPC stream without schema metadata."""
-    import pyarrow as pa
+def _read(path: str):
+    """A sink file through Parquet, a checkpoint state file through the
+    checkpoint's own reader (a tree from before the IPC state format has
+    none, and its state files are Parquet)."""
     import pyarrow.parquet as pq
 
-    t = pq.read_table(path)
-    t = t.replace_schema_metadata(None).combine_chunks()
+    if path.endswith(".parquet"):
+        return pq.read_table(path)
+    from scylla_cdc_source_connector_ray.state.checkpoint import read_state_file
+
+    return read_state_file(path)
+
+
+def _item_named(typ):
+    """``typ`` with every list's child field named ``item``: Parquet reads a
+    list's child back as ``element`` where Arrow IPC keeps ``item``."""
+    import pyarrow as pa
+
+    if pa.types.is_list(typ) or pa.types.is_large_list(typ):
+        make = pa.list_ if pa.types.is_list(typ) else pa.large_list
+        v = typ.value_field
+        return make(pa.field("item", _item_named(v.type), v.nullable))
+    if pa.types.is_struct(typ):
+        return pa.struct([f.with_type(_item_named(f.type)) for f in typ])
+    return typ
+
+
+def _content_md5(path: str) -> str:
+    """md5 of the table's IPC stream without schema metadata, with list
+    children named ``item`` whichever format the file is in."""
+    import pyarrow as pa
+
+    t = _read(path).replace_schema_metadata(None).combine_chunks()
+    t = t.cast(pa.schema([f.with_type(_item_named(f.type)) for f in t.schema]))
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
