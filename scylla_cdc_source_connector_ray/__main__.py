@@ -156,6 +156,13 @@ def cmd_metrics(args) -> int:
         "sec_max": round(secs[-1], 3),
         **{f"total_{k}": v for k, v in sorted(totals.items())},
     }
+    # the exchange's per-batch fold and I/O metrics (_microbatch.exchange_metrics):
+    # the median batch and the worst one
+    for k in ("fold_passes", "fold_s_max", "io_s_max", "io_bytes_max"):
+        vals = sorted(b[k] for b in batches if k in b)
+        if vals:
+            out[f"batch_{k}_p50"] = vals[len(vals) // 2]
+            out[f"batch_{k}_max"] = vals[-1]
     from .state.checkpoint import Checkpoint
 
     last = Checkpoint(args.checkpoint).last_committed()

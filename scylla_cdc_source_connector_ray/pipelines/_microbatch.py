@@ -36,15 +36,23 @@ with at most :data:`SPLIT_ROWS` rows runs both stages in one task, so a
 small batch costs one task, where the two-stage graph costs 2 + partitions
 tasks and a Ray Data plan tens of milliseconds per operator (Drizzle,
 Venkataraman et al., SOSP'17, amortizes per-batch scheduling the same way).
-Stage 2 is always the one load-fold-write body (:func:`_fold_shard`): load
-the prior table of each declared state kind, run a pure fold, write the
-new states and the named sinks, and hand any tables the fold marks as
-blocks to a chained exchange. The lean runners reach it through
-:meth:`KeyedStateRunner.keyed`; the composed runners (curation, segment,
-substring) chain a second exchange over the blocks the first returns, and
-``CaptureRunner`` runs its shard stage and its salted merge and fixup
-stages through it with folds of its own. No streaming runner builds a Ray
-Data plan per batch.
+Stage 2 is always the one load-fold-write body (:func:`_fold_task`) over
+the partitions of its task: load the prior table of each declared state
+kind per partition, call a pure task fold ONCE with every partition's rows
+and priors, then write each partition's new states and named sinks and
+hand any tables the fold marks as blocks to a chained exchange. On the
+one-task path the fold sees every partition of the batch, so a fold that
+runs its kernels once over all of them (``CaptureRunner``'s, as a window
+operator shared by all queries does in General Stream Slicing, Traub et
+al., EDBT'19) pays their fixed cost once per batch, not once per
+partition; what stays per partition is its file I/O. The lean runners
+reach the body through :meth:`KeyedStateRunner.keyed`, whose task fold
+loops over their per-partition ``fold(rows, prior)``; the composed runners
+(curation, segment, substring) chain a second exchange over the blocks the
+first returns, and ``CaptureRunner`` runs its shard stage and its salted
+merge and fixup stages through it with folds of its own (per-partition
+folds go in through :func:`each_partition`). No streaming runner builds a
+Ray Data plan per batch.
 """
 
 from __future__ import annotations
@@ -337,18 +345,20 @@ def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None
 
 
 #: Rows one task takes. A batch of log files with at most this many rows in
-#: all (footer counts) runs as one task that routes, splits and folds every
-#: partition (:func:`_route_fold`). A larger batch runs as the two-stage
-#: graph, and a file of ``rows`` rows is read there as ``min(2 * num_shards,
+#: all (footer counts) runs as one task that routes and splits every file,
+#: then folds every partition in one fold call (:func:`_route_fold`). A
+#: larger batch runs as the two-stage graph, one fold task per partition,
+#: and a file of ``rows`` rows is read there as ``min(2 * num_shards,
 #: ceil(rows / SPLIT_ROWS))`` slices, each routed by its own task, so a
 #: large batch keeps its parallelism.
 #:
 #: The one-task cutoff reuses the slice size; it is not a measured
 #: crossover. On one CPU the one task was faster at every size tried (6k
 #: to 66k rows, 4 and 64 partitions), so there the cutoff only caps the
-#: work that gives up parallelism. On many CPUs the one task runs up to
-#: ``n`` folds one after another where the graph runs them side by side;
-#: that trade is unmeasured.
+#: work that gives up parallelism. On many CPUs the one task runs one fold
+#: call and every partition's state and sink I/O in one process, where the
+#: graph spreads the partitions over CPUs; that trade is unmeasured beyond
+#: what ``tools/batch_cost.py --cpus N`` shows.
 SPLIT_ROWS = 16_384
 
 
@@ -422,17 +432,17 @@ def _route_and_split(src, route, fmt: str, shard_col: str, n: int, columns: list
     return _by_partition(t, shard_col, n)
 
 
-def _reduce_parts(partition: int, body, parts: list):
+def _partition_rows(partition: int, parts) -> tuple[int, pa.Table, int]:
     """One partition's parts in order — Arrow parts, or the files of a
     pre-partitioned input, read here under a
-    :class:`..state.retry.RetryPolicy` — concatenated and handed to
-    ``body(partition, rows, len(parts))``."""
+    :class:`..state.retry.RetryPolicy` — as ``(partition, rows, n_parts)``
+    for the stage-2 body."""
     if parts and isinstance(parts[0], str):
         from ..state.retry import RetryPolicy
 
         retry = RetryPolicy()
         parts = [retry.call(lambda path=path: pq.read_table(path)) for path in parts]
-    return body(partition, pa.concat_tables(parts, promote_options="permissive"), len(parts))
+    return partition, pa.concat_tables(parts, promote_options="permissive"), len(parts)
 
 
 @ray.remote
@@ -443,25 +453,21 @@ def _route_split(src, route, fmt: str, shard_col: str, n: int, columns: list[str
 
 @ray.remote
 def _reduce(partition: int, body, *parts):
-    """Stage 2: :func:`_reduce_parts` over one partition's parts."""
-    return _reduce_parts(partition, body, parts)
+    """Stage 2: the body over one partition's parts."""
+    return _returns(body([_partition_rows(partition, parts)]))
 
 
 @ray.remote
 def _route_fold(
-    paths: list[str], route, fmt: str, shard_col: str, n: int, columns: list[str] | None,
-    body, n_out: int,
+    paths: list[str], route, fmt: str, shard_col: str, n: int, columns: list[str] | None, body,
 ):
     """Both stages in one task: every file of ``paths`` is read, routed and
-    split (``route`` built once), then ``body`` runs per partition ``0..n-1``
-    over that partition's parts in file order. Returns the ``n_out``
-    stage-2 values of each partition, partition after partition."""
+    split (``route`` built once), then the body runs once over partitions
+    ``0..n-1``, each with its parts in file order. Returns the stage-2
+    values of each partition, partition after partition."""
     fn = route() if isinstance(route, type) else route
     parts = [_route_and_split(path, fn, fmt, shard_col, n, columns) for path in paths]
-    out = []
-    for p in range(n):
-        out += _refs(_reduce_parts(p, body, [sp[p] for sp in parts]), n_out)
-    return _returns(out)
+    return _returns(body([_partition_rows(p, [sp[p] for sp in parts]) for p in range(n)]))
 
 
 def exchange(
@@ -482,11 +488,13 @@ def exchange(
     num_shards: int | None = None,
 ) -> list:
     """The keyed exchange as a two-stage graph of plain Ray tasks (one task
-    for a small batch of log files), with the load-fold-write body (:func:`_fold_shard`: ``fold`` over state
-    ``kinds``, sinks ``sink_dir/<sink>/batch-B/<name>.parquet``) as stage
-    2; returns one stage-2 result per partition, in partition order: a ref
-    to the partition's metrics, or with ``blocks`` a list of refs
-    ``[metrics, *blocks]`` (see :func:`gather`).
+    for a small batch of log files), with the load-fold-write body
+    (:func:`_fold_task`: the task fold ``fold`` over state ``kinds``, sinks
+    ``sink_dir/<sink>/batch-B/<name>.parquet``) as stage 2; returns one
+    stage-2 result per partition, in partition order: a ref to the
+    partition's metrics, or with ``blocks`` a list of refs ``[metrics,
+    *blocks]`` (see :func:`gather`). A per-partition fold goes in through
+    :func:`each_partition`.
 
     ``inputs`` is a list of log file paths (read with ``columns``) or block
     refs. Stage 1, per slice: ``route`` over the rows (``fmt``; None when
@@ -496,19 +504,20 @@ def exchange(
     table for an empty partition.
 
     Log files with at most :data:`SPLIT_ROWS` rows in all run both stages
-    in one task (:func:`_route_fold`), with ``route`` and the body passed as
-    plain arguments. Otherwise each file is cut into :func:`slices` of at
-    most ``2 * num_shards`` (default ``n``) before any task runs: a
-    one-slice file is read and routed in one task, a larger one is read by
-    one task and routed per slice. On this two-stage graph, ``route`` and
-    the body (with whatever the fold closes over) go to the object store
-    once per call, not once per task.
+    in one task (:func:`_route_fold`), which calls the fold once for every
+    partition, with ``route`` and the body passed as plain arguments.
+    Otherwise each file is cut into :func:`slices` of at most ``2 *
+    num_shards`` (default ``n``) before any task runs: a one-slice file is
+    read and routed in one task, a larger one is read by one task and
+    routed per slice, and each partition is folded by a task of its own.
+    On this two-stage graph, ``route`` and the body (with whatever the fold
+    closes over) go to the object store once per call, not once per task.
 
     A pre-partitioned input (``{partition: [file paths]}``, a bucketed log)
     skips stage 1: one stage-2 task per listed partition reads its own
     files."""
     body = functools.partial(
-        _fold_shard, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
+        _fold_task, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
         ckpt_dir=ckpt_dir, sink_dir=sink_dir, name=name, blocks=blocks,
     )
     n_out = 1 + len(blocks)
@@ -516,7 +525,7 @@ def exchange(
         rows = [pq.read_metadata(src).num_rows if isinstance(src, str) else None for src in inputs]
         if inputs and None not in rows and sum(rows) <= SPLIT_ROWS:
             one = _route_fold.options(num_returns=n * n_out)
-            refs = _refs(one.remote(inputs, route, fmt, shard_col, n, columns, body, n_out), n * n_out)
+            refs = _refs(one.remote(inputs, route, fmt, shard_col, n, columns, body), n * n_out)
             return refs if n_out == 1 else [refs[p * n_out:(p + 1) * n_out] for p in range(n)]
     body_ref = ray.put(body)
     reduce = _reduce.options(num_returns=n_out)
@@ -532,41 +541,84 @@ def exchange(
     return [reduce.remote(p, body_ref, *(sp[p] for sp in parts)) for p in range(n)]
 
 
-def _fold_shard(
-    shard: int, t: pa.Table, n_parts: int, *,
+def _fold_task(
+    parts: list[tuple[int, pa.Table, int]], *,
     batch_id: int, fold: Callable, fmt: str, kinds: tuple[str, ...], ckpt_dir: str,
     sink_dir: str | None, name: str, blocks: tuple[str, ...],
-):
-    """The one stage-2 body, load → fold → write, for every runner. It
-    loads the prior table of each state kind in ``kinds`` (the newest file
-    before this batch, None if absent) and calls ``fold(shard, rows,
-    priors) -> (sinks, states, stats)``: each non-None state table is
-    written under this batch id, each non-None sink table to
+) -> list:
+    """The one stage-2 body, load → fold → write, for every runner, over
+    the partitions of one task (``(partition, rows, n_parts)`` each, in
+    partition order). For each partition with rows it loads the prior table
+    of each state kind in ``kinds`` (the newest file before this batch,
+    None if absent); then it calls the task fold ONCE, ``fold({partition:
+    rows}, {partition: priors}) -> {partition: (sinks, states, stats)}``,
+    and writes each partition's outputs in partition order: each non-None
+    state table under this batch id, each non-None sink table to
     ``sink_dir/<sink>/batch-B/<name>.parquet`` (``name`` formatted with the
-    partition; sink ``""`` is ``sink_dir`` itself), except the sinks named in
-    ``blocks``, which are returned as Arrow blocks for a chained exchange.
-    Returns the partition's metrics ``{"stats", "rows", "fold_s" (the fold
-    alone, not its state I/O), "slices", "blocks" (the block names the fold
-    returned)}``, followed by one entry per block when ``blocks``. A
-    partition with no rows runs no fold and writes nothing (``stats`` None;
-    each block is its empty rows)."""
-    metrics = {"stats": None, "rows": t.num_rows, "fold_s": 0.0, "slices": n_parts, "blocks": ()}
-    if t.num_rows == 0:
-        return _returns([metrics, *(t for _ in blocks)])
+    partition; sink ``""`` is ``sink_dir`` itself), except the sinks named
+    in ``blocks``, which are returned as Arrow blocks for a chained
+    exchange.
+
+    Returns, per partition, its metrics ``{"stats", "rows", "slices",
+    "blocks" (the block names the fold returned), "fold_s", "passes",
+    "io_s", "io_bytes"}`` followed by one entry per block when ``blocks``.
+    ``fold_s`` is the seconds of the fold call that folded the partition
+    (shared by every partition of the task, not its own share), and
+    ``passes`` is 1 on the first partition of that call, 0 elsewhere, so
+    summing it counts fold calls. ``io_s`` is the partition's state load,
+    state write and sink write seconds; ``io_bytes`` the Arrow bytes of the
+    tables it loaded and wrote. A partition with no rows is not folded and
+    writes nothing (``stats`` None; each block is its empty rows)."""
     ck = Checkpoint(ckpt_dir)  # path math only: construction touches no file
-    priors = {kind: ck.load_state(shard, before_batch=batch_id, kind=kind) for kind in kinds}
+    live = [p for p, t, _ in parts if t.num_rows]
+    priors, io_s, io_bytes = {}, {}, {}
+    for p in live:
+        t0 = time.perf_counter()
+        priors[p] = {kind: ck.load_state(p, before_batch=batch_id, kind=kind) for kind in kinds}
+        io_s[p] = time.perf_counter() - t0
+        io_bytes[p] = sum(t.nbytes for t in priors[p].values() if t is not None)
+    rows = {p: _as_format(t, fmt) for p, t, _ in parts if t.num_rows}
     t0 = time.perf_counter()
-    sinks, states, stats = fold(shard, _as_format(t, fmt), priors)
-    metrics["fold_s"] = time.perf_counter() - t0
-    for kind, state in states.items():
-        if state is not None:
-            ck.write_state(shard, batch_id, state, kind=kind)
-    for sink, out in sinks.items():
-        if out is not None and sink not in blocks:
-            write_sink(os.path.join(sink_dir, sink), batch_id, name.format(shard), out)
-    out = [sinks.get(b) for b in blocks]
-    metrics.update(stats=stats, blocks=tuple(b for b, x in zip(blocks, out) if x is not None))
-    return _returns([metrics, *(None if x is None else _as_format(x, "pyarrow") for x in out)])
+    folded = fold(rows, priors) if live else {}
+    fold_s = time.perf_counter() - t0
+    out = []
+    for p, t, n_parts in parts:
+        metrics = {
+            "stats": None, "rows": t.num_rows, "slices": n_parts, "blocks": (),
+            "fold_s": 0.0, "passes": 0, "io_s": 0.0, "io_bytes": 0,
+        }
+        if not t.num_rows:
+            out += [metrics, *(t for _ in blocks)]
+            continue
+        sinks, states, stats = folded[p]
+        t0 = time.perf_counter()
+        for kind, state in states.items():
+            if state is not None:
+                ck.write_state(p, batch_id, state, kind=kind)
+                io_bytes[p] += state.nbytes
+        for sink, table in sinks.items():
+            if table is not None and sink not in blocks:
+                write_sink(os.path.join(sink_dir, sink), batch_id, name.format(p), table)
+                io_bytes[p] += table.nbytes
+        got = [sinks.get(b) for b in blocks]
+        metrics.update(
+            stats=stats, blocks=tuple(b for b, x in zip(blocks, got) if x is not None),
+            fold_s=fold_s, passes=int(p == live[0]), io_s=io_s[p] + time.perf_counter() - t0,
+            io_bytes=io_bytes[p],
+        )
+        out += [metrics, *(None if x is None else _as_format(x, "pyarrow") for x in got)]
+    return out
+
+
+def each_partition(fold: Callable) -> Callable:
+    """A per-partition fold ``fold(partition, rows, priors) -> (sinks,
+    states, stats)`` as a task fold for :func:`exchange`: called once per
+    partition of the task, in partition order."""
+    return functools.partial(_each_partition, fold)
+
+
+def _each_partition(fold: Callable, rows: dict, priors: dict) -> dict:
+    return {p: fold(p, t, priors[p]) for p, t in rows.items()}
 
 
 def gather(refs: list, blocks: tuple[str, ...] = ()) -> tuple[list[dict], dict[str, list]]:
@@ -581,28 +633,32 @@ def gather(refs: list, blocks: tuple[str, ...] = ()) -> tuple[list[dict], dict[s
     }
 
 
-def _lean_fold(fold: Callable, kind: str, shard: int, rows, priors: dict):
+def _lean_fold(fold: Callable, kind: str, rows: dict, priors: dict) -> dict:
     """A lean runner's ``fold(rows, prior) -> (rows, state, stats)`` as a
-    load-fold-write fold: its rows are sink ``""``, its state ``kind``."""
-    out, state, stats = fold(rows, priors[kind])
-    return {"": out}, {kind: state}, stats
+    task fold, called once per partition: its rows are sink ``""``, its
+    state ``kind``."""
+    out = {}
+    for p, t in rows.items():
+        sink, state, stats = fold(t, priors[p][kind])
+        out[p] = {"": sink}, {kind: state}, stats
+    return out
 
 
 def exchange_metrics(shards: list[dict]) -> dict:
-    """Per-batch skew metrics from the stage-2 results of one exchange:
-    stage-1 slices (a pre-partitioned input: the most files one partition
-    read), and max / median rows and fold seconds over the partitions (an
-    empty partition counts as 0)."""
-    rows = sorted(s["rows"] for s in shards) or [0]
-    fold_s = sorted(s["fold_s"] for s in shards) or [0.0]
+    """Per-batch metrics from the stage-2 results of one exchange: stage-1
+    slices (a pre-partitioned input: the most files one partition read);
+    max / median over the partitions (an empty partition counts as 0) of
+    rows, fold seconds (a partition folded with others reports the whole
+    call's seconds), state and sink I/O seconds and bytes; and
+    ``fold_passes``, the fold calls that ran."""
     mid = len(shards) // 2  # upper median
-    return {
-        "slices": max((s["slices"] for s in shards), default=0),
-        "shard_rows_max": rows[-1],
-        "shard_rows_p50": rows[mid],
-        "fold_s_max": round(fold_s[-1], 4),
-        "fold_s_p50": round(fold_s[mid], 4),
-    }
+    out = {"slices": max((s["slices"] for s in shards), default=0)}
+    for key, name in (("rows", "shard_rows"), ("fold_s", "fold_s"), ("io_s", "io_s"), ("io_bytes", "io_bytes")):
+        vals = sorted(s[key] for s in shards) or [0]
+        for stat, v in (("max", vals[-1]), ("p50", vals[mid])):
+            out[f"{name}_{stat}"] = round(v, 4) if key.endswith("_s") else v
+    out["fold_passes"] = sum(s["passes"] for s in shards)
+    return out
 
 
 class KeyedStateRunner:

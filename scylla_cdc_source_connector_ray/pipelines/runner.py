@@ -12,18 +12,27 @@ capture data plane it drives, one keyed exchange per micro-batch
                   → one part per shard
     bucketed log: nothing — each shard's files are its input
     per shard:    its parts in file-then-slice order → load-fold-write
-                  body (_microbatch._fold_shard) over _shard_task
+                  body (_microbatch._fold_task) over _shard_task
     → per-shard stats to the loop, which commits
 
     flat batch of ≤ SPLIT_ROWS rows: both stages in one task — read and
-                  _route every file, split, then the body per shard in
-                  shard order
+                  _route every file, split, then the body once over every
+                  shard: one _shard_task call, each shard's files written
+                  in shard order
 
 Like the reference's Kafka Connect tasks, each shard task folds only its own
-streams; no planner sits between the two stages.
+streams; no planner sits between the two stages, and, like a Connect task
+serving its whole group of vnodes in one worker loop
+(``TaskConfigBuilder.java:38-42``), the one task of a small flat batch folds
+all its shards in one pass while state stays per shard.
 
-The body loads the shard's prior state tables, runs the pure fold
-:func:`_shard_task` and writes what it returns. The fold, fully vectorized:
+The body loads the shards' prior state tables, runs the pure fold
+:func:`_shard_task` and writes what it returns. Keys never span shards, so
+the fold runs its kernels once over the rows of all the shards it gets
+(:func:`_fold_pass`) and splits the outputs back by shard; the steps that
+depend on the shard (late counts and window thresholds against each
+shard's watermark, the stats) use each row's ``shard``. The fold, fully
+vectorized:
 
 1. injects the checkpointed per-key state (last CDC-log row per key) as
    *seed rows* (``seq = -1``) — the cross-batch analogue of the reference's
@@ -36,10 +45,11 @@ The body loads the shard's prior state tables, runs the pure fold
    the body writes under that deterministic name (temp + rename) — replays
    overwrite byte-identically ⇒ exactly-once — and the new state;
 4. per configured window kind (:func:`_window_kinds`: tumbling, sliding,
-   session), one stage (:func:`_window_stage`): rows whose latest window
-   already closed go to ``late/<kind>``, the rest are partial-aggregated and
-   folded into the kind's state with the pure core of :mod:`..stages.windows`
-   (one pane fold, one session fold).
+   session), one stage (:func:`_window_stage` per shard; for the unsalted
+   pane kinds :func:`_pane_stage`, every shard of a pass at once): rows
+   whose latest window already closed go to ``late/<kind>``, the rest are
+   partial-aggregated and folded into the kind's state with the pure core
+   of :mod:`..stages.windows` (one pane fold, one session fold).
 
 Under hot-conversation salting the shard fold returns the window partials
 and the hot conversations' slim conv-state rows as blocks, and each salted
@@ -83,6 +93,7 @@ from ..state.checkpoint import Checkpoint, current_hash_impl, write_table_atomic
 from ._microbatch import (
     BatchResult,
     committed_sink_files,
+    each_partition,
     exchange,
     exchange_metrics,
     follow_microbatches,
@@ -189,75 +200,158 @@ def _key_state(derived: pa.Table, extra_names: tuple[str, ...]) -> pa.Table:
     return pa.table(cols)
 
 
+def _by_shard(t: pa.Table, shard: np.ndarray, shards: list[int], own: bool = False) -> dict[int, pa.Table]:
+    """``t``'s rows by their shard (``shard``, one per row) into one table
+    per shard of ``shards`` (ascending), row order kept inside each: slices
+    of one ``take``, or with ``own`` a ``take`` of each shard's rows. A
+    state table is split with ``own``: an IPC file written from a slice
+    carries its parent's whole buffers, one written from a ``take`` (or
+    from one shard's table, one chunk) carries only its own rows, so its
+    bytes do not depend on which shards were folded with it."""
+    if len(shards) == 1:
+        return {shards[0]: t.combine_chunks() if own else t}
+    order = np.argsort(shard, kind="stable")
+    bounds = np.searchsorted(shard[order], [*shards, shards[-1] + 1])
+    if own:
+        return {s: t.take(pa.array(order[a:b], pa.int64())) for s, a, b in zip(shards, bounds, bounds[1:])}
+    t = t.take(pa.array(order, pa.int64()))
+    return {s: t.slice(a, b - a) for s, a, b in zip(shards, bounds, bounds[1:])}
+
+
+def _shard_col(t: pa.Table) -> np.ndarray:
+    return t["shard"].combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def _conform(shard: int, group: pa.Table, extras: tuple[tuple[str, str], ...]) -> tuple[pa.Table, bool]:
+    """One shard's rows with their ``shard`` column, conformed to the
+    batch's evolved schema, and with a deterministic ``seq`` where the log
+    gave none; the flag says the seq was regenerated (it then numbers this
+    shard's rows alone)."""
+    if "shard" not in group.column_names:
+        group = group.append_column("shard", pa.array(np.full(group.num_rows, shard, np.int32)))
+    # schema evolution (reference ST4, ScyllaSchema.java:467-472): the driver
+    # derives the batch's evolved value-column set from the file footers; every
+    # shard conforms blocks, state seeds and the envelope to that one schema
+    if extras:
+        group = _with_extras(group, extras)
+    if SEQ_COL in group.column_names and group[SEQ_COL].null_count:
+        # schema promotion (some files lack seq) yields NULL seq values that
+        # would be misread as state seeds — regenerate for the whole block
+        group = group.drop_columns([SEQ_COL])
+    if SEQ_COL in group.column_names:
+        return group, False
+    # DETERMINISTIC fallback seq from a full-column sort (ties = identical
+    # rows, for which any order yields the same fold): the seq then depends
+    # on the rows alone, not on how they reached the shard (flat or bucketed
+    # layout, which files share the batch), and replays and existing
+    # checkpoints see the seqs earlier runs derived.
+    sortable = [
+        (c, "ascending")
+        for c in ("ts", "conv_id", "turn_idx", "role", "text", "tool", "op_kind", "row_ts")
+        if c in group.column_names
+    ]
+    group = group.sort_by(sortable)
+    return group.append_column(SEQ_COL, pa.array(range(group.num_rows), pa.int64())), True
+
+
+def _passes(
+    groups: dict[int, pa.Table], regenerated: dict[int, bool], priors: dict, cfg: EngineConfig
+) -> list[tuple[list[int], pa.Table]]:
+    """The shards of one fold call cut into passes of the key-local kernels,
+    each ``(shards, rows)``. Keys never span shards, so the shards share one
+    pass, except a shard whose pass would differ from the shared one: its
+    seq was regenerated, the log is image-mode (each shard's straggler
+    frontier), or it folds partition-delete markers (the conversation is
+    the unit, and salting broadcasts markers to every shard). Under
+    conv-state enrichment, which aligns features by seq, a log whose seqs
+    repeat across shards folds each shard alone too."""
+
+    def alone(s: int) -> bool:
+        seed = priors[s].get("state")
+        marked = groups[s]["turn_idx"].null_count or (seed is not None and seed["turn_idx"].null_count)
+        return regenerated[s] or cfg.image_mode or bool(cfg.partition_deletes and marked)
+
+    solo = [s for s in sorted(groups) if alone(s)]
+    shared = [s for s in sorted(groups) if s not in solo]
+    if len(shared) < 2:
+        return [([s], groups[s]) for s in solo + shared]
+    rows = pa.concat_tables([groups[s] for s in shared])
+    if cfg.enrich_conv_state and pc.count_distinct(rows[SEQ_COL]).as_py() < rows.num_rows:
+        solo, shared = solo + shared, []
+    return [([s], groups[s]) for s in solo] + ([(shared, rows)] if shared else [])
+
+
 def _shard_task(
-    shard: int,
-    group: pa.Table,
-    priors: dict[str, pa.Table | None],
+    groups: dict[int, pa.Table],
+    priors: dict[int, dict[str, pa.Table | None]],
     *,
     cfg: EngineConfig,
     prev_watermarks: dict[str, int],
     extras: tuple[tuple[str, str], ...] = (),
     hot_convs: frozenset[str] = frozenset(),
-) -> tuple[dict, dict, dict]:
-    """The capture shard fold: one shard's rows, in file-then-slice order,
-    and its prior state tables (``state`` or ``imgstate``, ``cstate``, and
-    the unsalted window kinds' ``wstate``/``sstate``/``sessstate``) →
-    ``(sinks, states, stats)``, with no file I/O of its own. Sinks are the
-    envelope (``""``), the ``late/<kind>`` rows and the emitted windows;
-    the salted window partials and the hot conversations' slim rows are
-    blocks for the salted merge stages, named after the state kind that
-    folds them."""
-    if "shard" not in group.column_names:
-        group = group.append_column("shard", pa.array(np.full(group.num_rows, shard, np.int32)))
-    sinks: dict[str, pa.Table | None] = {}
-    states: dict[str, pa.Table] = {}
-    # schema evolution (reference ST4, ScyllaSchema.java:467-472): the driver
-    # derives the batch's evolved value-column set from the file footers; every
-    # shard conforms blocks, state seeds and the envelope to that one schema
+) -> dict[int, tuple[dict, dict, dict]]:
+    """The capture fold over a set of shards: each shard's rows, in
+    file-then-slice order, and its prior state tables (``state`` or
+    ``imgstate``, ``cstate``, and the unsalted window kinds'
+    ``wstate``/``sstate``/``sessstate``) → per shard ``(sinks, states,
+    stats)``, with no file I/O of its own. Sinks are the envelope (``""``),
+    the ``late/<kind>`` rows and the emitted windows; the salted window
+    partials and the hot conversations' slim rows are blocks for the salted
+    merge stages, named after the state kind that folds them.
+
+    The key-local kernels run once per pass over the rows of all its
+    shards (see :func:`_passes`; one pass in the common case); the steps
+    that depend on the shard (watermarks, window folds, stats) use each
+    row's ``shard``. Each shard's outputs equal those of folding it alone."""
+    conformed, regenerated = {}, {}
+    for s, g in groups.items():
+        conformed[s], regenerated[s] = _conform(s, g, extras)
+    out = {}
+    for shards, rows in _passes(conformed, regenerated, priors, cfg):
+        out.update(_fold_pass(shards, rows, priors, cfg, prev_watermarks, extras, hot_convs))
+    return out
+
+
+def _fold_pass(
+    shards: list[int],
+    group: pa.Table,
+    priors: dict[int, dict[str, pa.Table | None]],
+    cfg: EngineConfig,
+    prev_watermarks: dict[str, int],
+    extras: tuple[tuple[str, str], ...],
+    hot_convs: frozenset[str],
+) -> dict[int, tuple[dict, dict, dict]]:
+    """One pass of :func:`_shard_task` over the conformed rows of
+    ``shards`` (ascending, each shard's rows contiguous)."""
+    sinks: dict[int, dict[str, pa.Table | None]] = {s: {} for s in shards}
+    states: dict[int, dict[str, pa.Table]] = {s: {} for s in shards}
     extra_names = tuple(n for n, _ in extras)
     value_cols = ("role", "text", "tool", *extra_names, "ts")
     state_cols = [*_STATE_COLS[:5], *extra_names, *_STATE_COLS[5:]]
-    if extras:
-        group = _with_extras(group, extras)
 
-    # --- late-row metric vs the shard watermark of the previous commit -----
-    ts_us = group["ts"].cast(pa.int64())
-    wm_prev = prev_watermarks.get(str(shard))
-    n_late = 0
-    if wm_prev is not None:
-        n_late = pc.sum(
-            pc.less(ts_us, wm_prev - cfg.allowed_lateness_us).cast(pa.int8())
-        ).as_py() or 0
+    # --- late-row metric vs each shard's watermark of the previous commit --
+    at = np.searchsorted(shards, _shard_col(group))  # each row's index in shards
+    wm_prev = [prev_watermarks.get(str(s)) for s in shards]
+    thr = np.array(
+        [np.iinfo(np.int64).min if w is None else w - cfg.allowed_lateness_us for w in wm_prev],
+        dtype=np.int64,
+    )
+    late = pc.less(group["ts"].combine_chunks().cast(pa.int64()), pa.array(thr[at]))
+    late = pc.fill_null(late, False).to_numpy(zero_copy_only=False)
+    n_late = np.bincount(at[late], minlength=len(shards))
 
-    if SEQ_COL in group.column_names and group[SEQ_COL].null_count:
-        # schema promotion (some files lack seq) yields NULL seq values that
-        # would be misread as state seeds — regenerate for the whole block
-        group = group.drop_columns([SEQ_COL])
-    if SEQ_COL not in group.column_names:
-        # DETERMINISTIC fallback seq from a full-column sort (ties = identical
-        # rows, for which any order yields the same fold): the seq then
-        # depends on the rows alone, not on how they reached the shard (flat
-        # or bucketed layout, which files share the batch), and replays and
-        # existing checkpoints see the seqs earlier runs derived.
-        sortable = [
-            (c, "ascending")
-            for c in ("ts", "conv_id", "turn_idx", "role", "text", "tool", "op_kind", "row_ts")
-            if c in group.column_names
-        ]
-        group = group.sort_by(sortable)
-        group = group.append_column(SEQ_COL, pa.array(range(group.num_rows), pa.int64()))
-
-    n_stragglers = 0
+    n_stragglers = dict.fromkeys(shards, 0)
     if cfg.image_mode:
         # --- image-mode: correlate PRE/delta/POST; incomplete changes carry
         # over as residual state (reference ST1/ST3) — preimages travel in
-        # the log, so there is no per-key state -------------------------------
+        # the log, so there is no per-key state. One shard a pass. ----------
         from ..stages.correlate import correlate_images
 
-        events_src, states["imgstate"], n_stragglers = correlate_images(
+        (shard,) = shards
+        events_src, states[shard]["imgstate"], n_stragglers[shard] = correlate_images(
             group,
             straggler_timeout_us=cfg.straggler_timeout_us,
-            carry=priors["imgstate"],
+            carry=priors[shard]["imgstate"],
         )
     else:
         # --- row-mode: seed with checkpointed per-key state -----------------
@@ -266,12 +360,16 @@ def _shard_task(
         # whose ts precedes the stored state would otherwise sort before the
         # seed and re-emit a spurious 'c'. We sort with an explicit
         # arrival-rank column (seed=0, batch=1) and hand derive_ops the
-        # pre-sorted block.
+        # pre-sorted block. Keys never span shards, so one sort serves all.
         log = _pin_strings(group.select(state_cols))
-        if priors["state"] is not None:
-            # state written before an evolution lacks the new columns → NULLs
-            seed = _with_extras(priors["state"], extras).select(state_cols)
-            log = pa.concat_tables([seed, log])
+        # state written before an evolution lacks the new columns → NULLs
+        seeds = [
+            _with_extras(priors[s]["state"], extras).select(state_cols)
+            for s in shards
+            if priors[s]["state"] is not None
+        ]
+        if seeds:
+            log = pa.concat_tables([*seeds, log])
 
         arrival = (log[SEQ_COL].combine_chunks().to_numpy(zero_copy_only=False) >= 0).astype(
             "int8"
@@ -291,9 +389,11 @@ def _shard_task(
             # streaming conversation tombstones (reference M2): markers in
             # this batch apply to everything folded before them — including
             # the checkpointed seeds. Expansion deletes become tombstone
-            # state entries, so later rows see a wiped before-image.
+            # state entries, so later rows see a wiped before-image. One
+            # shard a pass.
             from ..stages.partition_delete import derive_flat_pd
 
+            (shard,) = shards
             flat = derive_flat_pd(
                 log, value_cols=value_cols, arrival_col="_arrival", full=True
             )
@@ -325,7 +425,9 @@ def _shard_task(
             derived = derive_ops(log, sorted_input=True, value_cols=value_cols)
             events_src = derived
         # --- roll state forward: last row per key ---------------------------
-        states["state"] = _key_state(derived, extra_names)
+        key_state = _key_state(derived, extra_names)
+        for s, t in _by_shard(key_state, _shard_col(key_state), shards, own=True).items():
+            states[s]["state"] = t
 
     # --- emit change events for real rows only (drop seed re-derivations) --
     real = events_src.filter(pc.greater_equal(events_src[SEQ_COL], 0))
@@ -340,18 +442,9 @@ def _shard_task(
         for c in ("stat_chars", "stat_words", "stat_punct", "stat_stop", "quality"):
             env = env.append_column(c, scored[c])
 
-    # --- watermark-gated window aggregation (north_star windows) -----------
-    n_late_dropped = 0
-    if real.num_rows:
-        for kind in _window_kinds(cfg, salted=bool(hot_convs)):
-            n_late_dropped += _window_stage(
-                kind, real, shard, cfg, prev_watermarks, priors, sinks, states
-            )
-
     # --- persistent per-conversation state join (north_star join) ----------
+    hot_slim = {}
     if cfg.enrich_conv_state:
-        from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
-
         genrich = group
         if hot_convs:
             # hierarchical salted conv-state (north_star skew clause × the
@@ -368,7 +461,7 @@ def _shard_task(
             hot_np = np.isin(conv_np, list(hot_convs))
             if hot_np.any():
                 hot_rows = group.filter(pa.array(hot_np))
-                sinks["cstate_hot"] = pa.table(
+                slim = pa.table(
                     {
                         "conv_id": hot_rows["conv_id"].combine_chunks().cast(pa.string()),
                         "ts": hot_rows["ts"].combine_chunks(),
@@ -377,41 +470,149 @@ def _shard_task(
                         "chars": pc.fill_null(
                             pc.utf8_length(hot_rows["text"].combine_chunks()), 0
                         ).cast(pa.int64()),
-                        "sub_shard": pa.array(
-                            np.full(hot_rows.num_rows, shard, np.int32), pa.int32()
-                        ),
+                        "sub_shard": hot_rows["shard"].combine_chunks().cast(pa.int32()),
                         "base_shard": shard_of(hot_rows["conv_id"], cfg.num_shards),
                     }
                 )
+                hot_slim = _by_shard(slim, _shard_col(hot_rows), shards)
                 genrich = group.filter(pa.array(~hot_np))
 
-        enriched, new_cstate = conv_state_prefix(genrich, seed=priors["cstate"])
-        states["cstate"] = new_cstate.select(CONV_STATE_SCHEMA.names)
+        enriched, cstates = _enrich(genrich, shards, priors)
         env = _with_features(env, enriched)
-    sinks[""] = env
 
-    max_ts = pc.max(real["ts"].cast(pa.int64())).as_py() if real.num_rows else None
-    # capture-latency distribution (event time): how far behind the batch
-    # frontier the events were when committed — p50/p95 of (max_ts − ts).
-    # A distribution, not a single batch-lag estimate: skewed shards show a
-    # long p95 even when the median is fresh.
-    lag_p50 = lag_p95 = None
-    if real.num_rows and max_ts is not None:
-        lags = max_ts - real["ts"].combine_chunks().cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        lag_p50 = int(np.percentile(lags, 50))
-        lag_p95 = int(np.percentile(lags, 95))
-    return sinks, states, {
-        "shard": shard,
-        "n_events": real.num_rows,
-        "n_late": int(n_late),
-        "n_late_dropped": int(n_late_dropped),
-        "n_stragglers": int(n_stragglers),
-        "max_ts_us": max_ts,
-        "lag_p50_us": lag_p50,
-        "lag_p95_us": lag_p95,
-    }
+    real_np = _shard_col(real)
+    reals = _by_shard(real, real_np, shards)
+    envs = _by_shard(env, real_np, shards)
+    lag_stats = _lag_stats(real, real_np, shards)
+
+    # --- watermark-gated window aggregation (north_star windows) -----------
+    n_late_dropped = np.zeros(len(shards), dtype=np.int64)
+    if real.num_rows:
+        for kind in _window_kinds(cfg, salted=bool(hot_convs)):
+            if isinstance(kind.core, Panes) and not kind.salted:
+                n_late_dropped += _pane_stage(
+                    kind, real, np.searchsorted(shards, real_np), shards, cfg, prev_watermarks,
+                    lag_stats, priors, sinks, states,
+                )
+                continue
+            for i, s in enumerate(shards):
+                n_late_dropped[i] += _window_stage(
+                    kind, reals[s], s, cfg, prev_watermarks, priors[s], sinks[s], states[s]
+                )
+    out = {}
+    for i, s in enumerate(shards):
+        if cfg.enrich_conv_state:
+            if s in hot_slim and hot_slim[s].num_rows:
+                sinks[s]["cstate_hot"] = hot_slim[s]
+            states[s]["cstate"] = cstates[s]
+        sinks[s][""] = envs[s]
+        out[s] = sinks[s], states[s], {
+            "shard": s,
+            "n_events": reals[s].num_rows,
+            "n_late": int(n_late[i]),
+            "n_late_dropped": int(n_late_dropped[i]),
+            "n_stragglers": int(n_stragglers[s]),
+            **lag_stats[s],
+        }
+    return out
+
+
+def _enrich(genrich: pa.Table, shards: list[int], priors: dict) -> tuple[pa.Table, dict[int, pa.Table]]:
+    """Conv-state enrichment of one pass: ``conv_state_prefix`` over the
+    non-hot rows of every shard against their shards' ``cstate`` seeds.
+    Returns the enriched rows and each shard's new ``cstate``. Conversations never span shards here, so each shard's
+    new state is the rows of its conversations, in the order and with the
+    column types the kernel gives one shard folded alone."""
+    from ..stages.join import CONV_STATE_SCHEMA, conv_state_prefix
+
+    seeds = [(s, priors[s]["cstate"]) for s in shards if priors[s]["cstate"] is not None]
+    seed = pa.concat_tables([t for _, t in seeds], promote_options="permissive") if seeds else None
+    enriched, new_state = conv_state_prefix(genrich, seed=seed)
+    new_state = new_state.select(CONV_STATE_SCHEMA.names)
+    if len(shards) == 1:
+        return enriched, _by_shard(new_state, None, shards, own=True)
+    # each state row's shard: its conversation's, from the rows or the seeds
+    conv_type = new_state.schema.field("conv_id").type
+    keys = [genrich["conv_id"].combine_chunks().cast(conv_type)]
+    home = [_shard_col(genrich)]
+    for s, t in seeds:
+        keys.append(t["conv_id"].combine_chunks().cast(conv_type))
+        home.append(np.full(t.num_rows, s, np.int32))
+    home = np.concatenate(home)
+    at = pc.index_in(new_state["conv_id"].combine_chunks(), value_set=pa.concat_arrays(keys))
+    parts = _by_shard(new_state, home[at.to_numpy(zero_copy_only=False)], shards, own=True)
+    # folded alone, a shard's state keeps the rows' string encodings unless
+    # it had no non-hot rows or its seed carried a conversation forward: the
+    # kernel then casts to CONV_STATE_SCHEMA (one pass casts all or none)
+    rows_schema = pa.schema(
+        [
+            ("conv_id", genrich.schema.field("conv_id").type),
+            ("n_turns", pa.int64()),
+            ("n_chars", pa.int64()),
+            ("last_role", genrich.schema.field("role").type),
+            ("last_ts_us", pa.int64()),
+        ]
+    )
+    if rows_schema != CONV_STATE_SCHEMA:
+        convs = genrich["conv_id"].combine_chunks()
+        seeded = dict(seeds)
+        n_rows = np.bincount(np.searchsorted(shards, home[: genrich.num_rows]), minlength=len(shards))
+        for i, s in enumerate(shards):
+            seed_s = seeded.get(s)
+            carried = seed_s is not None and seed_s.num_rows > 0 and not pc.all(
+                pc.is_in(seed_s["conv_id"].cast(convs.type), value_set=convs)
+            ).as_py()
+            target = CONV_STATE_SCHEMA if carried or not n_rows[i] else rows_schema
+            if parts[s].schema != target:
+                parts[s] = parts[s].cast(target)
+    return enriched, parts
+
+
+def _percentile(vals: np.ndarray, starts: np.ndarray, counts: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(group, q)`` (its default, linear method) of each
+    group ``vals[start:start + count]`` (sorted ascending, count ≥ 1) at
+    once, with the same float operations numpy makes for one group, so the
+    results are bitwise equal."""
+    v = (counts - 1) * np.true_divide(q, 100)
+    lo = np.floor(v)
+    hi = lo + 1
+    top = v >= counts - 1  # numpy takes the last value there
+    lo[top] = -1
+    hi[top] = -1
+    gamma = v - lo
+    lo = lo.astype(np.intp)
+    hi = hi.astype(np.intp)
+    a = vals[starts + np.where(lo < 0, counts + lo, lo)]
+    b = vals[starts + np.where(hi < 0, counts + hi, hi)]
+    diff = b - a
+    out = a + diff * gamma
+    upper = gamma >= 0.5
+    out[upper] = (b - diff * (1 - gamma))[upper]
+    return out
+
+
+def _lag_stats(real: pa.Table, shard: np.ndarray, shards: list[int]) -> dict[int, dict]:
+    """Each shard's newest event time and capture-latency distribution:
+    how far behind the shard's batch frontier its events were when
+    committed, p50/p95 of (max_ts − ts). A distribution, not a single
+    batch-lag estimate: skewed shards show a long p95 even when the median
+    is fresh. None for a shard without events."""
+    ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    order = np.lexsort((-ts, shard))  # per shard, newest first: lags ascending
+    ts, shard = ts[order], shard[order]
+    starts = np.searchsorted(shard, shards, side="left")
+    counts = np.searchsorted(shard, shards, side="right") - starts
+    out = dict.fromkeys(shards)
+    live = counts > 0
+    if live.any():
+        max_ts = ts[starts[live]]
+        lags = np.repeat(max_ts, counts[live]) - ts
+        p50 = _percentile(lags, starts[live], counts[live], 50)
+        p95 = _percentile(lags, starts[live], counts[live], 95)
+        for i, s in enumerate(np.asarray(shards)[live]):
+            out[int(s)] = {"max_ts_us": int(max_ts[i]), "lag_p50_us": int(p50[i]), "lag_p95_us": int(p95[i])}
+    empty = {"max_ts_us": None, "lag_p50_us": None, "lag_p95_us": None}
+    return {s: v or empty for s, v in out.items()}
 
 
 def _route(
@@ -624,6 +825,55 @@ def _window_stage(
             kind, partials, priors[kind.state], shard, str(shard), new_wm, watermarks, cfg
         )
     return 0 if late is None else late.num_rows
+
+
+def _pane_stage(
+    kind: _WindowKind,
+    real: pa.Table,
+    at: np.ndarray,
+    shards: list[int],
+    cfg: EngineConfig,
+    watermarks: dict,
+    lag_stats: dict,
+    priors: dict,
+    sinks: dict,
+    states: dict,
+) -> np.ndarray:
+    """:func:`_window_stage` of an unsalted pane kind (tumbling or sliding)
+    for every shard of a pass at once: one late split, one partial
+    aggregation and one pane fold, each shard's rows keyed and thresholded
+    by their ``_slot`` (``at``, the row's index in ``shards``). Returns the
+    late rows per shard."""
+    ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    thr_prev = np.array([_threshold(watermarks, str(s), cfg) for s in shards], dtype=np.int64)
+    late = kind.core.closes_us(ts) <= thr_prev[at]
+    slots = list(range(len(shards)))
+    lates = _by_shard(real.filter(pa.array(late)), at[late], slots) if late.any() else {}
+    ontime = real.filter(pa.array(~late)) if late.any() else real
+    core = Panes(kind.core.size_us, kind.core.slide_us, ("_slot", *kind.core.keys))
+    partials = core.partials(ontime.append_column("_slot", pa.array(at[~late], pa.int32())))
+    prior = [
+        t.append_column("_slot", pa.array(np.full(t.num_rows, i, np.int32)))
+        for i, s in enumerate(shards)
+        if (t := priors[s][kind.state]) is not None
+    ]
+    prior = pa.concat_tables(prior, promote_options="permissive") if prior else None
+    new_wm = np.array(
+        [max(watermarks.get(str(s)) or 0, lag_stats[s]["max_ts_us"]) for s in shards], dtype=np.int64
+    )
+    emitted, state = core.fold(partials, prior, thr_prev, new_wm - cfg.allowed_lateness_us, slot="_slot")
+    emitted = _by_shard(emitted, _slots(emitted), slots)
+    state = _by_shard(state, _slots(state), slots, own=True)
+    n_late = np.bincount(at[late], minlength=len(shards))
+    for i, s in enumerate(shards):
+        sinks[s][f"late/{kind.name}"] = lates[i] if n_late[i] else None
+        sinks[s][kind.out] = _windows_sink(emitted[i].drop_columns(["_slot"]), s)
+        states[s][kind.state] = state[i].drop_columns(["_slot"])
+    return n_late
+
+
+def _slots(t: pa.Table) -> np.ndarray:
+    return t["_slot"].combine_chunks().to_numpy(zero_copy_only=False)
 
 
 def _merge_windows(
@@ -944,7 +1194,8 @@ class CaptureRunner:
         watermarks: dict,
         extras: tuple[tuple[str, str], ...] = (),
     ) -> tuple[list[dict], dict[str, list]]:
-        """The shard stage: :func:`_shard_task` over the keyed exchange.
+        """The shard stage: :func:`_shard_task` over the keyed exchange, one
+        call per stage-2 task (every shard of a one-task batch at once).
         Returns the per-shard metrics, one per partition, and the refs of
         the blocks the shards returned for the salted merge stages, by name.
         A flat batch (file paths) is routed by :func:`_route`; a bucketed one
@@ -999,7 +1250,7 @@ class CaptureRunner:
         streaming analogue of :func:`..stages.windows.session_salted`'s second
         stage. Returns each base shard's new watermark."""
         fold = functools.partial(_merge_windows, kind=kind, cfg=self.cfg, watermarks=dict(watermarks))
-        shards, _ = self._stage(batch_id, refs, fold, "base_shard", [kind.state])
+        shards, _ = self._stage(batch_id, refs, each_partition(fold), "base_shard", [kind.state])
         return [s["stats"] for s in shards if s["stats"] is not None]
 
     def _merge_cstate_partials(self, batch_id: int, refs) -> None:
@@ -1010,10 +1261,12 @@ class CaptureRunner:
         only (~40 B/row vs the full text-bearing envelope) — the streaming
         analogue of :func:`..stages.join.conv_state_features`'s pre-shuffle
         slimming."""
-        _, feats = self._stage(batch_id, refs, _merge_cstate, "base_shard", ["cstate_hot"], ["features"])
+        _, feats = self._stage(
+            batch_id, refs, each_partition(_merge_cstate), "base_shard", ["cstate_hot"], ["features"]
+        )
         env_path = os.path.join(self.out_dir, f"batch-{batch_id:06d}", "shard={}.parquet")
         fixup = functools.partial(_fixup_env, env_path=env_path)
-        self._stage(batch_id, feats.get("features"), fixup, "sub_shard")
+        self._stage(batch_id, feats.get("features"), each_partition(fixup), "sub_shard")
 
     def flush_windows(self) -> None:
         """End-of-log flush: once the (complete) log is fully consumed, emit

@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from ._microbatch import BatchResult, KeyedStateRunner, exchange, exchange_metrics
+from ._microbatch import BatchResult, KeyedStateRunner, each_partition, exchange, exchange_metrics
 from .dedup_stream import _member128, _seen128, _union128
 
 
@@ -117,7 +117,7 @@ class SegmentDedupStreamRunner(KeyedStateRunner):
         decided = self.keyed(bfiles, route, fold, batch_id, emit=True)
         shards = ray.get(
             exchange(
-                [*decided, *bfiles], part_fold, num_parts, batch_id=batch_id,
+                [*decided, *bfiles], each_partition(part_fold), num_parts, batch_id=batch_id,
                 ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, name="part-{:05d}",
                 route=part_route, fmt="pandas", shard_col="_pid",
                 columns=[text_col, id_col], num_shards=self.num_shards,

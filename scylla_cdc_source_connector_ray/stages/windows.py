@@ -357,12 +357,14 @@ class Panes:
         )
 
     def fold(
-        self, partials: pa.Table, prior: pa.Table | None, thr_prev: int, thr: int
+        self, partials: pa.Table, prior: pa.Table | None, thr_prev, thr, slot: str | None = None
     ) -> tuple[pa.Table, pa.Table]:
         """The pane fold: sum ``partials`` (possibly several rows per pane)
         into the ``prior`` panes; return the windows with
         ``thr_prev < end ≤ thr`` sorted by (keys, start), and the panes
-        with ``pane + size > thr``."""
+        with ``pane + size > thr``. With ``slot`` (a key column of small
+        ints), ``thr_prev`` and ``thr`` are arrays indexed by it: each slot
+        (a shard of a fold over several) folds with thresholds of its own."""
         group = [*self.keys, "window_start_us"]
         cols = [*group, "n_events", "n_chars"]
         parts = [partials.select(cols)]
@@ -370,13 +372,22 @@ class Panes:
             # conform the prior panes to the partials' encoding: state written
             # from an exchange block may hold large_string keys
             parts.insert(0, prior.select(cols).cast(parts[0].schema))
-        panes = _sum_panes(pa.concat_tables(parts), group)
+        rows = pa.concat_tables(parts)
+        # one batch: the grouping then orders panes by first appearance
+        # however many slots' tables it concatenates
+        panes = _sum_panes(rows if slot is None else rows.combine_chunks(), group)
         copies = explode_panes(panes, self.size_us, self.slide_us)
+
+        def per_row(thr, t: pa.Table):
+            if slot is None:
+                return thr
+            return np.asarray(thr)[t[slot].combine_chunks().to_numpy(zero_copy_only=False)]
+
         end = copies["window_start_us"].to_numpy(zero_copy_only=False) + self.size_us
-        ready = copies.filter(pa.array((end > thr_prev) & (end <= thr)))
+        ready = copies.filter(pa.array((end > per_row(thr_prev, copies)) & (end <= per_row(thr, copies))))
         emitted = _sum_panes(ready, group).sort_by([(k, "ascending") for k in group])
         pane = panes["window_start_us"].to_numpy(zero_copy_only=False)
-        return emitted, panes.filter(pa.array(pane + self.size_us > thr))
+        return emitted, panes.filter(pa.array(pane + self.size_us > per_row(thr, panes)))
 
 
 def _session_table(df) -> pa.Table:

@@ -16,6 +16,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -322,6 +323,37 @@ def _pd_transcripts():
     return pa.concat_tables([t, marks.cast(t.schema)])
 
 
+def _late_transcripts():
+    """A turn of conv5 an hour ahead of the log, arriving first: conv5's
+    shard's watermark runs an hour ahead of the others', so its later rows
+    are late there and only there."""
+    t = _transcripts()
+    ahead = pa.table(
+        {
+            "conv_id": ["conv5"],
+            "turn_idx": pa.array([99], pa.int32()),
+            "role": ["user"],
+            "text": ["ahead"],
+            "tool": pa.array([None], pa.string()),
+            "ts": pa.array([int(pc.max(t["ts"]).value) + 3_600_000_000], pa.int64()).cast(pa.timestamp("us")),
+            "seq": pa.array([t.num_rows], pa.int64()),
+        }
+    ).select(t.column_names)
+    return pa.concat_tables([ahead.cast(t.schema), t])
+
+
+def _quiet_conv3():
+    """conv3 has its first three rows only."""
+    t = _transcripts()
+    conv3 = pc.equal(t["conv_id"], "conv3").to_numpy(zero_copy_only=False)
+    keep = ~conv3 | (np.cumsum(conv3) <= 3)
+    return t.filter(pa.array(keep))
+
+
+def _large_strings(t):
+    return t.cast(pa.schema([f.with_type(pa.large_string()) if f.type == pa.string() else f for f in t.schema]))
+
+
 def _write_evolved(log, table):
     """The last two windows gain a ``lang`` column."""
     _write_windows(log, table)
@@ -378,6 +410,30 @@ CAPTURE_CASES = {
         {"partition_deletes": True, "hot_key_threshold": 8, "salt_factor": 4},
         ["conv1"],
     ),
+    "late_one_shard": (
+        _late_transcripts,
+        {"window_agg": True, "window_size_us": MINUTE, "enrich_conv_state": True},
+        None,
+    ),
+    "sliding_sessions": (
+        _late_transcripts,
+        {"sliding_window_us": (2 * MINUTE, MINUTE), "session_gap_us": MINUTE},
+        None,
+    ),
+    # a log written with large_string columns in which conv3 stops after its
+    # first turns: only conv3's shard carries a conversation forward, the
+    # one case where conv-state keeps the rows' encoding on other shards
+    "large_strings": (
+        lambda: _large_strings(_quiet_conv3()),
+        {"window_agg": True, "window_size_us": MINUTE, "enrich_conv_state": True},
+        None,
+    ),
+    # three conversations into 64 shards: most partitions are empty
+    "sparse_64": (
+        lambda: generate(num_convs=3, turns_per_conv=8, step_us=20_000_000),
+        {"num_shards": 64, "window_agg": True, "window_size_us": MINUTE, "enrich_conv_state": True},
+        None,
+    ),
 }
 
 
@@ -394,7 +450,7 @@ def _capture_run(root, name, crash=False, fault=None, files_per_batch=1):
         _write_evolved(log, table())
     else:
         _write_windows(log, table())
-    cfg = EngineConfig(num_shards=3, sink_dir=out, checkpoint_dir=ck, **kw)
+    cfg = EngineConfig(sink_dir=out, checkpoint_dir=ck, **{"num_shards": 3, **kw})
     run = functools.partial(CaptureRunner.run, files_per_batch=files_per_batch, hot_convs=hot)
     if crash:
         totals = run(CaptureRunner(log, cfg), crash_before_commit_at=1)
@@ -409,12 +465,14 @@ def _capture_run(root, name, crash=False, fault=None, files_per_batch=1):
     runner = CaptureRunner(log, cfg)
     totals = run(runner)
     runner.flush_windows()
-    slices = _microbatch.slices(os.path.join(log, "window-00000.parquet"), 3)
+    slices = _microbatch.slices(os.path.join(log, "window-00000.parquet"), cfg.num_shards)
     return _fingerprint(root), totals, slices
 
 
 @pytest.mark.parametrize("name", sorted(CAPTURE_CASES))
 def test_capture_multi_slice_matches_single_slice(tmp_path, monkeypatch, name):
+    """The one-task path folds every shard of a batch in one pass; the
+    two-stage graph folds each shard in a task of its own."""
     one, one_totals, one_slices = _capture_run(tmp_path / "one", name)
     monkeypatch.setattr(_microbatch, "SPLIT_ROWS", 2)
     many, many_totals, many_slices = _capture_run(tmp_path / "many", name)
@@ -423,6 +481,10 @@ def test_capture_multi_slice_matches_single_slice(tmp_path, monkeypatch, name):
     assert many_totals == one_totals
     if name == "salted_sessions":  # the salted merge and fixup stages ran
         assert any(k.startswith(os.path.join("ckpt", "cstate_hot")) for k in many)
+    if name in ("late_one_shard", "sliding_sessions"):  # late rows, on one shard only
+        assert many_totals["late"] > 0 and many_totals["late_dropped"] > 0
+        late = {k.rsplit("=", 1)[1] for k in many if k.startswith(os.path.join("sink", "late", ""))}
+        assert len(late) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CAPTURE_CASES))
@@ -671,7 +733,8 @@ def test_one_task_keeps_file_then_slice_order(tmp_path, monkeypatch):
 
     def run():
         refs = _microbatch.exchange(
-            paths, fold, 3, batch_id=0, ckpt_dir=str(tmp_path / "ckpt"), blocks=("rows",)
+            paths, _microbatch.each_partition(fold), 3, batch_id=0,
+            ckpt_dir=str(tmp_path / "ckpt"), blocks=("rows",),
         )
         shards, blocks = _microbatch.gather(refs, ("rows",))
         rows = [ray.get(b)["x"].to_pylist() for b in blocks["rows"]]
@@ -693,8 +756,9 @@ def test_one_task_keeps_file_then_slice_order(tmp_path, monkeypatch):
 
 def test_fold_fault_in_one_task_resumes_like_clean_run(tmp_path, monkeypatch):
     """Batch 1's fold raises on its second partition inside the one task,
-    after the first partition wrote: nothing of batch 1 commits, and the
-    resumed run equals a clean one."""
+    before any partition wrote (the task folds every partition, then
+    writes): nothing of batch 1 commits, and the resumed run equals a clean
+    one."""
     clean = _run(tmp_path / "clean", "dedup")[0]
     table, make = CASES["dedup"]
     root = str(tmp_path / "resumed")
@@ -724,3 +788,138 @@ def test_fold_fault_in_one_task_resumes_like_clean_run(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(ck, "metrics", "batch-000001.json"))
     make(log, out, ck).run(files_per_batch=1)
     assert _fingerprint(root) == clean
+
+
+# --- one fold call per task -------------------------------------------------
+
+
+def _count_shard_folds(mp, path):
+    """Every call of the capture shard stage's fold appends the shards it
+    got to ``path`` (one JSON line per call, from whichever worker ran it)."""
+    real = capture.exchange
+
+    def exchange(inputs, fold, n, **kw):
+        if kw.get("shard_col") == "shard":
+
+            def counted(rows, priors, fold=fold):
+                with open(path, "a") as f:
+                    f.write(json.dumps(sorted(rows)) + "\n")
+                return fold(rows, priors)
+
+            fold = counted
+        return real(inputs, fold, n, **kw)
+
+    mp.setattr(capture, "exchange", exchange)
+
+
+@pytest.mark.parametrize("layout", ["flat", "bucketed"])
+def test_one_fold_call_per_task(tmp_path, monkeypatch, layout):
+    """The one-task path calls the capture fold once per batch with every
+    shard that has rows; the bucketed path, one task per shard, once per
+    shard. ``fold_passes`` in the batch metrics counts the same calls."""
+    log, out, ck = (str(tmp_path / x) for x in ("log", "sink", "ckpt"))
+    calls = str(tmp_path / "calls.jsonl")
+    if layout == "flat":
+        _write_windows(log, _transcripts(), n=2)
+    else:
+        write_bucketed(_transcripts(), log, num_shards=4, num_files=2)
+    _count_shard_folds(monkeypatch, calls)
+    if layout == "flat":
+        _no_graph(monkeypatch)
+    cfg = EngineConfig(num_shards=4, sink_dir=out, checkpoint_dir=ck, window_agg=True, window_size_us=MINUTE)
+    assert CaptureRunner(log, cfg).run()["batches"] == 2
+    with open(calls) as f:
+        got = [json.loads(line) for line in f]
+    passes = [_metrics(tmp_path, b)["fold_passes"] for b in range(2)]
+    active = [_metrics(tmp_path, b)["shards_active"] for b in range(2)]
+    assert min(active) > 1  # a batch spans several shards
+    if layout == "flat":
+        assert passes == [1, 1]
+        assert [len(shards) for shards in got] == active
+    else:
+        assert passes == active
+        assert len(got) == sum(active) and all(len(shards) == 1 for shards in got)
+    m = _metrics(tmp_path)
+    assert m["io_s_max"] >= m["io_s_p50"] >= 0 and m["io_bytes_max"] >= m["io_bytes_p50"] > 0
+
+
+def test_metrics_cli_shows_fold_and_io(tmp_path, capsys):
+    """``metrics`` summarizes the per-batch fold passes and partition I/O."""
+    import argparse
+
+    from scylla_cdc_source_connector_ray.__main__ import cmd_metrics
+
+    _capture_run(tmp_path, "perfbench")
+    assert cmd_metrics(argparse.Namespace(checkpoint=str(tmp_path / "ckpt"))) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["batch_fold_passes_p50"] == 1 and out["total_fold_passes"] == out["batches"]
+    assert out["batch_io_s_max_max"] >= out["batch_io_s_max_p50"] > 0
+    assert out["batch_io_bytes_max_p50"] > 0 and out["batch_fold_s_max_p50"] > 0
+
+
+# --- a fault between one partition's writes and the next's ------------------
+
+
+def _fault_after_first_partition(module, stage_col):
+    """Batch 1's ``stage_col`` exchange, on the one-task path, raises inside
+    the body once the first folded partition's state and sink files are
+    written and before the next partition's are: the fold's per-partition
+    results refuse the second lookup."""
+
+    def install(mp):
+        real = module.exchange
+
+        def exchange(inputs, fold, n, **kw):
+            if kw["batch_id"] != 1 or kw.get("shard_col", "_shard") != stage_col:
+                return real(inputs, fold, n, **kw)
+            rows = sum(pq.read_metadata(path).num_rows for path in inputs)
+            assert rows <= _microbatch.SPLIT_ROWS  # the one-task path
+
+            def faulty(rows, priors, fold=fold):
+                folded = fold(rows, priors)
+                first = min(folded)
+
+                class OnePartition(dict):
+                    def __getitem__(self, p):
+                        if p != first:
+                            raise RuntimeError(f"fault before partition {p}'s writes")
+                        return dict.__getitem__(self, p)
+
+                return OnePartition(folded)
+
+            refs = real(inputs, faulty, n, **kw)
+            try:
+                ray.get([r for x in refs for r in (x if isinstance(x, list) else [x])])
+            except ray.exceptions.RayTaskError as e:
+                raise _Fault(str(e)) from e
+            raise AssertionError("the fault did not fire")
+
+        mp.setattr(module, "exchange", exchange)
+
+    return install
+
+
+def _first_partition_written(kind, sink_name):
+    """Batch 1 wrote one partition's ``kind`` state and sink, then stopped."""
+
+    def check(ck, out):
+        assert ck.last_committed()["batch_id"] == 0
+        state = [s for s in ck.state_shards(kind) if os.path.exists(ck.state_path(s, 1, kind))]
+        sinks = sorted(os.listdir(os.path.join(out, "batch-000001")))
+        assert len(state) == 1
+        assert sinks == [sink_name.format(state[0]) + ".parquet"]
+
+    return check
+
+
+@pytest.mark.parametrize("name", ["flat", "salted_sessions", "dedup"])
+def test_fault_between_partition_writes_resumes_like_clean_run(tmp_path, name):
+    if name == "dedup":
+        fault = (_fault_after_first_partition(_microbatch, "_shard"), _first_partition_written("seen", "shard-{:05d}"))
+        clean = _run(tmp_path / "clean", name)[0]
+        resumed = _run(tmp_path / "resumed", name, fault=fault)[0]
+    else:
+        fault = (_fault_after_first_partition(capture, "shard"), _first_partition_written("state", "shard={}"))
+        clean = _capture_run(tmp_path / "clean", name)[0]
+        resumed = _capture_run(tmp_path / "resumed", name, fault=fault)[0]
+    assert resumed == clean

@@ -1,11 +1,12 @@
 """Byte-identity fingerprint of the streaming runners: the 16 lean runners
 (the dedup runner twice, once on whitespace and case variants) and
-``CaptureRunner`` in twelve configurations (flat and bucketed logs; the
+``CaptureRunner`` in fourteen configurations (flat and bucketed logs; the
 perfbench scoring + panes + conv-state config, bucketed and flat with two
 files per batch; salted hot conversations with sessions; image mode;
 partition deletes, unsalted and with a tombstoned hot conversation; an
 evolved column; sliding windows, unsalted sessions and salted
-conversation-keyed panes, each with a late row).
+conversation-keyed panes, each with a late row; three conversations in 64
+shards; 16 shards with late rows, sliding and session windows).
 
 Runs every case on a tiny 4-window log, one file per batch unless the case
 sets its own ``files_per_batch``, crashing once before the commit of batch
@@ -260,12 +261,13 @@ def _capture_cases():
         ).select(log.column_names)
         return pa.concat_tables([log, late.cast(log.schema)])
 
-    def capture(**kw):
+    def capture(num_shards=3, **kw):
         return lambda lg, o, c: CaptureRunner(
-            lg, EngineConfig(num_shards=3, sink_dir=o, checkpoint_dir=c, **kw)
+            lg, EngineConfig(num_shards=num_shards, sink_dir=o, checkpoint_dir=c, **kw)
         )
 
     minute = 60_000_000
+    few = generate(num_convs=3, turns_per_conv=8, update_pct=30, delete_pct=10, step_us=20_000_000)
     perfbench = capture(score_text=True, window_agg=True, enrich_conv_state=True, window_size_us=minute)
     return {
         "capture_flat": (_windows(t), capture(), {}),
@@ -311,6 +313,14 @@ def _capture_cases():
                 salt_factor=4,
             ),
             {"hot_convs": ["conv0"]},
+        ),
+        # three conversations into 64 shards: most partitions are empty
+        "capture_flat_64": (_windows(few), capture(num_shards=64), {}),
+        # 16 shards, late rows on two shards only, sliding and session windows
+        "capture_flat_16_windows": (
+            _windows(with_late(with_late(t, "conv5"), "conv7")),
+            capture(num_shards=16, sliding_window_us=(2 * minute, minute), session_gap_us=minute),
+            {},
         ),
     }
 
