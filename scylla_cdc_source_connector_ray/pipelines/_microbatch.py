@@ -39,9 +39,10 @@ Venkataraman et al., SOSP'17, amortizes per-batch scheduling the same way).
 Stage 2 is always the one load-fold-write body (:func:`_fold_task`) over
 the partitions of its task: load the prior table of each declared state
 kind per partition, call a pure task fold ONCE with every partition's rows
-and priors, then write each partition's new states and named sinks and
-hand any tables the fold marks as blocks to a chained exchange. On the
-one-task path the fold sees every partition of the batch, so a fold that
+and priors (once per :data:`FOLD_STATE_BYTES` of prior state when the state
+is large), then write each partition's new states and named sinks and hand
+any tables the fold marks as blocks to a chained exchange. On the one-task
+path the fold sees every partition of the batch, so a fold that
 runs its kernels once over all of them (``CaptureRunner``'s, as a window
 operator shared by all queries does in General Stream Slicing, Traub et
 al., EDBT'19) pays their fixed cost once per batch, not once per
@@ -346,7 +347,8 @@ def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None
 
 #: Rows one task takes. A batch of log files with at most this many rows in
 #: all (footer counts) runs as one task that routes and splits every file,
-#: then folds every partition in one fold call (:func:`_route_fold`). A
+#: then folds every partition in one fold call (:func:`_route_fold`; more
+#: than one when the prior state exceeds :data:`FOLD_STATE_BYTES`). A
 #: larger batch runs as the two-stage graph, one fold task per partition,
 #: and a file of ``rows`` rows is read there as ``min(2 * num_shards,
 #: ceil(rows / SPLIT_ROWS))`` slices, each routed by its own task, so a
@@ -360,6 +362,17 @@ def write_sink(sink_dir: str, batch_id: int, name: str, table: pa.Table) -> None
 #: graph spreads the partitions over CPUs; that trade is unmeasured beyond
 #: what ``tools/batch_cost.py --cpus N`` shows.
 SPLIT_ROWS = 16_384
+
+#: Prior state, in Arrow bytes, that one fold call takes. The stage-2 body
+#: closes a group of partitions once the state it loaded reaches this, so
+#: a task holds about this much prior state (plus one partition's) and the
+#: fold's copies of it at once, not the whole state of every shard it
+#: serves. At 64 shards over 62 MB of capture state (420k events), the
+#: worker that folded one 500-event flat batch peaked at 525 MB of RSS in
+#: one call, 282 MB in groups of this size (7 calls) and 230 MB one
+#: partition at a time. A group this large spends more on its state's rows
+#: than on the fold's fixed cost per call (about 5 ms).
+FOLD_STATE_BYTES = 8 << 20
 
 
 def _slice_count(rows: int, num_shards: int) -> int:
@@ -505,7 +518,8 @@ def exchange(
 
     Log files with at most :data:`SPLIT_ROWS` rows in all run both stages
     in one task (:func:`_route_fold`), which calls the fold once for every
-    partition, with ``route`` and the body passed as plain arguments.
+    partition (per :data:`FOLD_STATE_BYTES` of prior state), with ``route``
+    and the body passed as plain arguments.
     Otherwise each file is cut into :func:`slices` of at most ``2 *
     num_shards`` (default ``n``) before any task runs: a one-slice file is
     read and routed in one task, a larger one is read by one task and
@@ -517,8 +531,8 @@ def exchange(
     skips stage 1: one stage-2 task per listed partition reads its own
     files."""
     body = functools.partial(
-        _fold_task, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds,
-        ckpt_dir=ckpt_dir, sink_dir=sink_dir, name=name, blocks=blocks,
+        _fold_task, batch_id=batch_id, fold=fold, fmt=fmt, kinds=kinds, ckpt_dir=ckpt_dir,
+        sink_dir=sink_dir, name=name, blocks=blocks, state_bytes=FOLD_STATE_BYTES,
     )
     n_out = 1 + len(blocks)
     if not isinstance(inputs, dict):
@@ -544,69 +558,90 @@ def exchange(
 def _fold_task(
     parts: list[tuple[int, pa.Table, int]], *,
     batch_id: int, fold: Callable, fmt: str, kinds: tuple[str, ...], ckpt_dir: str,
-    sink_dir: str | None, name: str, blocks: tuple[str, ...],
+    sink_dir: str | None, name: str, blocks: tuple[str, ...], state_bytes: int,
 ) -> list:
     """The one stage-2 body, load → fold → write, for every runner, over
     the partitions of one task (``(partition, rows, n_parts)`` each, in
     partition order). For each partition with rows it loads the prior table
     of each state kind in ``kinds`` (the newest file before this batch,
-    None if absent); then it calls the task fold ONCE, ``fold({partition:
-    rows}, {partition: priors}) -> {partition: (sinks, states, stats)}``,
-    and writes each partition's outputs in partition order: each non-None
-    state table under this batch id, each non-None sink table to
-    ``sink_dir/<sink>/batch-B/<name>.parquet`` (``name`` formatted with the
-    partition; sink ``""`` is ``sink_dir`` itself), except the sinks named
-    in ``blocks``, which are returned as Arrow blocks for a chained
-    exchange.
+    None if absent). Partitions go to the task fold in groups, in partition
+    order: a group closes once the prior tables it loaded reach
+    ``state_bytes`` (Arrow bytes), so a task holds a bounded share of the
+    state, whatever the shard count; with a small state every partition of
+    the task folds in one call. Per group the task fold runs ONCE,
+    ``fold({partition: rows}, {partition: priors}) -> {partition: (sinks,
+    states, stats)}``, and the body writes each partition's outputs in
+    partition order: each non-None state table under this batch id, each
+    non-None sink table to ``sink_dir/<sink>/batch-B/<name>.parquet``
+    (``name`` formatted with the partition; sink ``""`` is ``sink_dir``
+    itself), except the sinks named in ``blocks``, which are returned as
+    Arrow blocks for a chained exchange.
 
     Returns, per partition, its metrics ``{"stats", "rows", "slices",
     "blocks" (the block names the fold returned), "fold_s", "passes",
     "io_s", "io_bytes"}`` followed by one entry per block when ``blocks``.
     ``fold_s`` is the seconds of the fold call that folded the partition
-    (shared by every partition of the task, not its own share), and
-    ``passes`` is 1 on the first partition of that call, 0 elsewhere, so
+    (shared by every partition of its group, not its own share), and
+    ``passes`` is 1 on the first partition of each call, 0 elsewhere, so
     summing it counts fold calls. ``io_s`` is the partition's state load,
     state write and sink write seconds; ``io_bytes`` the Arrow bytes of the
     tables it loaded and wrote. A partition with no rows is not folded and
     writes nothing (``stats`` None; each block is its empty rows)."""
     ck = Checkpoint(ckpt_dir)  # path math only: construction touches no file
-    live = [p for p, t, _ in parts if t.num_rows]
-    priors, io_s, io_bytes = {}, {}, {}
-    for p in live:
+    live = [(p, t) for p, t, _ in parts if t.num_rows]
+    done, group, held = {}, {}, 0
+    for i, (p, t) in enumerate(live):
         t0 = time.perf_counter()
-        priors[p] = {kind: ck.load_state(p, before_batch=batch_id, kind=kind) for kind in kinds}
-        io_s[p] = time.perf_counter() - t0
-        io_bytes[p] = sum(t.nbytes for t in priors[p].values() if t is not None)
-    rows = {p: _as_format(t, fmt) for p, t, _ in parts if t.num_rows}
-    t0 = time.perf_counter()
-    folded = fold(rows, priors) if live else {}
-    fold_s = time.perf_counter() - t0
+        priors = {kind: ck.load_state(p, before_batch=batch_id, kind=kind) for kind in kinds}
+        loaded = sum(x.nbytes for x in priors.values() if x is not None)
+        group[p] = _as_format(t, fmt), priors, time.perf_counter() - t0, loaded
+        held += loaded
+        if held >= state_bytes or i == len(live) - 1:
+            done.update(_fold_group(group, batch_id, fold, ck, sink_dir, name, blocks))
+            group, held = {}, 0
     out = []
     for p, t, n_parts in parts:
         metrics = {
             "stats": None, "rows": t.num_rows, "slices": n_parts, "blocks": (),
             "fold_s": 0.0, "passes": 0, "io_s": 0.0, "io_bytes": 0,
         }
-        if not t.num_rows:
+        if p not in done:
             out += [metrics, *(t for _ in blocks)]
             continue
+        folded, got = done[p]
+        metrics.update(folded)
+        out += [metrics, *got]
+    return out
+
+
+def _fold_group(
+    group: dict, batch_id: int, fold: Callable, ck: Checkpoint, sink_dir: str | None, name: str,
+    blocks: tuple[str, ...],
+) -> dict[int, tuple[dict, list]]:
+    """One fold call of :func:`_fold_task` over ``group`` (``{partition:
+    (rows, priors, load seconds, loaded bytes)}``) and each partition's
+    writes: per partition, its metrics fields and its blocks."""
+    t0 = time.perf_counter()
+    folded = fold({p: g[0] for p, g in group.items()}, {p: g[1] for p, g in group.items()})
+    fold_s = time.perf_counter() - t0
+    out = {}
+    for i, (p, (_, _, load_s, io_bytes)) in enumerate(group.items()):
         sinks, states, stats = folded[p]
         t0 = time.perf_counter()
         for kind, state in states.items():
             if state is not None:
                 ck.write_state(p, batch_id, state, kind=kind)
-                io_bytes[p] += state.nbytes
+                io_bytes += state.nbytes
         for sink, table in sinks.items():
             if table is not None and sink not in blocks:
                 write_sink(os.path.join(sink_dir, sink), batch_id, name.format(p), table)
-                io_bytes[p] += table.nbytes
+                io_bytes += table.nbytes
         got = [sinks.get(b) for b in blocks]
-        metrics.update(
-            stats=stats, blocks=tuple(b for b, x in zip(blocks, got) if x is not None),
-            fold_s=fold_s, passes=int(p == live[0]), io_s=io_s[p] + time.perf_counter() - t0,
-            io_bytes=io_bytes[p],
-        )
-        out += [metrics, *(None if x is None else _as_format(x, "pyarrow") for x in got)]
+        out[p] = {
+            "stats": stats, "blocks": tuple(b for b, x in zip(blocks, got) if x is not None),
+            "fold_s": fold_s, "passes": int(i == 0), "io_s": load_s + time.perf_counter() - t0,
+            "io_bytes": io_bytes,
+        }, [None if x is None else _as_format(x, "pyarrow") for x in got]
     return out
 
 
@@ -633,15 +668,12 @@ def gather(refs: list, blocks: tuple[str, ...] = ()) -> tuple[list[dict], dict[s
     }
 
 
-def _lean_fold(fold: Callable, kind: str, rows: dict, priors: dict) -> dict:
+def _lean_fold(fold: Callable, kind: str, partition: int, rows: pa.Table, priors: dict) -> tuple:
     """A lean runner's ``fold(rows, prior) -> (rows, state, stats)`` as a
-    task fold, called once per partition: its rows are sink ``""``, its
-    state ``kind``."""
-    out = {}
-    for p, t in rows.items():
-        sink, state, stats = fold(t, priors[p][kind])
-        out[p] = {"": sink}, {kind: state}, stats
-    return out
+    per-partition fold for :func:`each_partition`: its rows are sink
+    ``""``, its state ``kind``."""
+    sink, state, stats = fold(rows, priors[kind])
+    return {"": sink}, {kind: state}, stats
 
 
 def exchange_metrics(shards: list[dict]) -> dict:
@@ -780,7 +812,7 @@ class KeyedStateRunner:
         result, an Arrow block for a later stage (no sink write)."""
         kind = kind or self.state_kind
         refs = exchange(
-            inputs, functools.partial(_lean_fold, fold, kind), self.num_partitions,
+            inputs, each_partition(functools.partial(_lean_fold, fold, kind)), self.num_partitions,
             batch_id=batch_id, ckpt_dir=self.ckpt.dir, sink_dir=self.sink_dir, kinds=(kind,),
             blocks=("",) if emit else (), route=route, fmt=batch_format or self.BATCH_FORMAT,
             shard_col=shard_col, columns=columns, num_shards=self.num_shards,

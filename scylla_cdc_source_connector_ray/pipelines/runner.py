@@ -46,10 +46,11 @@ vectorized:
    overwrite byte-identically ⇒ exactly-once — and the new state;
 4. per configured window kind (:func:`_window_kinds`: tumbling, sliding,
    session), one stage (:func:`_window_stage` per shard; for the unsalted
-   pane kinds :func:`_pane_stage`, every shard of a pass at once): rows
-   whose latest window already closed go to ``late/<kind>``, the rest are
-   partial-aggregated and folded into the kind's state with the pure core
-   of :mod:`..stages.windows` (one pane fold, one session fold).
+   pane kinds of a pass over several shards, :func:`_pane_stage` over all
+   of them at once): rows whose latest window already closed go to
+   ``late/<kind>``, the rest are partial-aggregated and folded into the
+   kind's state with the pure core of :mod:`..stages.windows` (one pane
+   fold, one session fold).
 
 Under hot-conversation salting the shard fold returns the window partials
 and the hot conversations' slim conv-state rows as blocks, and each salted
@@ -205,9 +206,10 @@ def _by_shard(t: pa.Table, shard: np.ndarray, shards: list[int], own: bool = Fal
     per shard of ``shards`` (ascending), row order kept inside each: slices
     of one ``take``, or with ``own`` a ``take`` of each shard's rows. A
     state table is split with ``own``: an IPC file written from a slice
-    carries its parent's whole buffers, one written from a ``take`` (or
-    from one shard's table, one chunk) carries only its own rows, so its
-    bytes do not depend on which shards were folded with it."""
+    carries its parent's whole buffers, one written from a ``take`` only
+    its own rows, in one record batch. One shard keeps ``t``, with ``own``
+    in one chunk too (a copy only of a column in several), so a state
+    file's bytes do not depend on which shards were folded with it."""
     if len(shards) == 1:
         return {shards[0]: t.combine_chunks() if own else t}
     order = np.argsort(shard, kind="stable")
@@ -483,13 +485,13 @@ def _fold_pass(
     real_np = _shard_col(real)
     reals = _by_shard(real, real_np, shards)
     envs = _by_shard(env, real_np, shards)
-    lag_stats = _lag_stats(real, real_np, shards)
+    lag_stats = {s: _lag_stats(reals[s]) for s in shards}
 
     # --- watermark-gated window aggregation (north_star windows) -----------
     n_late_dropped = np.zeros(len(shards), dtype=np.int64)
     if real.num_rows:
         for kind in _window_kinds(cfg, salted=bool(hot_convs)):
-            if isinstance(kind.core, Panes) and not kind.salted:
+            if isinstance(kind.core, Panes) and not kind.salted and len(shards) > 1:
                 n_late_dropped += _pane_stage(
                     kind, real, np.searchsorted(shards, real_np), shards, cfg, prev_watermarks,
                     lag_stats, priors, sinks, states,
@@ -568,51 +570,18 @@ def _enrich(genrich: pa.Table, shards: list[int], priors: dict) -> tuple[pa.Tabl
     return enriched, parts
 
 
-def _percentile(vals: np.ndarray, starts: np.ndarray, counts: np.ndarray, q: float) -> np.ndarray:
-    """``np.percentile(group, q)`` (its default, linear method) of each
-    group ``vals[start:start + count]`` (sorted ascending, count ≥ 1) at
-    once, with the same float operations numpy makes for one group, so the
-    results are bitwise equal."""
-    v = (counts - 1) * np.true_divide(q, 100)
-    lo = np.floor(v)
-    hi = lo + 1
-    top = v >= counts - 1  # numpy takes the last value there
-    lo[top] = -1
-    hi[top] = -1
-    gamma = v - lo
-    lo = lo.astype(np.intp)
-    hi = hi.astype(np.intp)
-    a = vals[starts + np.where(lo < 0, counts + lo, lo)]
-    b = vals[starts + np.where(hi < 0, counts + hi, hi)]
-    diff = b - a
-    out = a + diff * gamma
-    upper = gamma >= 0.5
-    out[upper] = (b - diff * (1 - gamma))[upper]
-    return out
-
-
-def _lag_stats(real: pa.Table, shard: np.ndarray, shards: list[int]) -> dict[int, dict]:
-    """Each shard's newest event time and capture-latency distribution:
-    how far behind the shard's batch frontier its events were when
-    committed, p50/p95 of (max_ts − ts). A distribution, not a single
-    batch-lag estimate: skewed shards show a long p95 even when the median
-    is fresh. None for a shard without events."""
+def _lag_stats(real: pa.Table) -> dict:
+    """One shard's newest event time and capture-latency distribution: how
+    far behind the shard's batch frontier its events were when committed,
+    p50/p95 of (max_ts − ts). A distribution, not a single batch-lag
+    estimate: skewed shards show a long p95 even when the median is fresh.
+    None for a shard without events."""
+    if not real.num_rows:
+        return {"max_ts_us": None, "lag_p50_us": None, "lag_p95_us": None}
     ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    order = np.lexsort((-ts, shard))  # per shard, newest first: lags ascending
-    ts, shard = ts[order], shard[order]
-    starts = np.searchsorted(shard, shards, side="left")
-    counts = np.searchsorted(shard, shards, side="right") - starts
-    out = dict.fromkeys(shards)
-    live = counts > 0
-    if live.any():
-        max_ts = ts[starts[live]]
-        lags = np.repeat(max_ts, counts[live]) - ts
-        p50 = _percentile(lags, starts[live], counts[live], 50)
-        p95 = _percentile(lags, starts[live], counts[live], 95)
-        for i, s in enumerate(np.asarray(shards)[live]):
-            out[int(s)] = {"max_ts_us": int(max_ts[i]), "lag_p50_us": int(p50[i]), "lag_p95_us": int(p95[i])}
-    empty = {"max_ts_us": None, "lag_p50_us": None, "lag_p95_us": None}
-    return {s: v or empty for s, v in out.items()}
+    max_ts = ts.max()
+    p50, p95 = np.percentile(max_ts - ts, (50, 95))
+    return {"max_ts_us": int(max_ts), "lag_p50_us": int(p50), "lag_p95_us": int(p95)}
 
 
 def _route(
@@ -843,7 +812,10 @@ def _pane_stage(
     for every shard of a pass at once: one late split, one partial
     aggregation and one pane fold, each shard's rows keyed and thresholded
     by their ``_slot`` (``at``, the row's index in ``shards``). Returns the
-    late rows per shard."""
+    late rows per shard. Against a loop of :func:`_window_stage` over the
+    shards it saves about 0.7 ms per shard of the pass (one CPU; the whole
+    fold of a 500-event batch over 12 shards took 18 ms with it, 26-28 ms
+    with the loop)."""
     ts = real["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     thr_prev = np.array([_threshold(watermarks, str(s), cfg) for s in shards], dtype=np.int64)
     late = kind.core.closes_us(ts) <= thr_prev[at]

@@ -843,6 +843,27 @@ def test_one_fold_call_per_task(tmp_path, monkeypatch, layout):
     assert m["io_s_max"] >= m["io_s_p50"] >= 0 and m["io_bytes_max"] >= m["io_bytes_p50"] > 0
 
 
+@pytest.mark.parametrize("name", ["late_one_shard", "salted_sessions"])
+def test_fold_state_bytes_bounds_each_fold_call(tmp_path, monkeypatch, name):
+    """With ``FOLD_STATE_BYTES`` at 0 every group closes after one
+    partition: the one-task path calls the capture fold once per shard with
+    rows, and writes what one call over every shard writes (the salted
+    merge stages, chained over blocks, run the two-stage graph)."""
+    one = _capture_run(tmp_path / "one", name)[0]
+    calls = str(tmp_path / "calls.jsonl")
+    if name != "salted_sessions":
+        _no_graph(monkeypatch)
+    _count_shard_folds(monkeypatch, calls)
+    monkeypatch.setattr(_microbatch, "FOLD_STATE_BYTES", 0)
+    each = _capture_run(tmp_path / "each", name)[0]
+    with open(calls) as f:
+        got = [json.loads(line) for line in f]
+    assert all(len(shards) == 1 for shards in got)
+    m = _metrics(tmp_path / "each", 1)
+    assert m["fold_passes"] == m["shards_active"] > 1
+    assert each == one
+
+
 def test_metrics_cli_shows_fold_and_io(tmp_path, capsys):
     """``metrics`` summarizes the per-batch fold passes and partition I/O."""
     import argparse

@@ -1,16 +1,16 @@
 """Wall seconds of one flat-log capture batch through Ray, by shard count.
 
-Writes a flat log of two windows of ``--rows`` events each, cut from
+Writes a flat log of two windows of :data:`ROWS` events each, cut from
 perfbench's ``capture_tail`` log and folded with its capture config
 (scoring, tumbling panes, conv-state enrichment; both imported from
 ``perfbench/workloads.py``, which this tool only reads). Then, per shard
 count and repeat, on a fresh checkpoint: batch 0 runs untimed, so that the
 timed ``run()`` of batch 1 folds onto prior state as every tail batch
 does. Prints one JSON line per shard count with the median and quartiles
-of the timed runs and the engine's own metrics of the last timed batch
+of :data:`REPEATS` timed runs and the engine's own metrics of the last timed batch
 (``fold_passes``, ``fold_s_max``, ``io_s_max``, ``io_s_p50``).
 
-    python tools/batch_cost.py --shards 4 16 64 --cpus 1 --repeats 7
+    python tools/batch_cost.py --shards 4 16 64 --cpus 1
 
 Run it from the checkout it measures: Ray workers import the engine from
 the working directory of the process that starts Ray.
@@ -28,14 +28,21 @@ import sys
 import tempfile
 import time
 
+#: events per batch, as in a ``capture_tail`` window
+ROWS = 500
+#: the log's conversation-id permutation (``perfbench.workloads.make_log``)
+SEED = 1
+#: timed runs per shard count
+REPEATS = 9
 
-def write_log(log: str, rows: int, seed: int) -> None:
-    """Two flat window files of ``rows`` events of the ``capture_tail`` log."""
+
+def write_log(log: str) -> None:
+    """Two flat window files of :data:`ROWS` events of the ``capture_tail`` log."""
     from perfbench.workloads import FULL, _tail_convs, make_log
     from scylla_cdc_source_connector_ray.sources.synthetic import write_windowed
 
     s = FULL["capture_tail"]
-    t = make_log(seed, _tail_convs(2 * rows, s.turns), s.turns, 0, s.pad).slice(0, 2 * rows)
+    t = make_log(SEED, _tail_convs(2 * ROWS, s.turns), s.turns, 0, s.pad).slice(0, 2 * ROWS)
     write_windowed(t, log, num_files=2)
 
 
@@ -73,9 +80,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--shards", type=int, nargs="+", default=[4, 16, 64])
     ap.add_argument("--cpus", type=int, default=1, help="Ray num_cpus")
-    ap.add_argument("--rows", type=int, default=500, help="events per batch")
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--work", default=None, help="work dir (default: a new temp dir)")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.getcwd())  # the checkout measured, as for the workers
@@ -84,7 +88,7 @@ def main(argv=None) -> int:
     os.makedirs(work, exist_ok=True)
     log = os.path.join(work, "log")
     shutil.rmtree(log, ignore_errors=True)
-    write_log(log, args.rows, args.seed)
+    write_log(log)
 
     import ray
 
@@ -99,7 +103,7 @@ def main(argv=None) -> int:
     try:
         batch_cost(log, os.path.join(work, "warm"), args.shards[0], 1)  # worker imports
         for n in args.shards:
-            print(json.dumps({"cpus": args.cpus, "rows": args.rows, **batch_cost(log, work, n, args.repeats)}), flush=True)
+            print(json.dumps({"cpus": args.cpus, "rows": ROWS, **batch_cost(log, work, n, REPEATS)}), flush=True)
     finally:
         ray.shutdown()
         if args.work is None:
